@@ -5,13 +5,10 @@ sets of configurations for each of the regions ... During the evaluation, a
 single execution of the resulting program is sufficient to obtain
 measurements for all simultaneously tuned regions."
 
-:class:`MultiRegionTuner` coordinates one RS-GDE3 instance per region.  Two
-evaluation paths produce bit-identical results:
-
-* :meth:`MultiRegionTuner.run_lockstep` — the serial reference: each
-  program generation, every region proposes its GDE3 trials, the trials
-  are evaluated region by region, then every region selects.  This is the
-  loop the scheduler is verified against (and the benchmark baseline).
+:class:`MultiRegionTuner` drives one
+:class:`~repro.optimizer.rsgde3.RSGDE3State` per region — the same ask/tell
+loop single-region tuning runs — through one of two evaluation paths with
+bit-identical results:
 
 * :meth:`MultiRegionTuner.run` — the cross-region scheduler: every active
   region's generation batch is fused into **one shared**
@@ -28,6 +25,11 @@ evaluation paths produce bit-identical results:
   bit-identical for any worker count, chunk size or completion
   interleaving.
 
+* :meth:`MultiRegionTuner.run_lockstep` — the serial reference: each
+  program generation evaluates the regions one after another through the
+  plain ``evaluate_batch`` path.  The scheduler is verified against it and
+  the multi-region benchmark uses it as its baseline.
+
 The payoff is the ledger: ``program_runs`` grows by ``max_r |trials_r|``
 per generation instead of ``Σ_r |trials_r|`` — tuning jacobi-2d's two
 spatial regions costs barely more program executions than tuning one.
@@ -37,29 +39,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.analysis.regions import extract_regions
 from repro.evaluation.cost import RegionCostModel
 from repro.evaluation.measurements import MeasurementProtocol
-from repro.evaluation.parallel_eval import EngineStats, EvaluationEngine, FusedBatch
+from repro.evaluation.parallel_eval import EngineStats, EvaluationEngine
 from repro.evaluation.simulator import SimulatedTarget
 from repro.frontend.kernels import Kernel
 from repro.ir.nodes import Function
 from repro.machine.model import MachineModel, WESTMERE
-from repro.obs import (
-    DISABLED,
-    ConvergenceRecord,
-    Observability,
-    emit_generation,
-    population_delta,
-)
-from repro.optimizer.archive import ParetoArchive
-from repro.optimizer.gde3 import GDE3
-from repro.optimizer.pareto import non_dominated
+from repro.obs import DISABLED, Observability
 from repro.optimizer.problem import TuningProblem
-from repro.optimizer.roughset import rough_set_boundary
-from repro.optimizer.rsgde3 import OptimizerResult, RSGDE3Settings, _dedupe
+from repro.optimizer.rsgde3 import OptimizerResult, RSGDE3Settings, RSGDE3State
 from repro.transform.skeleton import default_skeleton
 from repro.util.rng import derive_rng
 
@@ -110,116 +100,6 @@ class MultiRegionResult:
             f"sharing ×{self.sharing_factor:.2f})"
         )
         return "\n".join(lines)
-
-
-class _RegionState:
-    """One region's optimizer state inside the cross-region scheduler.
-
-    Every mutation of this state depends only on the region's own RNG
-    stream and its own measured objectives — never on sibling timing —
-    which is what makes the scheduler's results independent of worker
-    count and completion order.
-    """
-
-    def __init__(self, idx: int, problem: TuningProblem, settings, seed: int):
-        self.idx = idx
-        self.problem = problem
-        self.settings = settings
-        self.optimizer = GDE3(problem, settings.gde3)
-        self.rng = derive_rng(seed, "multiregion", idx)
-        self.full = problem.space.full_boundary()
-        self.boundary = self.full
-        self.population = None
-        self.ref: np.ndarray | None = None
-        self.best_hv = 0.0
-        self.stalled = 0
-        self.gen = -1  # last fully absorbed generation (-1: nothing yet)
-        self.finished = False
-        self.records: list[ConvergenceRecord] = []
-        self.evals_before = problem.evaluations
-        # in-flight bookkeeping
-        self.batch: FusedBatch | None = None
-        self.values_list: list[dict[str, int]] | None = None
-
-    # -- propose / absorb: the two halves of one generation ---------------
-
-    def propose(self, engine: EvaluationEngine) -> None:
-        """Draw this region's next batch (initial sample or GDE3 trials)
-        and enqueue it into the fused session."""
-        if self.population is None:
-            vectors = self.full.sample(
-                self.rng, self.settings.gde3.population_size
-            )
-        else:
-            vectors = self.optimizer.propose(
-                self.population, self.boundary, self.rng
-            )
-        self.values_list, configs = self.problem.batch_configs(vectors)
-        self.batch = engine.fused_submit(
-            self.problem.target, configs, region=str(self.idx)
-        )
-
-    def absorb(self, obs: Observability) -> None:
-        """Fold the drained batch back into the optimizer state: select,
-        rough-set update, telemetry, stall check."""
-        trial_configs = self.problem.make_configurations(
-            self.values_list, self.batch.objectives
-        )
-        self.batch = None
-        self.values_list = None
-        self.gen += 1
-
-        if self.population is None:
-            self.population = trial_configs
-            objs0 = np.array([c.objectives for c in self.population])
-            self.ref = objs0.max(axis=0) * 1.1
-            front_size, self.best_hv = ParetoArchive.stats_of(objs0, self.ref)
-            record = ConvergenceRecord(
-                generation=0,
-                evaluations=self.problem.evaluations - self.evals_before,
-                front_size=front_size,
-                hypervolume=self.best_hv,
-                accepted=len(self.population),
-            )
-        else:
-            previous = self.population
-            self.population = self.optimizer.select(self.population, trial_configs)
-            accepted, dominated = population_delta(previous, self.population)
-            front_size, hv = ParetoArchive.stats_of(
-                np.array([c.objectives for c in self.population]), self.ref
-            )
-            record = ConvergenceRecord(
-                generation=self.gen,
-                evaluations=self.problem.evaluations - self.evals_before,
-                front_size=front_size,
-                hypervolume=hv,
-                accepted=accepted,
-                dominated=dominated,
-            )
-            if hv > self.best_hv * (1.0 + self.settings.hv_epsilon):
-                self.best_hv = hv
-                self.stalled = 0
-            else:
-                self.stalled += 1
-                if self.stalled >= self.settings.patience:
-                    self.finished = True
-        self.boundary = rough_set_boundary(
-            self.population, self.full, protect=self.settings.protect
-        )
-        self.records.append(record)
-        emit_generation(obs, f"multiregion[{self.idx}]", record)
-        if self.gen >= self.settings.max_generations:
-            self.finished = True
-
-    def result(self, generations: int) -> OptimizerResult:
-        front = _dedupe(non_dominated(self.population, key=lambda c: c.objectives))
-        return OptimizerResult(
-            front=tuple(front),
-            evaluations=self.problem.evaluations - self.evals_before,
-            generations=generations,
-            hv_history=tuple((r.evaluations, r.hypervolume) for r in self.records),
-            convergence=tuple(self.records),
-        )
 
 
 @dataclass
@@ -295,20 +175,22 @@ class MultiRegionTuner:
         ``chunk_size``, ``backend`` and ``pipeline`` setting.
         """
         obs = self.obs or DISABLED
-        problems = self._build_problems()
-        states = [
-            _RegionState(i, p, self.settings, seed)
-            for i, p in enumerate(problems)
-        ]
-        by_region = {str(st.idx): st for st in states}
+        states = self._states(seed, obs)
         max_lag = 1 if self.pipeline else 0
         engine = EvaluationEngine(
-            problems[0].target,
+            states[0].problem.target,
             max_workers=self.workers,
             backend=self.backend,
             chunk_size=self.chunk_size,
             obs=obs,
         )
+        #: region index → decoded values of its batch in flight
+        in_flight: dict[int, list[dict[str, int]]] = {}
+
+        def submit(idx: int) -> None:
+            problem = states[idx].problem
+            in_flight[idx], configs = problem.batch_configs(states[idx].ask())
+            engine.fused_submit(problem.target, configs, region=str(idx))
 
         with obs.tracer.span(
             "scheduler.run",
@@ -317,101 +199,70 @@ class MultiRegionTuner:
             pipeline=self.pipeline,
         ) as span:
             try:
-                for st in states:  # everyone's initial sample, fused
-                    st.propose(engine)
-                while any(st.batch is not None for st in states):
+                for idx in range(len(states)):  # everyone's initial sample, fused
+                    submit(idx)
+                while in_flight:
                     for batch in engine.fused_wait():
-                        by_region[batch.region].absorb(obs)
-                    running = [st for st in states if not st.finished]
-                    if not running:
-                        continue  # drain stragglers, nothing new to submit
+                        idx = int(batch.region)
+                        st = states[idx]
+                        st.tell(st.problem.make_configurations(
+                            in_flight.pop(idx), batch.objectives
+                        ))
                     # bounded lag: a region may run ahead of the slowest
                     # unfinished region by at most max_lag generations
-                    min_gen = min(st.gen for st in running)
-                    for st in running:
-                        if st.batch is None and st.gen - min_gen <= max_lag:
-                            st.propose(engine)
-                stats = _clone_stats(engine.stats)
+                    running = [i for i, st in enumerate(states) if not st.finished]
+                    min_gen = min((states[i].generation for i in running), default=0)
+                    for i in running:
+                        if i not in in_flight and states[i].generation - min_gen <= max_lag:
+                            submit(i)
+                result = self._result(states, engine.stats)
             finally:
                 engine.close()
-
-            generations = max(st.gen for st in states)
-            program_runs = self.settings.gde3.population_size * (1 + generations)
             span.set(
-                generations=generations,
-                program_runs=program_runs,
-                shared_hits=stats.shared_hits,
+                generations=result.generations,
+                program_runs=result.program_runs,
+                shared_hits=result.engine_stats.shared_hits,
             )
-
-        return MultiRegionResult(
-            results=tuple(st.result(generations) for st in states),
-            program_runs=program_runs,
-            generations=generations,
-            engine_stats=stats,
-        )
+        return result
 
     # -- serial lock-step reference ------------------------------------
 
     def run_lockstep(self, seed: int = 0) -> MultiRegionResult:
         """The serial per-region loop the scheduler is verified against
         (and the wall-clock baseline of the multi-region benchmark)."""
-        obs = self.obs or DISABLED
-        problems = self._build_problems()
-        states = [
-            _RegionState(i, p, self.settings, seed)
-            for i, p in enumerate(problems)
-        ]
-        stats = EngineStats()
-
-        for st in states:
-            vectors = st.full.sample(st.rng, self.settings.gde3.population_size)
-            st.values_list, configs = st.problem.batch_configs(vectors)
-            result = st.problem.evaluation_engine.evaluate_batch(configs)
-            st.batch = _as_fused(result)
-            st.absorb(obs)
-
-        while any(not st.finished for st in states):
+        states = self._states(seed, self.obs or DISABLED)
+        while not all(st.finished for st in states):
             for st in states:
-                if st.finished:
-                    continue
-                vectors = st.optimizer.propose(st.population, st.boundary, st.rng)
-                st.values_list, configs = st.problem.batch_configs(vectors)
-                result = st.problem.evaluation_engine.evaluate_batch(configs)
-                st.batch = _as_fused(result)
-                st.absorb(obs)
+                if not st.finished:
+                    st.tell(st.problem.evaluate_batch(st.ask()))
+        return self._result(
+            states, *(st.problem.evaluation_engine.stats for st in states)
+        )
 
-        for st in states:
-            stats.merge(st.problem.evaluation_engine.stats)
-        generations = max(st.gen for st in states)
-        program_runs = self.settings.gde3.population_size * (1 + generations)
+    def _states(self, seed: int, obs: Observability) -> list[RSGDE3State]:
+        return [
+            RSGDE3State(
+                problem,
+                self.settings,
+                derive_rng(seed, "multiregion", idx),
+                obs,
+                label=f"multiregion[{idx}]",
+            )
+            for idx, problem in enumerate(self._build_problems())
+        ]
+
+    def _result(self, states: list[RSGDE3State], *engine_stats) -> MultiRegionResult:
+        """Per-region results, the shared program-run count (one execution
+        per zipped trial row of the busiest region) and a snapshot of the
+        merged engine accounting."""
+        stats = EngineStats()
+        for s in engine_stats:
+            stats.merge(s)
+        generations = max(st.generation for st in states)
         return MultiRegionResult(
-            results=tuple(st.result(generations) for st in states),
-            program_runs=program_runs,
+            results=tuple(st.result() for st in states),
+            program_runs=self.settings.gde3.population_size * (1 + generations),
             generations=generations,
             engine_stats=stats,
         )
 
-
-def _as_fused(result) -> FusedBatch:
-    """Wrap a plain BatchResult so _RegionState.absorb can consume either
-    evaluation path."""
-    return FusedBatch(
-        region="",
-        target=None,
-        fp="",
-        keys=[],
-        order=[],
-        needs=set(),
-        compute=[],
-        stats=result.stats,
-        t0=0.0,
-        objectives=result.objectives,
-        done=True,
-    )
-
-
-def _clone_stats(stats: EngineStats) -> EngineStats:
-    """Snapshot the engine's cumulative accounting before it is closed."""
-    out = EngineStats()
-    out.merge(stats)
-    return out

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 from pathlib import Path
 
@@ -133,32 +134,31 @@ class _Shard:
             ]
             if not fresh:
                 return 0
-            new_file = not self.path.exists()
+            lines = [
+                json.dumps(
+                    {
+                        "k": list(key),
+                        "v": meas.value,
+                        "s": list(meas.samples),
+                        "e": obj.energy,
+                    }
+                )
+                for key, obj, meas in fresh
+            ]
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                if new_file:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "schema": SCHEMA_VERSION,
-                                "fingerprint": self.fingerprint,
-                            }
-                        )
-                        + "\n"
-                    )
-                for key, obj, meas in fresh:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "k": list(key),
-                                "v": meas.value,
-                                "s": list(meas.samples),
-                                "e": obj.energy,
-                            }
-                        )
-                        + "\n"
-                    )
-                    records[key] = (obj, meas)
+            with open(self.path, "a+b") as fh:
+                if fh.tell() == 0:
+                    header = {"schema": SCHEMA_VERSION, "fingerprint": self.fingerprint}
+                    lines.insert(0, json.dumps(header))
+                else:
+                    # a torn final line (a writer died mid-record) must not
+                    # swallow the next record: start it on a line of its own
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        lines.insert(0, "")
+                fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+            for key, obj, meas in fresh:
+                records[key] = (obj, meas)
             return len(fresh)
 
 

@@ -13,8 +13,9 @@ The observability layer the rest of the framework reports into:
   ``repro trace`` subcommand.
 
 Instrumented components take one :class:`Observability` handle bundling a
-tracer and a metrics registry; ``Observability.disabled()`` (the default
-everywhere) costs nothing on the hot path.
+tracer and a metrics registry.  Components built without one fall back to
+the shared :data:`DISABLED` handle, which costs nothing on the hot path and
+records nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from dataclasses import dataclass, field
 
 from repro.obs.clock import Clock, FakeClock, SystemClock
 from repro.obs.convergence import ConvergenceRecord, emit_generation, population_delta
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    NullMetricsRegistry,
+)
 from repro.obs.summary import load_trace, summarize_trace, trace_summary_for_path
 from repro.obs.tracer import NullTracer, Span, TraceError, Tracer
 
@@ -37,6 +44,7 @@ __all__ = [
     "Span",
     "TraceError",
     "MetricsRegistry",
+    "NullMetricsRegistry",
     "Counter",
     "Gauge",
     "Histogram",
@@ -69,7 +77,8 @@ class Observability:
 
     @classmethod
     def disabled(cls) -> "Observability":
-        """Null tracer + fresh registry — the zero-overhead default."""
+        """Null tracer + fresh registry: no tracing, metrics for this run
+        only (``--metrics`` without ``--trace``)."""
         return cls()
 
     @classmethod
@@ -79,5 +88,6 @@ class Observability:
 
 
 #: shared inert instance used as the fallback when a component was built
-#: without an explicit handle (never written to by enabled paths)
-DISABLED = Observability.disabled()
+#: without an explicit handle: null tracer, null registry — it records
+#: nothing, so nothing leaks from one run into the next
+DISABLED = Observability(metrics=NullMetricsRegistry())

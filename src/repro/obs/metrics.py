@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "NullMetricsRegistry"]
 
 #: default histogram buckets (seconds): spans µs-scale engine batches up to
 #: multi-second tuning phases
@@ -188,3 +188,24 @@ class MetricsRegistry:
             lines.append(f"# TYPE {name} {instrument.kind}")
             lines.extend(instrument.expose())
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+class _NullInstrument:
+    """Accepts every counter, gauge and histogram update and keeps none."""
+
+    def inc(self, amount: float = 1) -> None:
+        pass
+
+    dec = set = observe = inc
+
+
+_NULL_INSTRUMENT = _NullInstrument()
+
+
+class NullMetricsRegistry(MetricsRegistry):
+    """A registry that records nothing: every accessor returns one shared
+    inert instrument and nothing is ever registered, so a handle built
+    without a run of its own cannot accumulate state across runs."""
+
+    def _get(self, cls, name: str, help: str, **kwargs):
+        return _NULL_INSTRUMENT

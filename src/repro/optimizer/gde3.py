@@ -34,7 +34,7 @@ from repro.optimizer.pareto import (
 from repro.optimizer.problem import TuningProblem
 from repro.optimizer.space import Boundary
 
-__all__ = ["GDE3Settings", "GDE3"]
+__all__ = ["GDE3Settings", "GDE3", "truncate"]
 
 
 def _objective_rows(configs: list[Configuration]) -> np.ndarray:
@@ -144,7 +144,7 @@ class GDE3:
                 next_pop.append(trial)
 
         if len(next_pop) > np_size:
-            next_pop = self._truncate(next_pop, np_size)
+            next_pop = truncate(next_pop, np_size)
         return next_pop
 
     @staticmethod
@@ -201,19 +201,21 @@ class GDE3:
         mask[forced] = True
         return np.where(mask, donor, a)
 
-    def _truncate(self, pop: list[Configuration], size: int) -> list[Configuration]:
-        """Non-dominated sorting + crowding-distance truncation."""
-        objs = np.array([c.objectives for c in pop])
-        fronts = non_dominated_sort(objs)
-        kept: list[int] = []
-        for front in fronts:
-            if len(kept) + len(front) <= size:
-                kept.extend(front.tolist())
-                continue
-            remaining = size - len(kept)
-            if remaining > 0:
-                dist = crowding_distance(objs[front])
-                order = np.argsort(-dist, kind="stable")
-                kept.extend(front[order[:remaining]].tolist())
-            break
-        return [pop[i] for i in kept]
+
+def truncate(pop: list[Configuration], size: int) -> list[Configuration]:
+    """The first *size* members of *pop* by non-dominated rank, the last
+    admitted front thinned by crowding distance (GDE3's and NSGA-II's
+    survivor selection)."""
+    objs = np.array([c.objectives for c in pop])
+    kept: list[int] = []
+    for front in non_dominated_sort(objs):
+        if len(kept) + len(front) <= size:
+            kept.extend(front.tolist())
+            continue
+        remaining = size - len(kept)
+        if remaining > 0:
+            dist = crowding_distance(objs[front])
+            order = np.argsort(-dist, kind="stable")
+            kept.extend(front[order[:remaining]].tolist())
+        break
+    return [pop[i] for i in kept]

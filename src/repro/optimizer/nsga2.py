@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs import DISABLED, ConvergenceRecord, emit_generation, population_delta
-from repro.optimizer.archive import ParetoArchive
+from repro.obs import DISABLED
 from repro.optimizer.config import Configuration
+from repro.optimizer.gde3 import truncate
 from repro.optimizer.pareto import crowding_distance, non_dominated, non_dominated_sort
 from repro.optimizer.problem import TuningProblem
-from repro.optimizer.rsgde3 import OptimizerResult, _dedupe
+from repro.optimizer.rsgde3 import ConvergenceLog, OptimizerResult, _dedupe
 from repro.util.rng import derive_rng
 
 __all__ = ["NSGA2", "NSGA2Settings"]
@@ -45,60 +45,30 @@ class NSGA2:
         space = self.problem.space
         full = space.full_boundary()
         np_size = self.settings.population_size
-        evals_before = self.problem.evaluations
 
         with obs.tracer.span("optimizer.run", algorithm="nsga2", seed=seed) as span:
+            # same telemetry (and fixed V reference) as RS-GDE3
+            log = ConvergenceLog(self.problem, obs, "nsga2")
             pop = self.problem.evaluate_batch(full.sample(rng, np_size))
-            # fixed hypervolume reference from the initial population, the
-            # same normalization rule RS-GDE3 uses
-            ref = np.array([c.objectives for c in pop]).max(axis=0) * 1.1
-            convergence = [self._record(0, pop, ref, evals_before, len(pop), 0)]
-            emit_generation(obs, "nsga2", convergence[0])
-            for gen in range(1, self.settings.generations + 1):
+            log.record(pop)
+            for _ in range(self.settings.generations):
                 offspring_vecs = self._make_offspring(pop, rng)
                 offspring = self.problem.evaluate_batch(offspring_vecs)
                 previous = pop
-                pop = self._environmental_selection(pop + offspring, np_size)
-                accepted, dominated = population_delta(previous, pop)
-                convergence.append(
-                    self._record(gen, pop, ref, evals_before, accepted, dominated)
-                )
-                emit_generation(obs, "nsga2", convergence[-1])
+                pop = truncate(pop + offspring, np_size)
+                log.record(pop, previous)
 
             front = _dedupe(non_dominated(pop, key=lambda c: c.objectives))
             span.set(
                 generations=self.settings.generations,
-                evaluations=self.problem.evaluations - evals_before,
+                evaluations=log.evaluations,
                 front_size=len(front),
             )
         return OptimizerResult(
             front=tuple(front),
-            evaluations=self.problem.evaluations - evals_before,
+            evaluations=log.evaluations,
             generations=self.settings.generations,
-            convergence=tuple(convergence),
-        )
-
-    def _record(
-        self,
-        generation: int,
-        pop: list[Configuration],
-        ref: np.ndarray,
-        evals_before: int,
-        accepted: int,
-        dominated: int,
-    ) -> ConvergenceRecord:
-        # one staircase pass for |S| and V together — bit-identical to the
-        # non_dominated + hypervolume pair it replaces
-        front_size, hv = ParetoArchive.stats_of(
-            np.array([c.objectives for c in pop]), ref
-        )
-        return ConvergenceRecord(
-            generation=generation,
-            evaluations=self.problem.evaluations - evals_before,
-            front_size=front_size,
-            hypervolume=hv,
-            accepted=accepted,
-            dominated=dominated,
+            convergence=tuple(log.records),
         )
 
     # ------------------------------------------------------------------
@@ -161,21 +131,3 @@ class NSGA2:
             1.0 - (2 * (1 - u)) ** (1.0 / (eta + 1)),
         )
         return np.where(do, v + delta * span, v)
-
-    def _environmental_selection(
-        self, pop: list[Configuration], size: int
-    ) -> list[Configuration]:
-        objs = np.array([c.objectives for c in pop])
-        fronts = non_dominated_sort(objs)
-        kept: list[int] = []
-        for front in fronts:
-            if len(kept) + len(front) <= size:
-                kept.extend(front.tolist())
-                continue
-            room = size - len(kept)
-            if room > 0:
-                dist = crowding_distance(objs[front])
-                order = np.argsort(-dist, kind="stable")
-                kept.extend(front[order[:room]].tolist())
-            break
-        return [pop[i] for i in kept]

@@ -15,6 +15,10 @@ The driver alternates GDE3 generations with rough-set boundary updates:
 non-dominated front (with a fixed normalization established from the
 initial population), matching the paper's stopping rule "when the solutions
 do not improve for three consecutive iterations".
+
+:class:`RSGDE3State` is the loop as an ask/tell state machine;
+:meth:`RSGDE3.run` drives one state through the problem's evaluation
+engine and the multi-region tuner drives one per region.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import numpy as np
 from repro.obs import DISABLED, ConvergenceRecord, emit_generation, population_delta
 from repro.optimizer.archive import ParetoArchive
 from repro.optimizer.config import Configuration
-from repro.optimizer.hypervolume import hypervolume
 from repro.optimizer.gde3 import GDE3, GDE3Settings
 from repro.optimizer.pareto import non_dominated
 from repro.optimizer.problem import TuningProblem
@@ -34,7 +37,7 @@ from repro.optimizer.roughset import rough_set_boundary
 from repro.optimizer.space import Boundary
 from repro.util.rng import derive_rng
 
-__all__ = ["RSGDE3", "RSGDE3Settings", "OptimizerResult"]
+__all__ = ["RSGDE3", "RSGDE3Settings", "RSGDE3State", "OptimizerResult", "ConvergenceLog"]
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,6 @@ class OptimizerResult:
     evaluations: int
     generations: int
     boundary_history: tuple[float, ...] = ()
-    #: (evaluations so far, population-front hypervolume) per generation —
-    #: convergence trace for the seeding/strategy comparisons
-    hv_history: tuple[tuple[int, float], ...] = ()
     #: full per-generation telemetry (E, |S|, V, accepted/dominated) — the
     #: paper's V-vs-E trajectory as first-class data
     convergence: tuple[ConvergenceRecord, ...] = ()
@@ -88,6 +88,155 @@ class OptimizerResult:
     @property
     def size(self) -> int:
         return len(self.front)
+
+    @property
+    def hv_history(self) -> tuple[tuple[int, float], ...]:
+        """(evaluations so far, population-front hypervolume) per
+        generation — the convergence trace reduced to its V-vs-E curve."""
+        return tuple((r.evaluations, r.hypervolume) for r in self.convergence)
+
+
+class ConvergenceLog:
+    """One :class:`ConvergenceRecord` per generation of a population-based
+    run, also emitted as an ``optimizer.generation`` event under *label*.
+    V is measured against a fixed reference: 1.1 × the first population's
+    worst value per objective."""
+
+    def __init__(self, problem: TuningProblem, obs, label: str) -> None:
+        self.problem = problem
+        self.obs = obs
+        self.label = label
+        self.evals_before = problem.evaluations
+        self.ref: np.ndarray | None = None
+        self.records: list[ConvergenceRecord] = []
+
+    @property
+    def evaluations(self) -> int:
+        """E spent since the log was opened."""
+        return self.problem.evaluations - self.evals_before
+
+    def record(
+        self, population: list[Configuration], previous: list[Configuration] | None = None
+    ) -> ConvergenceRecord:
+        """Record *population*, which replaced *previous* (None for the
+        initial sample)."""
+        objs = np.array([c.objectives for c in population])
+        if self.ref is None:
+            self.ref = objs.max(axis=0) * 1.1
+        # one staircase pass for |S| and V together — bit-identical to the
+        # non_dominated + hypervolume pair
+        front_size, hv = ParetoArchive.stats_of(objs, self.ref)
+        if previous is None:
+            accepted, dominated = len(population), 0
+        else:
+            accepted, dominated = population_delta(previous, population)
+        record = ConvergenceRecord(
+            generation=len(self.records),
+            evaluations=self.evaluations,
+            front_size=front_size,
+            hypervolume=hv,
+            accepted=accepted,
+            dominated=dominated,
+        )
+        self.records.append(record)
+        emit_generation(self.obs, self.label, record)
+        return record
+
+
+class RSGDE3State:
+    """One RS-GDE3 run as an ask/tell state machine (the Fig. 4 loop).
+
+    :meth:`ask` returns the vectors to evaluate next: the initial sample,
+    then one GDE3 trial per member within the rough-set box.  :meth:`tell`
+    takes their evaluated configurations: selection, box update, stopping
+    rule.  The state sees only its own RNG stream and measurements, so its
+    results do not depend on who evaluates in between or when.
+
+    :param rng: the run's RNG stream, derived by the caller.
+    :param label: algorithm name on the ``optimizer.generation`` events.
+    """
+
+    def __init__(
+        self,
+        problem: TuningProblem,
+        settings: RSGDE3Settings,
+        rng: np.random.Generator,
+        obs=DISABLED,
+        label: str = "rsgde3",
+    ) -> None:
+        self.problem = problem
+        self.settings = settings
+        self.rng = rng
+        self.gde3 = GDE3(problem, settings.gde3)
+        self.full = problem.space.full_boundary()
+        self.boundary: Boundary = self.full
+        self.population: list[Configuration] | None = None
+        self.log = ConvergenceLog(problem, obs, label)
+        self.boundary_history: list[float] = []
+        self.best_hv = 0.0
+        self.stalled = 0
+        self.finished = False
+
+    @property
+    def generation(self) -> int:
+        """Last told generation (0 = the initial sample, -1 = none yet)."""
+        return len(self.log.records) - 1
+
+    def ask(self) -> np.ndarray:
+        """The (B, dim) parameter vectors to evaluate next."""
+        if self.population is not None:
+            return self.gde3.propose(self.population, self.boundary, self.rng)
+        size = self.settings.gde3.population_size
+        fraction = self.settings.informed_seed_fraction
+        if fraction > 0:
+            from repro.optimizer.seeding import mixed_initial_vectors
+
+            return mixed_initial_vectors(
+                self.problem.space,
+                self.problem.target.model,
+                size,
+                self.rng,
+                informed_fraction=fraction,
+            )
+        return self.full.sample(self.rng, size)
+
+    def tell(self, configs: list[Configuration]) -> ConvergenceRecord:
+        """Fold the evaluated configurations of the last :meth:`ask` back
+        in: selection, rough-set update, telemetry, stopping rule."""
+        previous = self.population
+        if previous is None:
+            self.population = configs
+        else:
+            self.population = self.gde3.select(previous, configs)
+        self.boundary = rough_set_boundary(
+            self.population, self.full, protect=self.settings.protect
+        )
+        self.boundary_history.append(self.boundary.volume_fraction())
+        record = self.log.record(self.population, previous)
+        # "improvement" = relative hypervolume gain over the best so far;
+        # stop after `patience` non-improving generations
+        if previous is None or record.hypervolume > self.best_hv * (
+            1.0 + self.settings.hv_epsilon
+        ):
+            self.best_hv = record.hypervolume
+            self.stalled = 0
+        else:
+            self.stalled += 1
+        self.finished = (
+            self.stalled >= self.settings.patience
+            or self.generation >= self.settings.max_generations
+        )
+        return record
+
+    def result(self) -> OptimizerResult:
+        front = non_dominated(self.population, key=lambda c: c.objectives)
+        return OptimizerResult(
+            front=tuple(_dedupe(front)),
+            evaluations=self.log.evaluations,
+            generations=self.generation,
+            boundary_history=tuple(self.boundary_history),
+            convergence=tuple(self.log.records),
+        )
 
 
 @dataclass
@@ -99,98 +248,20 @@ class RSGDE3:
 
     def run(self, seed: int = 0) -> OptimizerResult:
         obs = getattr(self.problem, "observability", None) or DISABLED
-        rng = derive_rng(seed, "rsgde3")
-        gde3 = GDE3(self.problem, self.settings.gde3)
-        full = self.problem.space.full_boundary()
-
-        evals_before = self.problem.evaluations
         with obs.tracer.span("optimizer.run", algorithm="rsgde3", seed=seed) as span:
-            if self.settings.informed_seed_fraction > 0:
-                from repro.optimizer.seeding import mixed_initial_vectors
-
-                vectors = mixed_initial_vectors(
-                    self.problem.space,
-                    self.problem.target.model,
-                    self.settings.gde3.population_size,
-                    rng,
-                    informed_fraction=self.settings.informed_seed_fraction,
-                )
-                population = self.problem.evaluate_batch(vectors)
-            else:
-                population = gde3.initial_population(full, rng)
-            boundary = rough_set_boundary(population, full, protect=self.settings.protect)
-            history = [boundary.volume_fraction()]
-
-            # fixed hypervolume normalization from the initial population
-            objs0 = np.array([c.objectives for c in population])
-            ref = objs0.max(axis=0) * 1.1
-            front_size, best_hv = ParetoArchive.stats_of(objs0, ref)
-            convergence = [
-                ConvergenceRecord(
-                    generation=0,
-                    evaluations=self.problem.evaluations - evals_before,
-                    front_size=front_size,
-                    hypervolume=best_hv,
-                    accepted=len(population),
-                )
-            ]
-            emit_generation(obs, "rsgde3", convergence[0])
-            hv_history = [(convergence[0].evaluations, best_hv)]
-
-            stalled = 0
-            generations = 0
-            while stalled < self.settings.patience and generations < self.settings.max_generations:
-                previous = population
-                population = gde3.generation(population, boundary, rng)
-                boundary = rough_set_boundary(population, full, protect=self.settings.protect)
-                history.append(boundary.volume_fraction())
-                generations += 1
-
-                # one staircase pass replaces the non_dominated +
-                # hypervolume pair — |S| and V are bit-identical, so the
-                # stopping rule below is unchanged
-                front_size, hv = ParetoArchive.stats_of(
-                    np.array([c.objectives for c in population]), ref
-                )
-                accepted, dominated = population_delta(previous, population)
-                record = ConvergenceRecord(
-                    generation=generations,
-                    evaluations=self.problem.evaluations - evals_before,
-                    front_size=front_size,
-                    hypervolume=hv,
-                    accepted=accepted,
-                    dominated=dominated,
-                )
-                convergence.append(record)
-                emit_generation(obs, "rsgde3", record)
-                hv_history.append((record.evaluations, hv))
-                if hv > best_hv * (1.0 + self.settings.hv_epsilon):
-                    best_hv = hv
-                    stalled = 0
-                else:
-                    stalled += 1
-
-            front = non_dominated(population, key=lambda c: c.objectives)
-            front = _dedupe(front)
-            span.set(
-                generations=generations,
-                evaluations=self.problem.evaluations - evals_before,
-                front_size=len(front),
-                hypervolume=best_hv,
+            state = RSGDE3State(
+                self.problem, self.settings, derive_rng(seed, "rsgde3"), obs
             )
-        return OptimizerResult(
-            front=tuple(front),
-            evaluations=self.problem.evaluations - evals_before,
-            generations=generations,
-            boundary_history=tuple(history),
-            hv_history=tuple(hv_history),
-            convergence=tuple(convergence),
-        )
-
-    @staticmethod
-    def _front_hv(population: list[Configuration], ref: np.ndarray) -> float:
-        objs = np.array([c.objectives for c in population])
-        return hypervolume(objs, ref)
+            while not state.finished:
+                state.tell(self.problem.evaluate_batch(state.ask()))
+            result = state.result()
+            span.set(
+                generations=result.generations,
+                evaluations=result.evaluations,
+                front_size=result.size,
+                hypervolume=state.best_hv,
+            )
+        return result
 
 
 def _dedupe(front: list[Configuration]) -> list[Configuration]:

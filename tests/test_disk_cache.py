@@ -160,6 +160,29 @@ class TestRobustness:
         )
         assert t2.disk_cache.hits == 1
 
+    def test_record_after_torn_tail_survives(self, mm_model, tmp_path):
+        """A writer that died mid-record leaves a final line with no
+        newline; the next store must start a fresh line instead of being
+        glued onto the torn one (and lost with it on reload)."""
+        t = _target(mm_model)
+        fp = t.fingerprint()
+
+        def item(threads):
+            tiles = {"i": 32, "j": 32, "k": 32}
+            key = t.config_key(tiles, threads)
+            return key, t.evaluate(tiles, threads), t.measurement(tiles, threads)
+
+        first, second = item(4), item(8)
+        MeasurementDiskCache(tmp_path).store_many(fp, [first])
+        (shard_path,) = list(tmp_path.glob("*.jsonl"))
+        with open(shard_path, "a", encoding="utf-8") as fh:
+            fh.write('{"k": [1, 2')  # torn: no closing brace, no newline
+
+        assert MeasurementDiskCache(tmp_path).store_many(fp, [second]) == 1
+        fresh = MeasurementDiskCache(tmp_path)
+        assert fresh.fetch(fp, first[0]) == first[1:]
+        assert fresh.fetch(fp, second[0]) == second[1:]
+
     def test_missing_directory_is_fine(self, mm_model, tmp_path):
         t = _target(mm_model, tmp_path / "does" / "not" / "exist" / "yet")
         t.evaluate({"i": 32, "j": 32, "k": 32}, 4)

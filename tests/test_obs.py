@@ -203,6 +203,25 @@ class TestObservability:
         assert isinstance(obs.tracer, NullTracer)
         assert not DISABLED.enabled
 
+    def test_disabled_handle_records_nothing(self):
+        """Components built without a handle fall back to DISABLED; two
+        default tuning runs must leave no instrument behind in it."""
+        from repro.driver.compiler import TuningDriver
+
+        TuningDriver().tune_kernel("mm")
+        TuningDriver().tune_kernel("mm")
+        assert len(DISABLED.metrics) == 0
+        assert DISABLED.metrics.exposition() == ""
+        assert DISABLED.tracer.records() == []
+
+    def test_disabled_factory_keeps_a_per_run_registry(self):
+        """``Observability.disabled()`` (the CLI's ``--metrics`` handle)
+        still collects metrics, into a registry of its own."""
+        a, b = Observability.disabled(), Observability.disabled()
+        a.metrics.counter("runs_total").inc()
+        assert a.metrics.as_dict() == {"runs_total": 1.0}
+        assert len(b.metrics) == 0 and len(DISABLED.metrics) == 0
+
     def test_tracing_factory(self):
         clock = FakeClock()
         obs = Observability.tracing(clock=clock)

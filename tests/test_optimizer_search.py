@@ -23,6 +23,7 @@ from repro.optimizer import (
     brute_force_search,
     compare_fronts,
     grid_candidates,
+    hypervolume,
     random_search,
     rough_set_boundary,
 )
@@ -329,16 +330,17 @@ class TestRSGDE3:
         of points that *did* improve inside the box."""
         ref = np.array([1.0, 1.0])
 
-        def pop(objs):
-            return [Configuration.make({"x": i}, o) for i, o in enumerate(objs)]
+        def front_hv(objs):
+            configs = [Configuration.make({"x": i}, o) for i, o in enumerate(objs)]
+            return hypervolume(np.array([c.objectives for c in configs]), ref)
 
-        hv0 = RSGDE3._front_hv(pop([(0.6, 0.6)]), ref)
+        hv0 = front_hv([(0.6, 0.6)])
         # next generation: one point escapes ref in objective 2 while a
         # second improves strictly inside the initial envelope
-        hv1 = RSGDE3._front_hv(pop([(0.2, 1.8), (0.4, 0.4)]), ref)
+        hv1 = front_hv([(0.2, 1.8), (0.4, 0.4)])
         assert hv1 > hv0  # improvement registers; patience is not tripped
         # a fully escaped front degrades to zero, not to an error
-        hv2 = RSGDE3._front_hv(pop([(0.2, 1.8), (1.5, 0.3)]), ref)
+        hv2 = front_hv([(0.2, 1.8), (1.5, 0.3)])
         assert hv2 == 0.0
 
     def test_escaped_envelope_run_converges(self):
