@@ -31,7 +31,7 @@ def trace_run(generations: int = 12):
     gde3 = GDE3(problem)
     rng = derive_rng(5, "fig5")
     full = problem.space.full_boundary()
-    pop = gde3.initial_population(full, rng)
+    pop = problem.evaluate_batch(full.sample(rng, gde3.settings.population_size))
     names = problem.space.names
     thr_idx = names.index("threads")
 
@@ -52,7 +52,8 @@ def trace_run(generations: int = 12):
                 "evaluations": problem.evaluations,
             }
         )
-        pop = gde3.generation(pop, box, rng)
+        trials = problem.evaluate_batch(gde3.propose(pop, box, rng))
+        pop = gde3.select(pop, trials)
     return rows, problem.space.full_boundary()
 
 

@@ -2,13 +2,16 @@
 
 Unlike the table/figure reproductions (single-shot by design), these use
 pytest-benchmark's statistics to track the framework's own performance:
-the scalar and vectorized cost model, configuration measurement, one GDE3
-generation, non-dominated filtering at brute-force scale, and hypervolume.
-Regression guards assert the throughput floors the experiment harness
-relies on.
+the scalar and vectorized cost model (at brute-force and at tuning batch
+sizes, the latter against the frozen oracle in ``tests/cost_oracle.py``),
+configuration measurement, one GDE3 generation, non-dominated filtering at
+brute-force scale, and hypervolume.  Regression guards assert the
+throughput floors the experiment harness relies on.
 """
 
 from __future__ import annotations
+
+import timeit
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from repro.machine import WESTMERE
 from repro.optimizer import GDE3, hypervolume
 from repro.optimizer.pareto import non_dominated_mask
 from repro.util.rng import derive_rng
+from tests.cost_oracle import time_batch as oracle_time_batch
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +54,31 @@ def test_perf_cost_model_batch(benchmark, setup):
     assert B / benchmark.stats["mean"] > 100_000
 
 
+def test_perf_cost_model_batch_tuning_size(benchmark, setup):
+    """``time_batch`` at the batch size tuning actually issues (RS-GDE3
+    asks for about 28 new configurations per call): output-identical to the
+    frozen per-stream oracle and at least 2x faster than it."""
+    model = setup.model
+    rng = derive_rng(1)
+    B = 28
+    tiles = rng.integers(1, 2001, size=(B, 3))
+    threads = rng.choice([1, 5, 10, 20, 40], B)
+
+    out = benchmark(lambda: model.time_batch(tiles, threads))
+    assert np.array_equal(out, oracle_time_batch(model, tiles, threads))
+
+    def best(fn, number=50):
+        return min(timeit.repeat(fn, number=number, repeat=7)) / number
+
+    plan_s = best(lambda: model.time_batch(tiles, threads))
+    oracle_s = best(lambda: oracle_time_batch(model, tiles, threads))
+    print(
+        f"\ntime_batch B={B}: plan {plan_s * 1e3:.3f} ms, "
+        f"oracle {oracle_s * 1e3:.3f} ms ({oracle_s / plan_s:.1f}x)"
+    )
+    assert oracle_s / plan_s >= 2.0
+
+
 def test_perf_measured_evaluation(benchmark, setup):
     target = setup.target(seed=123)
     counter = [0]
@@ -67,9 +96,13 @@ def test_perf_gde3_generation(benchmark, setup):
     gde3 = GDE3(problem)
     rng = derive_rng(7)
     full = problem.space.full_boundary()
-    pop = gde3.initial_population(full, rng)
+    pop = problem.evaluate_batch(full.sample(rng, gde3.settings.population_size))
 
-    result = benchmark(lambda: gde3.generation(list(pop), full, rng))
+    def generation():
+        trials = problem.evaluate_batch(gde3.propose(pop, full, rng))
+        return gde3.select(list(pop), trials)
+
+    result = benchmark(generation)
     assert len(result) <= gde3.settings.population_size
 
 

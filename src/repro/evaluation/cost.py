@@ -34,6 +34,7 @@ The model is deterministic; measurement noise is layered on top by
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -67,29 +68,46 @@ class Stream:
     has_write: bool
     elem_size: int
 
-    def extents(self, spans: dict[str, int]) -> tuple[int, ...]:
-        """Data extent touched per dimension when each loop var covers
-        ``spans[var]`` consecutive values."""
-        out = []
-        for coeffs, extra in zip(self.coeff_dims, self.const_span):
-            extent = 1 + extra
-            for var, coeff in coeffs:
-                extent += abs(coeff) * (spans.get(var, 1) - 1)
-            out.append(extent)
-        return tuple(out)
-
-    def footprint_lines(self, spans: dict[str, int], line_elems: int) -> float:
-        """Cache lines touched per unit execution (line granularity on the
+    def footprint_bytes(self, spans: dict[str, int], line_size: int) -> float:
+        """Bytes of the cache lines touched per unit execution when each loop
+        var covers ``spans[var]`` consecutive values (line granularity on the
         innermost dimension only — outer dimensions are strided)."""
-        ext = self.extents(spans)
-        lines = math.ceil(ext[-1] / line_elems) if ext else 1
+        ext = [
+            1 + extra + sum(abs(c) * (spans.get(var, 1) - 1) for var, c in coeffs)
+            for coeffs, extra in zip(self.coeff_dims, self.const_span)
+        ]
+        lines = math.ceil(ext[-1] / max(1, line_size // self.elem_size)) if ext else 1
         for e in ext[:-1]:
             lines *= e
-        return float(lines)
+        return float(lines) * line_size
 
-    def footprint_bytes(self, spans: dict[str, int], line_size: int) -> float:
-        line_elems = max(1, line_size // self.elem_size)
-        return self.footprint_lines(spans, line_elems) * line_size
+
+def _footprint(extents: np.ndarray, line_elems: np.ndarray, line_size: int) -> np.ndarray:
+    """:meth:`Stream.footprint_bytes` of extents (R, S, ...) → (S, ...),
+    multiplied in the same order: outer dimensions, then innermost lines."""
+    inner = np.ceil(extents[-1] / line_elems)
+    return functools.reduce(np.multiply, [*extents[:-1], inner]) * line_size
+
+
+@dataclass(frozen=True, eq=False)
+class _CostPlan:
+    """Configuration-independent terms of :meth:`RegionCostModel.time_batch`
+    for S streams of rank <= R over n band vars, as float64 (every value is
+    an exact integer): ``base`` (R, S, 1, 1) ``1 + const_span`` (ranks are
+    front-padded with unit extents), ``coeff`` (R·S, n) each band var's
+    ``|coeff|``, ``weight`` (S, 1, 1), and ``merged`` (S, n+1) the index,
+    into unit s's outer loops (tile loops, then point loops), of the
+    innermost one stream j depends on (0 if none), whose span its footprint
+    absorbs with ``merged_coeff`` (R, S, n+1, 1).  ``by_line`` maps each
+    line size (cache lines, page) to (line_elems (S, 1, 1), compulsory
+    traffic, whole-problem working set)."""
+
+    base: np.ndarray
+    coeff: np.ndarray
+    weight: np.ndarray
+    merged: np.ndarray
+    merged_coeff: np.ndarray
+    by_line: dict[int, tuple[np.ndarray, float, float]]
 
 
 class RegionCostModel:
@@ -143,6 +161,7 @@ class RegionCostModel:
         self._elem_size = max(
             (at.elem.size for at in arrays.values()), default=8
         )
+        self._plan = self._build_plan()
 
     # ------------------------------------------------------------------
     # stream extraction
@@ -190,6 +209,39 @@ class RegionCostModel:
                 )
             )
         return tuple(streams)
+
+    def _build_plan(self) -> _CostPlan:
+        band, streams, machine = self.band, self.streams, self.machine
+        n, S = len(band), len(streams)
+        R = max([1] + [len(st.coeff_dims) for st in streams])
+        base = np.ones((R, S, 1, 1))
+        coeff = np.zeros((R, S, n))
+        depth = np.full((S, n + 1), -1)
+        for j, st in enumerate(streams):
+            dims = zip(st.coeff_dims, st.const_span)  # front-padded to rank R
+            for d, (coeffs, extra) in enumerate(dims, R - len(st.coeff_dims)):
+                base[d, j] = 1 + extra
+                for var, c in coeffs:
+                    coeff[d, j, band.index(var)] += abs(c)
+            for s in range(n + 1):  # the innermost outer loop it depends on
+                outer = band + band[:s]
+                depth[j, s] = max((k for k, v in enumerate(outer) if v in st.depends), default=-1)
+        merged = np.maximum(depth, 0)
+        weight = np.array([2.0 if st.has_write else 1.0 for st in streams]).reshape(S, 1, 1)
+        coeff_flat = coeff.reshape(R * S, n)
+        ext = np.array([self.extent[v] for v in band])
+        whole = base + (coeff_flat @ (ext - 1)).reshape(R, S, 1, 1)
+        by_line = {}
+        for L in {lv.line_size for lv in machine.levels} | {machine.page_size}:
+            line_elems = np.array([max(1, L // st.elem_size) for st in streams], dtype=float)
+            line_elems = line_elems.reshape(S, 1, 1)
+            comp = ws = 0.0
+            for w, fp in zip(weight.ravel(), _footprint(whole, line_elems, L).ravel()):
+                comp += w * fp
+                ws += fp
+            by_line[L] = line_elems, float(comp), float(ws)
+        merged_coeff = np.where(depth >= 0, coeff[:, np.arange(S)[:, None], merged % n], 0)
+        return _CostPlan(base, coeff_flat, weight, merged, merged_coeff[..., None], by_line)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -496,10 +548,13 @@ class RegionCostModel:
     # vectorized batch evaluation
     # ------------------------------------------------------------------
     #
-    # Identical semantics to :meth:`time`, evaluated for B configurations at
-    # once with NumPy.  Brute-force sweeps (the paper's 10^4..10^5 point
-    # grids) and heatmap generation use this path; a property-based test
-    # asserts scalar/batch agreement.
+    # Identical semantics to :meth:`time` for B configurations at once, over
+    # the :class:`_CostPlan` built (and never mutated) in ``__init__``.  It is
+    # bit-identical to the per-stream, per-level oracle in
+    # ``tests/cost_oracle.py`` (``tests/test_cost_plan.py``): extents are
+    # exact integers, and float operations keep the oracle's order — outer
+    # counts' prefix product, ``(weight × fetches) × bytes``, in-order sums
+    # over streams — because ``fetches × footprint`` can exceed 2^53.
 
     def time_batch(
         self,
@@ -507,14 +562,16 @@ class RegionCostModel:
         threads: np.ndarray,
         collapsed: int | None = None,
     ) -> np.ndarray:
-        """Vectorized :meth:`time`.
+        """Vectorized :meth:`time`: one contraction gives the extents of every
+        (reuse unit, stream), footprints and unit traffic are computed once
+        per distinct line size, and each cache level and the TLB only pick
+        their fitting unit.
 
         :param tiles: int array (B, len(band)) — tile sizes in band order.
         :param threads: int array (B,).
         :returns: float array (B,) of seconds.
         """
-        machine = self.machine
-        band = self.band
+        machine, band, plan = self.machine, self.band, self._plan
         n = len(band)
         tiles = np.asarray(tiles, dtype=np.int64)
         threads = np.asarray(threads, dtype=np.int64)
@@ -556,128 +613,71 @@ class RegionCostModel:
             par_iters = np.ones(B)
         else:
             raise ValueError(f"unknown parallel spec {spec!r}")
-        share = np.where(
-            threads > 1, np.ceil(par_iters / threads) / par_iters, 1.0
-        )
+        share = np.where(threads > 1, np.ceil(par_iters / threads) / par_iters, 1.0)
 
-        # spans per unit: (n_units, B, n)
+        # spans per unit (n, n_units, B): unit s fixes the first s band vars
         n_units = n + 1
-        spans = np.empty((n_units, B, n), dtype=np.int64)
-        for s in range(n_units):
-            spans[s] = t
-            spans[s, :, :s] = 1
-        whole = np.broadcast_to(ext[None, :], (B, n))
+        spans = np.where(np.tri(n_units, n, -1, dtype=bool).T[..., None], 1, t.T[:, None])
+        R, S = plan.base.shape[:2]
+        unit_ext = plan.base + (plan.coeff @ (spans - 1).reshape(n, -1)).reshape(R, S, n_units, B)
+        # outer-loop counts (tile loops, then point loops) and their prefix
+        # products: unit s refetches stream j prefix[merged[j, s]] times and
+        # its footprint absorbs loop merged[j, s]'s span
+        counts = np.concatenate([trips.T, t.T])
+        prefix = np.ones((2 * n + 1, B))
+        for k in range(2 * n):
+            prefix[k + 1] = prefix[k] * counts[k]
+        merged_pos = plan.merged % n
+        span_at = spans[merged_pos, np.arange(n_units)]
+        grown = np.minimum(ext[merged_pos][..., None], counts[plan.merged] * span_at) - span_at
+        merged_ext = unit_ext + plan.merged_coeff * grown
+        weighted_fetches = plan.weight * prefix[plan.merged]
+        per_line: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-        def fp_bytes(stream: Stream, sp: np.ndarray, line_size: int) -> np.ndarray:
-            """Footprint bytes for spans sp (..., n)."""
-            line_elems = max(1, line_size // stream.elem_size)
-            lines = None
-            ndim = len(stream.coeff_dims)
-            for d, (coeffs, extra) in enumerate(
-                zip(stream.coeff_dims, stream.const_span)
-            ):
-                e = np.full(sp.shape[:-1], 1 + extra, dtype=np.float64)
-                for var, coeff in coeffs:
-                    pos = band.index(var)
-                    e = e + abs(coeff) * (sp[..., pos] - 1)
-                if d == ndim - 1:
-                    e = np.ceil(e / line_elems)
-                lines = e if lines is None else lines * e
-            if lines is None:
-                lines = np.ones(sp.shape[:-1])
-            return lines * line_size
-
-        def unit_traffic(s: int, line_size: int) -> np.ndarray:
-            """Traffic (B,) for reuse unit s at the given line size."""
-            # outer sequence: n tile loops (counts=trips), s point loops (counts=t)
-            out_counts = [trips[:, i] for i in range(n)] + [t[:, i] for i in range(s)]
-            out_vars = list(band) + list(band[:s])
-            total = np.zeros(B)
-            sp = spans[s]
-            for stream in self.streams:
-                depth = -1
-                for idx, v in enumerate(out_vars):
-                    if v in stream.depends:
-                        depth = idx
-                weight = 2.0 if stream.has_write else 1.0
-                if depth < 0:
-                    total += weight * fp_bytes(stream, sp, line_size)
-                    continue
-                fetches = np.ones(B)
-                for idx in range(depth):
-                    fetches = fetches * out_counts[idx]
-                d_var = out_vars[depth]
-                pos = band.index(d_var)
-                expanded = sp.copy()
-                expanded[:, pos] = np.minimum(
-                    ext[pos], out_counts[depth] * sp[:, pos]
-                )
-                total += weight * fetches * fp_bytes(stream, expanded, line_size)
-            return total
-
-        def compulsory(line_size: int) -> np.ndarray:
-            total = np.zeros(B)
-            for stream in self.streams:
-                weight = 2.0 if stream.has_write else 1.0
-                total += weight * fp_bytes(stream, whole, line_size)
-            return total
-
-        def level_traffic_for(capacity: np.ndarray, cap_whole: float, line_size: int) -> np.ndarray:
-            ws_units = np.zeros((n_units, B))
-            for s in range(n_units):
-                for stream in self.streams:
-                    ws_units[s] += fp_bytes(stream, spans[s], line_size)
+        def level_traffic_for(capacity, cap_whole: float, line_size: int) -> np.ndarray:
+            line_elems, comp, ws_whole = plan.by_line[line_size]
+            if ws_whole <= cap_whole:
+                return np.full(B, comp)
+            if line_size not in per_line:  # (working set, traffic) per unit
+                fp = _footprint(unit_ext, line_elems, line_size)
+                fp_merged = _footprint(merged_ext, line_elems, line_size)
+                ws, traffic = np.zeros((n_units, B)), np.zeros((n_units, B))
+                for j in range(len(fp)):
+                    ws += fp[j]
+                    traffic += weighted_fetches[j] * fp_merged[j]
+                per_line[line_size] = ws, traffic
+            ws, traffic = per_line[line_size]
             # smallest s whose working set fits; fallback: last unit
-            fits = ws_units <= capacity[None, :]
+            fits = ws <= capacity
             s_star = np.where(fits.any(axis=0), fits.argmax(axis=0), n_units - 1)
-            traffic = np.zeros(B)
-            comp = compulsory(line_size)
-            for s in range(n_units):
-                mask = s_star == s
-                if mask.any():
-                    traffic[mask] = unit_traffic(s, line_size)[mask]
-            traffic = np.maximum(traffic, comp)
-            ws_whole = np.zeros(B)
-            for stream in self.streams:
-                ws_whole += fp_bytes(stream, whole, line_size)
-            whole_fits = ws_whole <= cap_whole
-            traffic[whole_fits] = comp[whole_fits]
-            return traffic
+            return np.maximum(traffic[s_star, np.arange(B)], comp)
 
         level_traffic = []
-        prev = None
         for level in machine.levels:
-            if level.shared:
-                cap_unit = level.size / max_per_socket
-            else:
-                cap_unit = np.full(B, float(level.size))
+            cap_unit = level.size / max_per_socket if level.shared else float(level.size)
             traffic = level_traffic_for(cap_unit, float(level.size), level.line_size)
-            if prev is not None:
-                traffic = np.minimum(traffic, prev)
-            prev = traffic
-            level_traffic.append(traffic)
+            level_traffic.append(
+                np.minimum(traffic, level_traffic[-1]) if level_traffic else traffic
+            )
 
         freq = machine.freq_hz
         flops = self.flops_per_iteration * self.total_iterations
         compute_t = flops * share / (machine.flops_per_cycle * freq)
 
-        # loop overhead (non-innermost iterations + entries)
-        counts = [trips[:, i] for i in range(n)] + [t[:, i].astype(float) for i in range(n)]
-        iters = np.zeros(B)
+        # loop overhead: entries of all 2n loops, iterations of the outer 2n-1
         entries = np.ones(B)
-        cumulative = np.ones(B)
-        for level_idx, c in enumerate(counts):
-            entries = entries + cumulative
-            cumulative = cumulative * c
-            if level_idx < len(counts) - 1:
-                iters = iters + cumulative
+        iters = np.zeros(B)
+        for k in range(2 * n):
+            entries = entries + prefix[k]
+            if k:
+                iters = iters + prefix[k]
         overhead_t = (
             iters * machine.loop_overhead_cycles + entries * machine.loop_entry_cycles
         ) * share / freq
 
         # TLB
-        tlb_cap = np.full(B, float(machine.tlb_reach))
-        tlb_traffic = level_traffic_for(tlb_cap, float(machine.tlb_reach), machine.page_size)
+        tlb_reach = float(machine.tlb_reach)
+        tlb_traffic = level_traffic_for(tlb_reach, tlb_reach, machine.page_size)
         overhead_t += (
             tlb_traffic / machine.page_size * machine.tlb_miss_cycles * share / freq
         )

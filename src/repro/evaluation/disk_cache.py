@@ -60,9 +60,10 @@ def _fingerprint(*parts: object) -> str:
 class _Shard:
     """One fingerprint's key → (Objectives, Measurement) store."""
 
-    def __init__(self, path: Path, fingerprint: str) -> None:
+    def __init__(self, path: Path, fingerprint: str, schema_version: int) -> None:
         self.path = path
         self.fingerprint = fingerprint
+        self.schema_version = schema_version
         self._records: dict[tuple, tuple[Objectives, Measurement]] | None = None
         self._lock = threading.Lock()
 
@@ -148,7 +149,7 @@ class _Shard:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a+b") as fh:
                 if fh.tell() == 0:
-                    header = {"schema": SCHEMA_VERSION, "fingerprint": self.fingerprint}
+                    header = {"schema": self.schema_version, "fingerprint": self.fingerprint}
                     lines.insert(0, json.dumps(header))
                 else:
                     # a torn final line (a writer died mid-record) must not
@@ -176,7 +177,7 @@ class MeasurementDiskCache:
         self.root = Path(root).expanduser()
         self.schema_version = int(schema_version)
         self._shards: dict[str, _Shard] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # guards _shards and the counters
         #: accounting across every attached target
         self.hits = 0
         self.misses = 0
@@ -190,7 +191,7 @@ class MeasurementDiskCache:
         with self._lock:
             shard = self._shards.get(fp)
             if shard is None:
-                shard = _Shard(self.root / f"{fp}.jsonl", fp)
+                shard = _Shard(self.root / f"{fp}.jsonl", fp, self.schema_version)
                 self._shards[fp] = shard
         return shard
 
@@ -200,10 +201,11 @@ class MeasurementDiskCache:
         self, target_fingerprint: str, key: tuple
     ) -> tuple[Objectives, Measurement] | None:
         hit = self.shard_for(target_fingerprint).get(key)
-        if hit is None:
-            self.misses += 1
-        else:
-            self.hits += 1
+        with self._lock:
+            if hit is None:
+                self.misses += 1
+            else:
+                self.hits += 1
         return hit
 
     def store_many(
@@ -212,7 +214,8 @@ class MeasurementDiskCache:
         items: list[tuple[tuple, Objectives, Measurement]],
     ) -> int:
         written = self.shard_for(target_fingerprint).put_many(items)
-        self.stores += written
+        with self._lock:
+            self.stores += written
         return written
 
     def summary(self) -> str:

@@ -44,7 +44,7 @@ from scipy.special import ndtri
 from repro.evaluation.cost import RegionCostModel
 from repro.evaluation.measurements import Measurement, MeasurementProtocol
 from repro.evaluation.objectives import Objectives
-from repro.util.rng import seed_hasher, spawn_seed, spawn_seed_from
+from repro.util.rng import seed_hasher, spawn_seed
 from repro.util.stats import median
 
 __all__ = ["SimulatedTarget"]
@@ -180,24 +180,35 @@ class SimulatedTarget:
         return np.exp(self.noise * ndtri(u))
 
     def _noise_factor_matrix(self, keys: Sequence[tuple], reps: int) -> np.ndarray:
-        """(len(keys), reps) lognormal factors in one batch.
+        """(len(keys), reps) lognormal factors in one batch, bit-identical
+        to stacking :meth:`_noise_factors` per key (asserted by
+        ``tests/test_evaluation.py``): the inverse-CDF / exp transform runs
+        elementwise over :meth:`_noise_uniforms`."""
+        return np.exp(self.noise * ndtri(self._noise_uniforms(keys, reps)))
 
-        Bit-identical to stacking :meth:`_noise_factors` per key (asserted
-        by ``tests/test_evaluation.py``): the seed prefix is hashed once and
-        forked per (key, repetition) suffix — the same byte stream blake2b
-        sees in :func:`~repro.util.rng.spawn_seed` — and the inverse-CDF /
-        exp transform runs elementwise over the whole matrix.
+    def _noise_uniforms(self, keys: Sequence[tuple], reps: int) -> np.ndarray:
+        """(len(keys), reps) matrix of ``(spawn_seed(seed, key, rep) + 0.5) / 2**64``.
+
+        The seed prefix is hashed once and forked per key, then per
+        repetition, feeding blake2b the same byte stream as
+        :func:`~repro.util.rng.spawn_seed` (each key's
+        ``b"\\x00" + repr(key)`` in one update, the repetitions' suffixes
+        built once per call).  The digests become uniforms in one array
+        operation: uint64 → float64 rounds exactly like Python's
+        ``int + 0.5``.
         """
         prefix = seed_hasher(self.seed)
-        u = np.empty((len(keys), reps), dtype=float)
-        for i, key in enumerate(keys):
+        rep_suffixes = [b"\x00" + repr(rep).encode() for rep in range(reps)]
+        digests = []
+        for key in keys:
             key_prefix = prefix.copy()
-            key_prefix.update(b"\x00")
-            key_prefix.update(repr(key).encode())
-            row = u[i]
-            for rep in range(reps):
-                row[rep] = (spawn_seed_from(key_prefix, rep) + 0.5) / _U64
-        return np.exp(self.noise * ndtri(u))
+            key_prefix.update(b"\x00" + repr(key).encode())
+            for suffix in rep_suffixes:
+                h = key_prefix.copy()
+                h.update(suffix)
+                digests.append(h.digest())
+        seeds = np.frombuffer(b"".join(digests), dtype="<u8").reshape(len(keys), reps)
+        return (seeds.astype(np.float64) + 0.5) / _U64
 
     # -- pure computation (no ledger mutation) ----------------------------
 

@@ -76,13 +76,6 @@ class GDE3:
     problem: TuningProblem
     settings: GDE3Settings = field(default_factory=GDE3Settings)
 
-    def initial_population(
-        self, boundary: Boundary, rng: np.random.Generator
-    ) -> list[Configuration]:
-        """Random initial sample of the search space, evaluated."""
-        vectors = boundary.sample(rng, self.settings.population_size)
-        return self.problem.evaluate_batch(vectors)
-
     def propose(
         self,
         population: list[Configuration],
@@ -164,17 +157,6 @@ class GDE3:
                 next_pop.append(target)
                 next_pop.append(trial)
         return next_pop
-
-    def generation(
-        self,
-        population: list[Configuration],
-        boundary: Boundary,
-        rng: np.random.Generator,
-    ) -> list[Configuration]:
-        """Run one GDE3 generation; returns the next population."""
-        trials = self.propose(population, boundary, rng)
-        trial_configs = self.problem.evaluate_batch(trials)
-        return self.select(population, trial_configs)
 
     # ------------------------------------------------------------------
 

@@ -110,6 +110,15 @@ class TestKeying:
             {bumped.config_key(t, thr) for t, thr in configs}
         )
 
+    def test_shard_header_records_the_cache_schema(self, mm_model, tmp_path):
+        import json
+
+        target = _target(mm_model, tmp_path, schema=2)
+        target.evaluate({"i": 32, "j": 32, "k": 32}, 4)
+        (shard,) = tmp_path.glob("*.jsonl")
+        header = json.loads(shard.read_text().splitlines()[0])
+        assert header["schema"] == 2
+
     def test_seed_separates_shards(self, mm_model, tmp_path):
         t1 = _target(mm_model, tmp_path, seed=7)
         t1.evaluate({"i": 32, "j": 32, "k": 32}, 4)
@@ -203,6 +212,39 @@ class TestRobustness:
         t2 = _target(mm_model, tmp_path, measure_energy=True)
         obj2 = t2.evaluate({"i": 48, "j": 48, "k": 48}, 8)
         assert obj2 == obj1 and obj2.energy == obj1.energy
+
+
+class TestConcurrency:
+    def test_counters_do_not_lose_updates(self, mm_model, tmp_path):
+        """8 threads × 500 fetches: every fetch is counted exactly once."""
+        import sys
+        import threading
+
+        target = _target(mm_model, tmp_path)
+        target.evaluate({"i": 32, "j": 32, "k": 32}, 4)  # one stored key
+        cache, fp = target.disk_cache, target.fingerprint()
+        hit_key = target.config_key({"i": 32, "j": 32, "k": 32}, 4)
+        cache.hits = cache.misses = 0
+        start = threading.Barrier(8, timeout=30)
+
+        def worker(w):
+            start.wait()
+            for i in range(500):
+                cache.fetch(fp, hit_key if i % 2 else (w, i, 1, 1))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert cache.hits + cache.misses == 4000
+        assert cache.hits == 2000
 
 
 class TestPickling:

@@ -414,5 +414,27 @@ class TestVectorizedNoise:
             assert obj.resources == single.resources
             assert meas.value == obj.time
 
+    def test_noise_uniforms_match_spawn_seed_at_scale(self, mm_target):
+        """The batched digest → uniform conversion equals the per-key
+        ``(spawn_seed(seed, key, rep) + 0.5) / 2**64`` exactly on 10^5
+        (key, repetition) pairs, about half of whose digests exceed 2^63
+        (where uint64 → float64 must round like Python's int + float)."""
+        from repro.util.rng import spawn_seed
+
+        rng = np.random.default_rng(5)
+        reps = 5
+        keys = [
+            tuple(int(x) for x in rng.integers(1, 4000, size=3)) + (int(rng.integers(1, 80)),)
+            for _ in range(20_000)
+        ]
+        keys += [(2**40, -3, 0, 1), (1, 1, 1, 10**12)]
+        u = mm_target._noise_uniforms(keys, reps)
+        seeds = [[spawn_seed(mm_target.seed, key, rep) for rep in range(reps)] for key in keys]
+        expected = np.array([[(s + 0.5) / float(1 << 64) for s in row] for row in seeds])
+        assert u.shape == expected.shape == (len(keys), reps)
+        assert np.array_equal(u, expected)
+        high = sum(s >= 1 << 63 for row in seeds for s in row)
+        assert 0.4 * u.size < high < 0.6 * u.size
+
     def test_compute_keys_empty(self, mm_target):
         assert mm_target.compute_keys([]) == []
