@@ -5,9 +5,11 @@ exposes: the trial-vs-target pairwise phase of ``GDE3.select`` (one
 broadcasted comparison instead of 2·N scalar ``dominates()`` calls) and
 the general-m non-dominated mask (blocked all-pairs broadcast instead of
 a Python-level pass per row).  Both must return outputs identical to the
-retired scalar implementations — kept as ``GDE3._select_pairs_scalar``
-and ``pareto._non_dominated_mask_general_scalar`` — and beat them by at
-least 5x on 512-point populations.
+retired scalar implementations — kept in ``tests/optimizer_oracle.py`` as
+``select_pairs_scalar`` and ``non_dominated_mask_general_scalar`` — and
+beat them by at least 5x on 512-point populations.  The oracle import
+needs the repository root on ``sys.path`` (run ``python -m pytest`` from
+the root).
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import numpy as np
 
 from repro.optimizer.config import Configuration
 from repro.optimizer.gde3 import GDE3, GDE3Settings
-from repro.optimizer.pareto import (
-    _non_dominated_mask_general,
-    _non_dominated_mask_general_scalar,
+from repro.optimizer.pareto import _non_dominated_mask_general
+from tests.optimizer_oracle import (
+    non_dominated_mask_general_scalar,
+    select_pairs_scalar,
 )
 
 from conftest import print_banner
@@ -62,12 +65,12 @@ def test_vectorized_select_matches_and_beats_scalar():
     gde3 = GDE3(problem=None, settings=GDE3Settings(population_size=2 * N_POINTS))
 
     vec = gde3.select(population, trials)
-    ref = GDE3._select_pairs_scalar(population, trials)
+    ref = select_pairs_scalar(population, trials)
     assert vec == ref
 
     t_vec, t_ref = _best_of_pair(
         lambda: gde3.select(population, trials),
-        lambda: GDE3._select_pairs_scalar(population, trials),
+        lambda: select_pairs_scalar(population, trials),
         REPS,
     )
     speedup = t_ref / t_vec
@@ -84,12 +87,12 @@ def test_vectorized_general_mask_matches_and_beats_scalar():
     objs = rng.uniform(0.1, 10.0, size=(N_POINTS, 3))
 
     fast = _non_dominated_mask_general(objs)
-    slow = _non_dominated_mask_general_scalar(objs)
+    slow = non_dominated_mask_general_scalar(objs)
     assert np.array_equal(fast, slow)
 
     t_vec, t_ref = _best_of_pair(
         lambda: _non_dominated_mask_general(objs),
-        lambda: _non_dominated_mask_general_scalar(objs),
+        lambda: non_dominated_mask_general_scalar(objs),
         REPS,
     )
     speedup = t_ref / t_vec

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.optimizer.config import Configuration
+from repro.optimizer.config import Configuration, objective_matrix, value_matrix
 from repro.optimizer.pareto import (
     crowding_distance,
-    dominates,
     non_dominated_sort,
     pairwise_dominance,
 )
@@ -35,21 +34,6 @@ from repro.optimizer.problem import TuningProblem
 from repro.optimizer.space import Boundary
 
 __all__ = ["GDE3Settings", "GDE3", "truncate"]
-
-
-def _objective_rows(configs: list[Configuration]) -> np.ndarray:
-    """(N, m) objective array of *configs* — np.fromiter over a flat
-    generator skips np.array's per-tuple inspection, which matters in
-    the per-generation selection hot loop."""
-    if not configs:
-        return np.empty((0, 2))
-    m = len(configs[0].objectives)
-    flat = np.fromiter(
-        (x for c in configs for x in c.objectives),
-        dtype=float,
-        count=len(configs) * m,
-    )
-    return flat.reshape(len(configs), m)
 
 
 @dataclass(frozen=True)
@@ -85,27 +69,43 @@ class GDE3:
         """Generate one trial vector per population member (Algorithm 1),
         snapped into the boundary.  Kept separate from :meth:`select` so a
         multi-region coordinator can evaluate the trials of several regions
-        with shared program executions."""
-        names = self.problem.space.names
-        pop_vecs = np.stack([c.vector(names) for c in population])
-        n = len(population)
+        with shared program executions.
 
-        trials = np.empty_like(pop_vecs[:n])
-        for i in range(n):
-            b, c, d = self._pick_three(n, i, rng)
-            trials[i] = self._de_trial(
-                pop_vecs[i], pop_vecs[b], pop_vecs[c], pop_vecs[d], rng
+        Each member costs exactly its RNG draws — partners, forced index,
+        crossover uniforms and, when the trial collapses onto its target,
+        the jitter — in that order; the arithmetic runs on Python floats,
+        which for rows of 2–4 coordinates beats per-row NumPy calls."""
+        rows = value_matrix(population, self.problem.space.names).tolist()
+        n = len(rows)
+        dim = self.problem.space.dim
+        f, cr = self.settings.f, self.settings.cr
+        snap = boundary.snap
+        trials = []
+        for i, a in enumerate(rows):
+            # three distinct partners other than i: draw from the n - 1
+            # other members and skip over i
+            p, q, r = rng.choice(n - 1, size=3, replace=False).tolist()
+            b = rows[p + (p >= i)]
+            c = rows[q + (q >= i)]
+            d = rows[r + (r >= i)]
+            # binomial crossover of the donor b + F(c - d), one forced index
+            forced = int(rng.integers(dim))
+            cross = rng.random(dim).tolist()
+            trial = snap(
+                [
+                    bj + f * (cj - dj) if u < cr or j == forced else aj
+                    for j, (aj, bj, cj, dj, u) in enumerate(zip(a, b, c, d, cross))
+                ]
             )
-            trials[i] = boundary.get_closest_to(trials[i])
-            if np.array_equal(trials[i], pop_vecs[i]):
+            if trial == a:
                 # integer snapping collapsed the trial onto its target —
                 # re-randomize one coordinate inside the box to keep the
                 # generation from re-evaluating known points
-                j = int(rng.integers(pop_vecs.shape[1]))
-                jitter = trials[i].copy()
-                jitter[j] = rng.uniform(boundary.lo[j], boundary.hi[j] + 1.0)
-                trials[i] = boundary.get_closest_to(jitter)
-        return trials
+                j = int(rng.integers(dim))
+                trial[j] = rng.uniform(boundary.lo[j], boundary.hi[j] + 1.0)
+                trial = snap(trial)
+            trials.append(trial)
+        return np.array(trials, dtype=float).reshape(n, dim)
 
     def select(
         self,
@@ -118,11 +118,12 @@ class GDE3:
         sorting with crowding distance."""
         np_size = self.settings.population_size
         # one broadcasted trial-vs-target comparison instead of 2·N scalar
-        # dominates() calls (see _select_pairs_scalar, the guarded baseline)
+        # dominates() calls (tests/optimizer_oracle.py keeps that scalar
+        # loop as the guarded baseline)
         n = min(len(population), len(trial_configs))
         trial_dom, target_dom = pairwise_dominance(
-            _objective_rows(trial_configs[:n]),
-            _objective_rows(population[:n]),
+            objective_matrix(trial_configs[:n]),
+            objective_matrix(population[:n]),
         )
         next_pop: list[Configuration] = []
         for target, trial, t_dom, a_dom in zip(
@@ -139,49 +140,6 @@ class GDE3:
         if len(next_pop) > np_size:
             next_pop = truncate(next_pop, np_size)
         return next_pop
-
-    @staticmethod
-    def _select_pairs_scalar(
-        population: list[Configuration], trial_configs: list[Configuration]
-    ) -> list[Configuration]:
-        """The pre-vectorization pairwise phase of :meth:`select` (before
-        truncation) — the scalar baseline the selection micro-benchmark
-        asserts output-identity and speedup against."""
-        next_pop: list[Configuration] = []
-        for target, trial in zip(population, trial_configs):
-            if dominates(trial.objectives, target.objectives):
-                next_pop.append(trial)
-            elif dominates(target.objectives, trial.objectives):
-                next_pop.append(target)
-            else:
-                next_pop.append(target)
-                next_pop.append(trial)
-        return next_pop
-
-    # ------------------------------------------------------------------
-
-    def _pick_three(
-        self, n: int, exclude: int, rng: np.random.Generator
-    ) -> tuple[int, int, int]:
-        pool = [j for j in range(n) if j != exclude]
-        picks = rng.choice(len(pool), size=3, replace=False)
-        return tuple(pool[p] for p in picks)  # type: ignore[return-value]
-
-    def _de_trial(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        c: np.ndarray,
-        d: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Algorithm 1: binomial crossover of the donor ``b + F(c-d)``."""
-        dim = a.shape[0]
-        forced = int(rng.integers(dim))
-        donor = b + self.settings.f * (c - d)
-        mask = rng.random(dim) < self.settings.cr
-        mask[forced] = True
-        return np.where(mask, donor, a)
 
 
 def truncate(pop: list[Configuration], size: int) -> list[Configuration]:

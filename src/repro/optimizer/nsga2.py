@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs import DISABLED
-from repro.optimizer.config import Configuration
+from repro.optimizer.config import Configuration, value_matrix
 from repro.optimizer.gde3 import truncate
 from repro.optimizer.pareto import crowding_distance, non_dominated, non_dominated_sort
 from repro.optimizer.problem import TuningProblem
@@ -91,8 +91,7 @@ class NSGA2:
 
     def _make_offspring(self, pop: list[Configuration], rng) -> np.ndarray:
         space = self.problem.space
-        names = space.names
-        vecs = np.stack([c.vector(names) for c in pop])
+        vecs = value_matrix(pop, space.names)
         full = space.full_boundary()
         rank, crowd = self._rank_and_crowd(pop)
         out = []
@@ -103,7 +102,8 @@ class NSGA2:
             out.append(self._mutate(c1, full, rng))
             if len(out) < self.settings.population_size:
                 out.append(self._mutate(c2, full, rng))
-        return np.stack([full.get_closest_to(v) for v in out])
+        # no draw happens between the snaps, so snap the stack in one call
+        return full.snap_rows(np.stack(out))
 
     def _sbx(self, p1, p2, full, rng):
         if rng.random() > self.settings.crossover_prob:

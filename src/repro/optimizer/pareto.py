@@ -8,6 +8,7 @@ dominates; a set of mutually non-dominated configurations is a Pareto set.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -56,28 +57,33 @@ def pairwise_dominance(
 def _non_dominated_mask_2d(objs: np.ndarray) -> np.ndarray:
     """O(N log N) sweep for the bi-objective case: sort by the first
     objective, keep points strictly improving the running second-objective
-    minimum (exact duplicates are all retained)."""
+    minimum (exact duplicates are all retained).  The sweep reads Python
+    floats from ``tolist()``: the same comparisons as on NumPy scalars,
+    without a NumPy scalar per element access."""
     n = objs.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    order = np.lexsort((objs[:, 1], objs[:, 0]))
-    best1 = np.inf
+    mask = [False] * n
+    order = np.lexsort((objs[:, 1], objs[:, 0])).tolist()
+    first = objs[:, 0].tolist()
+    second = objs[:, 1].tolist()
+    best1 = math.inf
     i = 0
     while i < n:
         # group of equal first objective
         j = i
-        v0 = objs[order[i], 0]
-        group_min = np.inf
-        while j < n and objs[order[j], 0] == v0:
-            group_min = min(group_min, objs[order[j], 1])
+        v0 = first[order[i]]
+        group_min = math.inf
+        while j < n and first[order[j]] == v0:
+            if second[order[j]] < group_min:
+                group_min = second[order[j]]
             j += 1
         if group_min < best1:
             for k in range(i, j):
                 idx = order[k]
-                if objs[idx, 1] == group_min:
+                if second[idx] == group_min:
                     mask[idx] = True
             best1 = group_min
         i = j
-    return mask
+    return np.array(mask, dtype=bool)
 
 
 #: row-block size of the vectorized general-m sweep.  Smaller blocks let
@@ -100,8 +106,8 @@ def _non_dominated_mask_general(objs: np.ndarray) -> np.ndarray:
     nothing.  Fronts are small in practice, which keeps the candidate
     side near ``_BLOCK`` rows instead of all N, and peak memory at
     ``O((F + _BLOCK) · _BLOCK · m)`` for front size F.  Output-identical
-    to the per-row scalar sweep
-    (:func:`_non_dominated_mask_general_scalar`)."""
+    to the per-row scalar sweep it replaced, which
+    ``tests/optimizer_oracle.py`` keeps as its reference."""
     n, m = objs.shape
     # np.lexsort's last key is primary: reverse so column 0 sorts first
     order = np.lexsort(objs.T[::-1])
@@ -125,27 +131,6 @@ def _non_dominated_mask_general(objs: np.ndarray) -> np.ndarray:
         survivors = np.concatenate([survivors, block[kept]])
     mask = np.empty(n, dtype=bool)
     mask[order] = keep
-    return mask
-
-
-def _non_dominated_mask_general_scalar(objs: np.ndarray) -> np.ndarray:
-    """The pre-vectorization per-row sweep — kept as the reference the
-    micro-benchmark (``benchmarks/test_select_speedup.py``) guards the
-    broadcasted path against, output-identical by construction."""
-    n = objs.shape[0]
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not mask[i]:
-            continue
-        o = objs[i]
-        dominated_by_i = (objs >= o).all(axis=1) & (objs > o).any(axis=1)
-        mask &= ~dominated_by_i
-        mask[i] = True
-        # if i itself is dominated by any currently-alive point, kill it
-        alive = np.flatnonzero(mask)
-        dominates_i = (objs[alive] <= o).all(axis=1) & (objs[alive] < o).any(axis=1)
-        if dominates_i.any():
-            mask[i] = False
     return mask
 
 

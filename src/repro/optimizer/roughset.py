@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.optimizer.config import Configuration
+from repro.optimizer.config import Configuration, objective_matrix, value_matrix
 from repro.optimizer.pareto import non_dominated_mask
 from repro.optimizer.space import Boundary
 
@@ -64,37 +64,33 @@ def rough_set_boundary(
     """
     if not population:
         return full
-    names = full.space.names
-    vecs = np.stack([c.vector(names) for c in population])
-    objs = np.array([c.objectives for c in population])
-    nd_mask = non_dominated_mask(objs)
+    vecs = value_matrix(population, full.space.names)
+    nd_mask = non_dominated_mask(objective_matrix(population))
     if nd_mask.all() or not nd_mask.any():
         return full
 
     nd = vecs[nd_mask]
     dom = vecs[~nd_mask]
-
-    lo = full.lo.copy()
-    hi = full.hi.copy()
-    for j in range(full.space.dim):
-        if names[j] in protect:
-            continue
-        nd_min = nd[:, j].min()
-        nd_max = nd[:, j].max()
-        below = dom[dom[:, j] <= nd_min, j]
-        above = dom[dom[:, j] >= nd_max, j]
-        if below.size:
-            lo[j] = max(lo[j], below.max())
-        if above.size:
-            hi[j] = min(hi[j], above.min())
-        # numerical safety: never exclude the non-dominated points
-        lo[j] = min(lo[j], nd_min)
-        hi[j] = max(hi[j], nd_max)
-        # anti-collapse floor
-        min_span = (full.hi[j] - full.lo[j]) * min_span_fraction
-        span = hi[j] - lo[j]
-        if span < min_span:
-            pad = 0.5 * (min_span - span)
-            lo[j] = max(full.lo[j], lo[j] - pad)
-            hi[j] = min(full.hi[j], hi[j] + pad)
+    # every dimension at once; each step is a compare, min or max except
+    # the anti-collapse pad, which does the same float operations per
+    # dimension as a scalar loop would, so the box is exact
+    nd_min = nd.min(axis=0)
+    nd_max = nd.max(axis=0)
+    # the largest dominated coordinate still <= the front's smallest, and
+    # the smallest still >= its largest (±inf where there is none)
+    below = np.where(dom <= nd_min, dom, -np.inf).max(axis=0)
+    above = np.where(dom >= nd_max, dom, np.inf).min(axis=0)
+    # numerical safety: never exclude the non-dominated points
+    lo = np.minimum(np.maximum(full.lo, below), nd_min)
+    hi = np.maximum(np.minimum(full.hi, above), nd_max)
+    # anti-collapse floor
+    min_span = (full.hi - full.lo) * min_span_fraction
+    span = hi - lo
+    short = span < min_span
+    pad = 0.5 * (min_span - span)
+    lo = np.where(short, np.maximum(full.lo, lo - pad), lo)
+    hi = np.where(short, np.minimum(full.hi, hi + pad), hi)
+    protected = np.array([name in protect for name in full.space.names])
+    lo = np.where(protected, full.lo, lo)
+    hi = np.where(protected, full.hi, hi)
     return Boundary(space=full.space, lo=lo, hi=hi)

@@ -9,6 +9,7 @@ search currently operates in — the ``B`` of the paper's Algorithm 1, whose
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,7 +79,11 @@ class ParameterSpace:
 
 @dataclass(frozen=True)
 class Boundary:
-    """An axis-aligned box within a parameter space (Algorithm 1's ``B``)."""
+    """An axis-aligned box within a parameter space (Algorithm 1's ``B``).
+
+    The box is immutable: its snap table (:attr:`_snap`) is built from
+    ``lo``/``hi`` on first use and kept for the box's lifetime.
+    """
 
     space: ParameterSpace
     lo: np.ndarray
@@ -88,26 +93,78 @@ class Boundary:
         if (self.lo > self.hi).any():
             raise ValueError("boundary has lo > hi")
 
+    @cached_property
+    def _snap(self) -> tuple[tuple, ...]:
+        """Per dimension: the box ``lo``/``hi`` as Python floats, then the
+        integer range ``(p.lo, p.hi)`` and ``None``, or ``None`` and the
+        categorical pool — the choices inside the box, or all choices
+        when none lies inside (ascending either way)."""
+        table = []
+        for p, lo, hi in zip(self.space.parameters, self.lo.tolist(), self.hi.tolist()):
+            if p.is_categorical:
+                pool = tuple(c for c in p.choices if lo <= c <= hi) or p.choices
+                table.append((lo, hi, None, pool))
+            else:
+                table.append((lo, hi, (p.lo, p.hi), None))
+        return tuple(table)
+
+    def snap(self, row) -> list[int]:
+        """:meth:`get_closest_to` for one row in Python scalars.
+
+        Clip each coordinate into the box; integers round half-to-even
+        and clamp to the parameter's range (:meth:`Parameter.clamp`),
+        categoricals take the nearest pool choice, the lower one on a
+        tie.  A single row has 2–4 coordinates, where NumPy's per-call
+        overhead outweighs its arithmetic, so this loop is the fast path
+        for one row and :meth:`snap_rows` for whole matrices.
+        """
+        out = []
+        for x, (lo, hi, bounds, pool) in zip(row, self._snap):
+            x = lo if x < lo else hi if x > hi else x
+            if pool is None:
+                v = round(x)
+                p_lo, p_hi = bounds
+                out.append(p_lo if v < p_lo else p_hi if v > p_hi else v)
+            else:
+                best = pool[0]
+                best_d = abs(best - x)
+                for c in pool[1:]:
+                    d = abs(c - x)
+                    if d < best_d:
+                        best, best_d = c, d
+                out.append(best)
+        return out
+
     def get_closest_to(self, vec: np.ndarray) -> np.ndarray:
         """The paper's ``B.getClosestTo(r)``: clip into the box, then snap
         to valid parameter values (categoricals pick the nearest in-box
         choice, falling back to the nearest choice overall)."""
-        clipped = np.clip(np.asarray(vec, dtype=float), self.lo, self.hi)
-        out = []
-        for j, p in enumerate(self.space.parameters):
-            if p.is_categorical:
-                in_box = [c for c in p.choices if self.lo[j] <= c <= self.hi[j]]
-                pool = in_box or list(p.choices)
-                out.append(min(pool, key=lambda c: abs(c - clipped[j])))
+        return np.array(self.snap(np.asarray(vec, dtype=float).tolist()), dtype=float)
+
+    def snap_rows(self, vecs: np.ndarray) -> np.ndarray:
+        """:meth:`get_closest_to` applied to every row of a (B, dim)
+        matrix, one column at a time: ``np.clip`` + ``np.rint`` for
+        integers, ``searchsorted`` between the two neighbouring pool
+        choices for categoricals (ties go to the lower one)."""
+        clipped = np.clip(np.asarray(vecs, dtype=float), self.lo, self.hi)
+        out = np.empty_like(clipped)
+        for j, (_, _, bounds, pool) in enumerate(self._snap):
+            x = clipped[:, j]
+            if pool is None:
+                out[:, j] = np.clip(np.rint(x), bounds[0], bounds[1])
             else:
-                out.append(p.clamp(clipped[j]))
-        return np.array(out, dtype=float)
+                choices = np.array(pool, dtype=float)
+                k = np.searchsorted(choices, x)  # choices[k-1] < x <= choices[k]
+                below = choices[np.maximum(k - 1, 0)]
+                above = choices[np.minimum(k, len(choices) - 1)]
+                out[:, j] = np.where(above - x < x - below, above, below)
+        return out
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if count <= 0:
             return np.zeros((0, self.space.dim))
         raw = rng.uniform(self.lo, self.hi + 1.0, size=(count, self.space.dim))
-        return np.stack([self.get_closest_to(row) for row in raw], axis=0)
+        return self.snap_rows(raw)
 
     def contains(self, vec: np.ndarray) -> bool:
         return bool((vec >= self.lo).all() and (vec <= self.hi).all())

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.optimizer.hypervolume import hypervolume, normalized_hypervolume
 from repro.optimizer.pareto import (
     _non_dominated_mask_general,
-    _non_dominated_mask_general_scalar,
     crowding_distance,
     dominates,
     non_dominated,
@@ -17,6 +16,7 @@ from repro.optimizer.pareto import (
     non_dominated_sort,
     pairwise_dominance,
 )
+from tests.optimizer_oracle import non_dominated_mask_general_scalar
 
 obj_vectors = st.lists(
     st.tuples(
@@ -290,7 +290,7 @@ class TestVectorizedGeneralMask:
         rng = np.random.default_rng(n)
         objs = rng.uniform(0.0, 10.0, size=(n, 3))
         fast = _non_dominated_mask_general(objs)
-        slow = _non_dominated_mask_general_scalar(objs)
+        slow = non_dominated_mask_general_scalar(objs)
         assert np.array_equal(fast, slow)
 
     def test_duplicates_all_retained(self):
@@ -319,5 +319,5 @@ class TestVectorizedGeneralMask:
         objs = np.array(pts, dtype=float)
         assert np.array_equal(
             _non_dominated_mask_general(objs),
-            _non_dominated_mask_general_scalar(objs),
+            non_dominated_mask_general_scalar(objs),
         )
