@@ -4,8 +4,10 @@ Unlike the table/figure reproductions (single-shot by design), these use
 pytest-benchmark's statistics to track the framework's own performance:
 the scalar and vectorized cost model (at brute-force and at tuning batch
 sizes, the latter against the frozen oracle in ``tests/cost_oracle.py``),
-configuration measurement, one GDE3 generation, GDE3 trial construction
-(against the frozen oracle in ``tests/optimizer_oracle.py``), non-dominated
+configuration measurement, the noise factors of a tuning batch (against
+SciPy's ``ndtri`` where it is installed), one GDE3 generation, GDE3 trial
+construction (against the frozen oracle in ``tests/optimizer_oracle.py``),
+non-dominated
 filtering at brute-force scale, and hypervolume.  Regression guards assert
 the throughput floors the experiment harness relies on.
 """
@@ -21,6 +23,7 @@ from repro.experiments import make_setup
 from repro.machine import WESTMERE
 from repro.optimizer import GDE3, hypervolume, rough_set_boundary
 from repro.optimizer.pareto import non_dominated_mask
+from repro.util.ndtri import ndtri
 from repro.util.rng import derive_rng
 from tests.cost_oracle import time_batch as oracle_time_batch
 from tests.optimizer_oracle import propose as oracle_propose
@@ -91,6 +94,44 @@ def test_perf_measured_evaluation(benchmark, setup):
 
     obj = benchmark(measure_fresh)
     assert obj.time > 0
+
+
+def test_perf_noise_factor_matrix(benchmark, setup):
+    """The noise factors of one tuning batch (28 mm/Westmere keys x 5
+    repetitions): the same bytes as SciPy's ``ndtri`` gives, and the NumPy
+    port's ``ndtri`` at most 0.75x the cost of hashing the uniforms it
+    transforms, so the port adds little to every ``compute_keys`` call."""
+    problem = setup.problem(seed=7)
+    target = problem.target
+    rows = problem.space.full_boundary().sample(derive_rng(28), 28)
+    keys = [
+        target.config_key(dict(zip(target.band, row[:-1])), int(row[-1])) for row in rows
+    ]
+    reps = target.protocol.repetitions
+    assert (len(keys), reps) == (28, 5)
+
+    factors = benchmark(lambda: target._noise_factor_matrix(keys, reps))
+    u = target._noise_uniforms(keys, reps)
+    try:
+        from scipy.special import ndtri as scipy_ndtri
+    except ImportError:
+        scipy_ndtri = None
+    if scipy_ndtri is not None:
+        want = np.exp(target.noise * scipy_ndtri(u))
+        assert factors.tobytes() == want.tobytes()
+
+    def per_call(fn, number=50):
+        return timeit.timeit(fn, number=number) / number
+
+    port_s = hash_s = float("inf")
+    for _ in range(7):  # interleaved, so host drift hits both sides
+        port_s = min(port_s, per_call(lambda: ndtri(u)))
+        hash_s = min(hash_s, per_call(lambda: target._noise_uniforms(keys, reps)))
+    print(
+        f"\nnoise 28x5: ndtri {port_s * 1e6:.1f} us, "
+        f"uniforms {hash_s * 1e6:.1f} us ({port_s / hash_s:.2f}x)"
+    )
+    assert port_s <= 0.75 * hash_s
 
 
 def test_perf_gde3_generation(benchmark, setup):

@@ -14,19 +14,20 @@ trade-off metadata (Fig. 6).
   backends and the runtime.
 """
 
-from repro.backend.cgen import function_to_c
-from repro.backend.meta import VersionMeta
-from repro.backend.multiversion import MultiVersionUnit, build_multiversion_c
-from repro.backend.parameterized import ParameterizedUnit, build_parameterized_c
-from repro.backend.pygen import compile_function, compile_worksharing
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "function_to_c",
-    "VersionMeta",
-    "MultiVersionUnit",
-    "build_multiversion_c",
-    "compile_function",
-    "compile_worksharing",
-    "ParameterizedUnit",
-    "build_parameterized_c",
-]
+# name -> submodule, imported on first access
+_EXPORTS = {
+    "function_to_c": "cgen",
+    "VersionMeta": "meta",
+    "MultiVersionUnit": "multiversion",
+    "build_multiversion_c": "multiversion",
+    "ParameterizedUnit": "parameterized",
+    "build_parameterized_c": "parameterized",
+    "compile_function": "pygen",
+    "compile_worksharing": "pygen",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -29,13 +29,15 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.driver.compiler import TuningDriver
+# only what the parser needs is imported here; each subcommand imports
+# its own dependencies, so a command loads no module it does not use
 from repro.evaluation.disk_cache import DEFAULT_CACHE_DIR
 from repro.frontend.kernels import ALL_KERNELS, get_kernel
-from repro.machine.model import BARCELONA, WESTMERE, machine_by_name
-from repro.obs import Observability, TraceError, trace_summary_for_path
-from repro.util.tables import Table
+
+if TYPE_CHECKING:
+    from repro.obs import Observability
 
 __all__ = ["main", "build_parser"]
 
@@ -243,6 +245,8 @@ def _build_obs(args) -> Observability | None:
     """One observability handle per invocation: a collecting tracer when
     ``--trace`` was given, metrics-only for a bare ``--metrics``, and None
     (fully disabled) otherwise."""
+    from repro.obs import Observability
+
     if getattr(args, "trace", None):
         obs = Observability.tracing()
     elif getattr(args, "metrics", False):
@@ -262,6 +266,8 @@ def _build_obs(args) -> Observability | None:
 
 def _finish_obs(args, obs: Observability | None, meta: dict, out) -> None:
     """Write the trace file and/or print metrics after a traced run."""
+    from repro.obs import TraceError
+
     if obs is None:
         return
     if getattr(args, "trace", None):
@@ -288,6 +294,8 @@ def _parse_sizes(entries: list[str]) -> dict[str, int]:
 
 
 def _cmd_kernels(out) -> int:
+    from repro.util.tables import Table
+
     t = Table(["kernel", "tuned loops", "computation", "memory", "default size"])
     for name in sorted(ALL_KERNELS):
         k = get_kernel(name)
@@ -305,6 +313,9 @@ def _cmd_kernels(out) -> int:
 
 
 def _cmd_machines(out) -> int:
+    from repro.machine.model import BARCELONA, WESTMERE
+    from repro.util.tables import Table
+
     t = Table(["machine", "sockets x cores", "L1/L2/L3", "thread counts"])
     for m in (WESTMERE, BARCELONA):
         t.add_row(
@@ -327,6 +338,9 @@ def _cache_dir(args) -> str | None:
 
 
 def _cmd_tune(args, out) -> int:
+    from repro.driver.compiler import TuningDriver
+    from repro.machine.model import machine_by_name
+
     machine = machine_by_name(args.machine)
     obs = _build_obs(args)
     driver = TuningDriver(
@@ -541,7 +555,10 @@ def _cmd_serve_replay(args, out) -> int:
     deterministic synthetic request stream and report throughput."""
     import numpy as np
 
-    from repro.runtime import DispatchEngine, generate_workload, policy_by_name
+    from repro.driver.compiler import TuningDriver
+    from repro.machine.model import machine_by_name
+    from repro.runtime.selection import policy_by_name
+    from repro.runtime.serving import DispatchEngine, generate_workload
 
     if args.requests < 1:
         raise SystemExit("--requests must be >= 1")
@@ -646,6 +663,8 @@ def _cmd_serve_replay(args, out) -> int:
 
 
 def _cmd_trace(args, out) -> int:
+    from repro.obs import TraceError, trace_summary_for_path
+
     try:
         print(trace_summary_for_path(args.path), file=out)
     except TraceError as exc:

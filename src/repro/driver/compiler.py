@@ -21,11 +21,10 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.analysis.regions import TunableRegion, extract_regions
 from repro.backend.meta import VersionMeta
-from repro.backend.multiversion import MultiVersionUnit, build_multiversion_c
-from repro.backend.pygen import compile_function
 from repro.evaluation.cost import RegionCostModel
 from repro.evaluation.disk_cache import MeasurementDiskCache
 from repro.evaluation.parallel_eval import EngineStats, EvaluationEngine
@@ -42,6 +41,9 @@ from repro.optimizer.rsgde3 import RSGDE3, OptimizerResult, RSGDE3Settings
 from repro.runtime.version_table import Version, VersionTable
 from repro.transform.skeleton import TransformationSkeleton, default_skeleton
 from repro.util.tables import Table
+
+if TYPE_CHECKING:
+    from repro.backend.multiversion import MultiVersionUnit
 
 __all__ = ["TuningDriver", "TunedKernel"]
 
@@ -116,6 +118,8 @@ class TunedKernel:
     def build_version_table(self, executable: bool = True) -> VersionTable:
         """Version table for the runtime; with ``executable`` the versions
         carry compiled Python bodies (exact semantics, small-size speed)."""
+        from repro.backend.pygen import compile_function
+
         versions = []
         for fn, meta in self._variants():
             body = compile_function(fn, name=f"{self.name}_v{meta.index}") if executable else None
@@ -124,6 +128,8 @@ class TunedKernel:
 
     def emit_c(self) -> MultiVersionUnit:
         """The multi-versioned C translation unit (paper Fig. 6)."""
+        from repro.backend.multiversion import build_multiversion_c
+
         return build_multiversion_c(self.name, self._variants())
 
     def preview_selections(

@@ -18,44 +18,30 @@ versions for small problem sizes (used to sanity-check the pipeline, not
 for the paper-scale experiments).
 """
 
-from repro.evaluation.cost import RegionCostModel
-from repro.evaluation.disk_cache import DEFAULT_CACHE_DIR, MeasurementDiskCache
-from repro.evaluation.measurements import Measurement, MeasurementProtocol
-from repro.evaluation.simulator import SimulatedTarget
-from repro.evaluation.parallel_eval import (
-    BatchEvaluator,
-    BatchResult,
-    EngineStats,
-    EvaluationEngine,
-    FaultPolicy,
-    FlakyFaultPolicy,
-    auto_workers,
-)
-from repro.evaluation.native import NativeExecutor
-from repro.evaluation.objectives import (
-    Objectives,
-    efficiency,
-    resource_usage,
-    speedup,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RegionCostModel",
-    "SimulatedTarget",
-    "MeasurementDiskCache",
-    "DEFAULT_CACHE_DIR",
-    "Measurement",
-    "MeasurementProtocol",
-    "BatchEvaluator",
-    "BatchResult",
-    "EngineStats",
-    "EvaluationEngine",
-    "FaultPolicy",
-    "FlakyFaultPolicy",
-    "auto_workers",
-    "NativeExecutor",
-    "Objectives",
-    "speedup",
-    "efficiency",
-    "resource_usage",
-]
+# name -> submodule, imported on first access
+_EXPORTS = {
+    "RegionCostModel": "cost",
+    "DEFAULT_CACHE_DIR": "disk_cache",
+    "MeasurementDiskCache": "disk_cache",
+    "Measurement": "measurements",
+    "MeasurementProtocol": "measurements",
+    "SimulatedTarget": "simulator",
+    "BatchEvaluator": "parallel_eval",
+    "BatchResult": "parallel_eval",
+    "EngineStats": "parallel_eval",
+    "EvaluationEngine": "parallel_eval",
+    "FaultPolicy": "parallel_eval",
+    "FlakyFaultPolicy": "parallel_eval",
+    "auto_workers": "parallel_eval",
+    "NativeExecutor": "native",
+    "Objectives": "objectives",
+    "efficiency": "objectives",
+    "resource_usage": "objectives",
+    "speedup": "objectives",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

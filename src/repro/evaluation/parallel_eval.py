@@ -64,18 +64,17 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
 from repro.evaluation.measurements import Measurement
 from repro.evaluation.objectives import Objectives
 from repro.evaluation.simulator import SimulatedTarget
 from repro.obs import DISABLED, Observability
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "EvaluationEngine",
@@ -551,6 +550,10 @@ class EvaluationEngine:
     def _pool(self):
         if self.backend == "process":
             if self._process_pool is None:
+                # the process machinery (multiprocessing, subprocess) loads
+                # only when this backend is used
+                from concurrent.futures import ProcessPoolExecutor
+
                 self._process_pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
                     initializer=_proc_init,
@@ -744,6 +747,8 @@ class EvaluationEngine:
         pool = self._fused_pool
         if pool is None:
             if self.backend == "process":
+                from concurrent.futures import ProcessPoolExecutor
+
                 pool = ProcessPoolExecutor(max_workers=self.max_workers)
             else:
                 pool = ThreadPoolExecutor(

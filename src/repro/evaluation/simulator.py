@@ -39,11 +39,11 @@ import time as _time
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.evaluation.cost import RegionCostModel
 from repro.evaluation.measurements import Measurement, MeasurementProtocol
 from repro.evaluation.objectives import Objectives
+from repro.util.ndtri import ndtri
 from repro.util.rng import seed_hasher, spawn_seed
 from repro.util.stats import median
 

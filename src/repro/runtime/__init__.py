@@ -16,65 +16,41 @@ application-specific policies — the default being the weighted-sum rule of
   stream across worker threads.
 """
 
-from repro.runtime.version_table import Version, VersionColumns, VersionTable
-from repro.runtime.selection import (
-    EfficiencyFloorPolicy,
-    EnergyCapPolicy,
-    FastestPolicy,
-    GreenestPolicy,
-    MostEfficientPolicy,
-    SelectionPolicy,
-    ThreadCapPolicy,
-    TimeCapPolicy,
-    WeightedSumPolicy,
-    policy_by_name,
-)
-from repro.runtime.compiled import (
-    CompiledSelection,
-    FixedSelection,
-    ThreadCapSelection,
-    compile_policy,
-)
-from repro.runtime.scheduler import RegionExecutor
-from repro.runtime.tasks import Task, WorkStealingPool
-from repro.runtime.online import BanditSelector
-from repro.runtime.monitor import ExecutionRecord, MonitorShard, RuntimeMonitor
-from repro.runtime.serving import (
-    DispatchEngine,
-    DispatchRequest,
-    DispatchResult,
-    Workload,
-    generate_workload,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Version",
-    "VersionColumns",
-    "VersionTable",
-    "SelectionPolicy",
-    "WeightedSumPolicy",
-    "FastestPolicy",
-    "MostEfficientPolicy",
-    "TimeCapPolicy",
-    "ThreadCapPolicy",
-    "EfficiencyFloorPolicy",
-    "GreenestPolicy",
-    "EnergyCapPolicy",
-    "policy_by_name",
-    "CompiledSelection",
-    "FixedSelection",
-    "ThreadCapSelection",
-    "compile_policy",
-    "RegionExecutor",
-    "Task",
-    "WorkStealingPool",
-    "BanditSelector",
-    "RuntimeMonitor",
-    "MonitorShard",
-    "ExecutionRecord",
-    "DispatchEngine",
-    "DispatchRequest",
-    "DispatchResult",
-    "Workload",
-    "generate_workload",
-]
+# name -> submodule, imported on first access
+_EXPORTS = {
+    "Version": "version_table",
+    "VersionColumns": "version_table",
+    "VersionTable": "version_table",
+    "EfficiencyFloorPolicy": "selection",
+    "EnergyCapPolicy": "selection",
+    "FastestPolicy": "selection",
+    "GreenestPolicy": "selection",
+    "MostEfficientPolicy": "selection",
+    "SelectionPolicy": "selection",
+    "ThreadCapPolicy": "selection",
+    "TimeCapPolicy": "selection",
+    "WeightedSumPolicy": "selection",
+    "policy_by_name": "selection",
+    "CompiledSelection": "compiled",
+    "FixedSelection": "compiled",
+    "ThreadCapSelection": "compiled",
+    "compile_policy": "compiled",
+    "RegionExecutor": "scheduler",
+    "Task": "tasks",
+    "WorkStealingPool": "tasks",
+    "BanditSelector": "online",
+    "ExecutionRecord": "monitor",
+    "MonitorShard": "monitor",
+    "RuntimeMonitor": "monitor",
+    "DispatchEngine": "serving",
+    "DispatchRequest": "serving",
+    "DispatchResult": "serving",
+    "Workload": "serving",
+    "generate_workload": "serving",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,15 +1,18 @@
 """Shared utilities: deterministic RNG handling, statistics, table formatting."""
 
-from repro.util.rng import derive_rng, spawn_seed
-from repro.util.stats import median, mean, geomean, relative_loss
-from repro.util.tables import Table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "derive_rng",
-    "spawn_seed",
-    "median",
-    "mean",
-    "geomean",
-    "relative_loss",
-    "Table",
-]
+# name -> submodule, imported on first access
+_EXPORTS = {
+    "derive_rng": "rng",
+    "spawn_seed": "rng",
+    "median": "stats",
+    "mean": "stats",
+    "geomean": "stats",
+    "relative_loss": "stats",
+    "Table": "tables",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
