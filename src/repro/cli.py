@@ -123,8 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             default="1",
             metavar="N",
-            help="evaluate configuration batches with N worker threads "
-            "(integer or 'auto' = 3/4 of cores); results are bit-identical "
+            help="evaluation pool of up to N workers (integer or 'auto' = "
+            "3/4 of cores), used only where it overlaps waits (process "
+            "backend, per-configuration latency); results are bit-identical "
             "to the serial default",
         )
         p.add_argument(

@@ -187,10 +187,11 @@ class TuningDriver:
     :param seed: seed for measurement noise and the stochastic optimizers.
     :param noise: relative measurement jitter of the simulated target.
     :param settings: RS-GDE3 driver settings.
-    :param workers: evaluation-engine worker pool width — >1 (or
-        ``"auto"``, three quarters of the visible cores) evaluates each
-        generation's configurations in parallel; results and the E metric
-        are bit-identical to the serial default.
+    :param workers: the widest evaluation-engine pool (``"auto"``: three
+        quarters of the visible cores).  Above 1, a generation is evaluated
+        on a pool only where that overlaps waits (process backend, or
+        per-configuration latency); results and the E metric are
+        bit-identical to the serial default.
     :param obs: observability handle — compiler phases become spans and
         the optimizer/engine telemetry flows into its tracer and metrics;
         None (the default) disables tracing at zero cost.

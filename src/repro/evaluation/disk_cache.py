@@ -17,9 +17,14 @@ Design points:
   measurement, so two targets that could disagree can never share
   entries; bumping :data:`SCHEMA_VERSION` rotates every fingerprint and
   therefore invalidates all previous caches at once;
-* **append-only JSONL** — commits append one line per configuration;
-  torn or corrupt lines (crashed writer, concurrent appender) are
-  skipped on load instead of poisoning the shard;
+* **append-only JSONL** — commits append one line per configuration
+  under an exclusive ``flock``, so concurrent processes never glue
+  records together; torn or corrupt lines (a crashed writer) are skipped
+  on load instead of poisoning the shard;
+* **shared between processes** — each batch lookup first checks the
+  shard's size and parses only what other processes appended since, so
+  a long-running tuner sees a sibling's measurements without reopening
+  the cache;
 * **exact round-trip** — floats are serialized with ``repr``-fidelity
   JSON, so a configuration served from disk is bit-identical to the one
   that was measured, samples included.  The evaluation ledger still
@@ -58,108 +63,143 @@ def _fingerprint(*parts: object) -> str:
 
 
 class _Shard:
-    """One fingerprint's key → (Objectives, Measurement) store."""
+    """One fingerprint's key → (Objectives, Measurement) store.
+
+    The in-memory records mirror the file up to ``_offset`` (the end of the
+    last complete line parsed).  Before a lookup, the shard compares the
+    file's size with the size it last read or wrote and parses only the new
+    tail, so appends by other processes become visible without reopening
+    the cache; appends hold an exclusive ``flock`` so two processes never
+    interleave their records.
+    """
 
     def __init__(self, path: Path, fingerprint: str, schema_version: int) -> None:
         self.path = path
         self.fingerprint = fingerprint
         self.schema_version = schema_version
-        self._records: dict[tuple, tuple[Objectives, Measurement]] | None = None
+        self._records: dict[tuple, tuple[Objectives, Measurement]] = {}
+        self._offset = 0  # bytes parsed: the end of the last complete line
+        self._size = 0  # the file's size when this process last read or wrote it
+        self._foreign = False  # the header names another fingerprint
         self._lock = threading.Lock()
 
     # -- load -----------------------------------------------------------
 
-    def _load(self) -> dict[tuple, tuple[Objectives, Measurement]]:
-        if self._records is not None:
-            return self._records
-        records: dict[tuple, tuple[Objectives, Measurement]] = {}
+    def _refresh(self) -> dict[tuple, tuple[Objectives, Measurement]]:
+        """The records, first catching up with whatever was appended to the
+        file since this process last read or wrote it."""
         try:
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        d = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn/corrupt line: skip, don't poison
-                    if "schema" in d:
-                        if d.get("fingerprint") != self.fingerprint:
-                            return {}  # foreign header: treat as empty
-                        continue
-                    try:
-                        key = tuple(int(v) for v in d["k"])
-                        samples = tuple(float(s) for s in d["s"])
-                        energy = d.get("e")
-                        obj = Objectives(
-                            time=float(d["v"]),
-                            threads=key[-1],
-                            energy=None if energy is None else float(energy),
-                        )
-                        records[key] = (
-                            obj,
-                            Measurement(value=float(d["v"]), samples=samples),
-                        )
-                    except (KeyError, TypeError, ValueError, IndexError):
-                        continue
+            size = self.path.stat().st_size
         except OSError:
-            pass  # no shard yet
-        self._records = records
-        return records
+            return self._records  # no shard yet
+        if size != self._size:
+            with open(self.path, "rb") as fh:
+                self._read_tail(fh)
+        return self._records
+
+    def _read_tail(self, fh) -> None:
+        """Parse the complete lines from ``_offset`` to the end of *fh*."""
+        fh.seek(0, os.SEEK_END)
+        self._size = fh.tell()
+        if self._size < self._offset:  # truncated or replaced: start over
+            self._records.clear()
+            self._offset = 0
+            self._foreign = False
+        fh.seek(self._offset)
+        data = fh.read(self._size - self._offset)
+        complete = data.rfind(b"\n") + 1  # a torn last line waits for its end
+        self._offset += complete
+        if self._foreign:
+            return
+        for line in data[:complete].splitlines():
+            try:
+                d = json.loads(line)
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                continue  # torn/corrupt line: skip, don't poison
+            if not isinstance(d, dict):
+                continue
+            if "schema" in d:
+                if d.get("fingerprint") != self.fingerprint:
+                    self._foreign = True  # foreign header: treat as empty
+                    self._records.clear()
+                    return
+                continue
+            try:
+                key = tuple(int(v) for v in d["k"])
+                samples = tuple(float(s) for s in d["s"])
+                energy = d.get("e")
+                obj = Objectives(
+                    time=float(d["v"]),
+                    threads=key[-1],
+                    energy=None if energy is None else float(energy),
+                )
+                self._records[key] = (
+                    obj,
+                    Measurement(value=float(d["v"]), samples=samples),
+                )
+            except (KeyError, TypeError, ValueError, IndexError):
+                continue
 
     # -- queries --------------------------------------------------------
 
-    def get(self, key: tuple) -> tuple[Objectives, Measurement] | None:
+    def get_many(self, keys) -> dict[tuple, tuple[Objectives, Measurement]]:
+        """The stored entries among *keys*, in *keys* order."""
         with self._lock:
-            return self._load().get(key)
+            records = self._refresh()
+            return {key: records[key] for key in keys if key in records}
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._load())
+            return len(self._refresh())
 
     # -- commits --------------------------------------------------------
 
     def put_many(
         self, items: list[tuple[tuple, Objectives, Measurement]]
     ) -> int:
-        """Append *items* (skipping keys already present); returns the
-        number of new entries written."""
+        """Append *items* (skipping keys already present, including keys
+        another process appended meanwhile); returns the number of new
+        entries written."""
         if not items:
             return 0
+        # loaded on the first write, so runs without a cache never map it
+        import fcntl
+
         with self._lock:
-            records = self._load()
-            fresh = [
-                (key, obj, meas)
-                for key, obj, meas in items
-                if key not in records
-            ]
-            if not fresh:
-                return 0
-            lines = [
-                json.dumps(
-                    {
-                        "k": list(key),
-                        "v": meas.value,
-                        "s": list(meas.samples),
-                        "e": obj.energy,
-                    }
-                )
-                for key, obj, meas in fresh
-            ]
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a+b") as fh:
-                if fh.tell() == 0:
+                fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
+                self._read_tail(fh)
+                fresh = [
+                    (key, obj, meas)
+                    for key, obj, meas in items
+                    if key not in self._records
+                ]
+                if not fresh:
+                    return 0
+                lines = [
+                    json.dumps(
+                        {
+                            "k": list(key),
+                            "v": meas.value,
+                            "s": list(meas.samples),
+                            "e": obj.energy,
+                        }
+                    )
+                    for key, obj, meas in fresh
+                ]
+                if self._size == 0:
                     header = {"schema": self.schema_version, "fingerprint": self.fingerprint}
                     lines.insert(0, json.dumps(header))
-                else:
+                elif self._offset < self._size:
                     # a torn final line (a writer died mid-record) must not
                     # swallow the next record: start it on a line of its own
-                    fh.seek(-1, os.SEEK_END)
-                    if fh.read(1) != b"\n":
-                        lines.insert(0, "")
+                    lines.insert(0, "")
                 fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+                fh.flush()
+                self._size = self._offset = fh.tell()
             for key, obj, meas in fresh:
-                records[key] = (obj, meas)
+                self._records[key] = (obj, meas)
             return len(fresh)
 
 
@@ -176,6 +216,7 @@ class MeasurementDiskCache:
     ) -> None:
         self.root = Path(root).expanduser()
         self.schema_version = int(schema_version)
+        #: target fingerprint → its shard
         self._shards: dict[str, _Shard] = {}
         self._lock = threading.Lock()  # guards _shards and the counters
         #: accounting across every attached target
@@ -184,29 +225,35 @@ class MeasurementDiskCache:
         self.stores = 0
 
     def shard_for(self, target_fingerprint: str) -> _Shard:
-        """The shard a target with this fingerprint reads and writes."""
-        fp = _fingerprint(
-            "repro-measurement-cache", self.schema_version, target_fingerprint
-        )
+        """The shard a target with this fingerprint reads and writes
+        (memoised per target fingerprint: hashed once per cache)."""
         with self._lock:
-            shard = self._shards.get(fp)
+            shard = self._shards.get(target_fingerprint)
             if shard is None:
+                fp = _fingerprint(
+                    "repro-measurement-cache", self.schema_version, target_fingerprint
+                )
                 shard = _Shard(self.root / f"{fp}.jsonl", fp, self.schema_version)
-                self._shards[fp] = shard
+                self._shards[target_fingerprint] = shard
         return shard
 
     # -- target-facing API ----------------------------------------------
 
+    def fetch_many(
+        self, target_fingerprint: str, keys
+    ) -> dict[tuple, tuple[Objectives, Measurement]]:
+        """The cached entries among *keys* (in *keys* order): one shard
+        lookup, one freshness check and one counter update per call."""
+        hits = self.shard_for(target_fingerprint).get_many(keys)
+        with self._lock:
+            self.hits += len(hits)
+            self.misses += len(keys) - len(hits)
+        return hits
+
     def fetch(
         self, target_fingerprint: str, key: tuple
     ) -> tuple[Objectives, Measurement] | None:
-        hit = self.shard_for(target_fingerprint).get(key)
-        with self._lock:
-            if hit is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return hit
+        return self.fetch_many(target_fingerprint, [key]).get(key)
 
     def store_many(
         self,

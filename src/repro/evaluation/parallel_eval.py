@@ -7,47 +7,49 @@ multiple cores ... to generate, compile and execute code versions in
 parallel".  :class:`EvaluationEngine` is that component: optimizers hand it
 the configurations of one generation and it runs a three-stage pipeline —
 
-1. **dedup** — configurations are canonicalized (via the target's
-   ``config_key``) and deduplicated both within the batch and against the
-   target's memo cache, so each unique configuration is computed at most
-   once per run;
-2. **dispatch** — unique configurations are sharded into
-   ``ceil(B/workers)``-sized **chunks** that fan out to a worker pool
-   (``max_workers="auto"`` sizes it at three quarters of the visible cores,
-   the MITuna default), each worker executing one *vectorized*
-   ``compute_keys(chunk)`` call so the NumPy batch path is never traded
-   away for parallelism.  Workers are *pure*: they produce
-   ``key → (Objectives, Measurement)`` results without touching the
-   evaluation ledger.  The default ``backend="thread"`` shares the model;
-   ``backend="process"`` moves chunks to a ``ProcessPoolExecutor`` over
-   pickled model state for true parallelism on large grids;
-3. **commit** — the engine commits worker results serially, in batch
-   order, through the target's locked single-writer ``commit``.  Because
-   measurement noise is hash-derived per key, results are bit-identical to
-   the serial path and the ``E`` metric (paper Table VI) stays exact no
-   matter how many workers race.
+1. **classify** — one pass over the batch's canonical keys (the target's
+   ``config_key``): in-batch duplicates, the target's memo ledger, the
+   fused session's shared and in-flight results, then one read of the
+   persistent disk cache for whatever is left.  Each unique configuration
+   is computed at most once per run;
+2. **compute** — the cold keys run *inline*, in the caller's thread, as
+   one vectorized ``compute_keys`` call, unless a worker pool can overlap
+   something.  A pool is used only when ``max_workers > 1`` and the
+   backend is ``"process"``, the target declares per-configuration
+   latency (``protocol.overhead_s > 0``, the compile-and-run wait of a
+   real evaluation), or a ``timeout_s`` or ``fault_policy`` is set (only
+   a pool can abandon a hung attempt).  On the simulated target with none
+   of these, a pool buys only thread hand-offs around GIL-bound NumPy work
+   and splits each batch's fixed per-call costs.  Pooled keys are sharded
+   into ``ceil(B/workers)``-sized chunks, one vectorized call per worker;
+   workers are *pure*: they produce ``key → (Objectives, Measurement)``
+   results without touching the evaluation ledger;
+3. **commit** — the engine commits results serially, in batch order,
+   through the target's locked single-writer ``commit``.  Because
+   measurement noise is hash-derived per key, results are bit-identical
+   for any worker count or chunking, and the ``E`` metric (paper Table VI)
+   stays exact.
 
-A robustness layer wraps dispatch: one wall-clock deadline per attempt
-(``concurrent.futures.wait`` — n stragglers cost one timeout, not n),
-bounded per-chunk retry with linear backoff, and graceful degradation —
+A robustness layer wraps pooled dispatch: one wall-clock deadline per
+attempt (``concurrent.futures.wait`` — n stragglers cost one timeout, not
+n), bounded per-chunk retry with linear backoff, and graceful degradation —
 configurations whose pooled attempts keep failing are rescued **per key**
 serially in the caller's thread, and an engine that has to rescue
-``degrade_after`` consecutive batches stops using the pool altogether.
-:class:`FaultPolicy` injects failures for testing.  :class:`EngineStats`
-records the accounting (dispatched / cache hits / deduped / disk hits /
-retried / failed, wall time).
+``degrade_after`` consecutive batches stops using the pool altogether.  A
+failed inline call is rescued per key the same way.  :class:`FaultPolicy`
+injects failures for testing.  :class:`EngineStats` records the
+accounting (dispatched / cache hits / deduped / disk hits / retried /
+failed, wall time).
 
-When the target carries a persistent
-:class:`~repro.evaluation.disk_cache.MeasurementDiskCache`, the engine
-consults it between dedup and dispatch (counted as ``disk_hits``) and
-persists freshly computed chunks after the commit stage, so repeated runs
-perform zero model evaluations for already-cached configurations while
-``E`` stays exact.
+Freshly computed results are persisted to the target's
+:class:`~repro.evaluation.disk_cache.MeasurementDiskCache` (if any) after
+the commit, so repeated runs perform zero model evaluations for
+already-cached configurations while ``E`` stays exact.
 
 Besides the blocking single-target :meth:`EvaluationEngine.evaluate_batch`,
 the engine offers a **fused session** for multi-region tuning
 (:meth:`fused_submit` / :meth:`fused_wait`): several regions' generation
-batches — each against its *own* target — share one persistent worker pool,
+batches — each against its *own* target — go through the same pool rule,
 are deduplicated **across regions** by target fingerprint (equal
 fingerprints ⇒ one computation serves every region, counted as
 ``shared_hits``; each consuming region still commits to its own ledger, so
@@ -252,8 +254,11 @@ class EvaluationEngine:
 
     :param target: the (simulated) platform; must provide ``config_key``,
         ``lookup``, pure ``compute_keys`` and single-writer ``commit``.
-    :param max_workers: worker threads; ``"auto"`` → :func:`auto_workers`,
-        1 (the default) evaluates serially through the same pipeline.
+    :param max_workers: the widest pool the engine may use; ``"auto"`` →
+        :func:`auto_workers`.  1 (the default) always evaluates inline.
+        Above 1, a batch still runs inline unless the pool rule (module
+        docstring) holds: process backend, per-configuration latency on
+        the target, or a timeout or fault policy.
     :param timeout_s: wall-time limit per pooled *attempt* — one deadline
         covers the whole fan-out (a worker cannot be killed, but its
         result is abandoned and its chunk retried).  None disables.
@@ -266,13 +271,14 @@ class EvaluationEngine:
         ``engine.batch`` span and the accounting is folded into metric
         counters/histograms; the default disabled handle is free.
     :param backend: ``"thread"`` (default) shares the model between
-        workers; ``"process"`` pickles the target's pure measurement
-        state into a cached ``ProcessPoolExecutor`` for true parallelism
-        on large grids (incompatible with ``fault_policy``, whose
-        in-memory call log cannot cross processes).
-    :param chunk_size: configurations per worker chunk; None (default)
-        uses ``ceil(B/workers)`` so one vectorized call per worker covers
-        the batch.  ``chunk_size=1`` reproduces per-key dispatch (the
+        workers; ``"process"`` ships the target's pure measurement state
+        with each chunk to a cached ``ProcessPoolExecutor`` for true
+        parallelism on large grids (incompatible with ``fault_policy``,
+        whose in-memory call log cannot cross processes).
+    :param chunk_size: configurations per ``compute_keys`` call; None
+        (default) uses the whole batch inline and ``ceil(B/workers)``
+        per pooled chunk, so one vectorized call per worker covers the
+        batch.  ``chunk_size=1`` reproduces per-key dispatch (the
         benchmark baseline).  Any value is bit-identical.
     """
 
@@ -316,9 +322,12 @@ class EvaluationEngine:
         self.stats = EngineStats()
         self._degraded = False
         self._strikes = 0
+        #: shared by both paths; the thread backend's batch pools are per
+        #: batch (so abandoned workers never block one), the fused one lives
+        #: until close()
         self._process_pool: ProcessPoolExecutor | None = None
+        self._fused_pool: ThreadPoolExecutor | None = None
         # fused-session state (multi-target cross-region scheduling)
-        self._fused_pool = None
         self._fused_pending: list[FusedBatch] = []
         self._fused_futures: dict = {}
         self._fused_results: dict[tuple[str, tuple], tuple] = {}
@@ -338,14 +347,24 @@ class EvaluationEngine:
 
     def close(self) -> None:
         """Release the cached process pool and the fused-session pool
-        (the single-target thread backend's pools are per batch)."""
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=False, cancel_futures=True)
-            self._process_pool = None
-        if self._fused_pool is not None:
-            self._fused_pool.shutdown(wait=False, cancel_futures=True)
-            self._fused_pool = None
+        (the thread backend's batch pools are per batch)."""
+        for pool in (self._process_pool, self._fused_pool):
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+        self._process_pool = self._fused_pool = None
         self.fused_reset()
+
+    def _pooled(self, target: SimulatedTarget) -> bool:
+        """The pool rule: a pool pays only when it can overlap waits —
+        another process's compute, the target's per-configuration latency,
+        or an attempt that may have to be abandoned.  Otherwise the
+        batch's cold keys are computed inline."""
+        return self.max_workers > 1 and (
+            self.backend == "process"
+            or target.protocol.overhead_s > 0
+            or self.timeout_s is not None
+            or self.fault_policy is not None
+        )
 
     # ------------------------------------------------------------------
 
@@ -365,49 +384,15 @@ class EvaluationEngine:
             "engine.batch", configs=len(configs), workers=self.max_workers
         ) as span:
             keys = [self.target.config_key(tiles, thr) for tiles, thr in configs]
-            pending: dict[tuple, None] = {}
-            for key in keys:
-                if key in pending:
-                    batch.deduped += 1
-                elif self.target.lookup(key) is not None:
-                    batch.cache_hits += 1
-                else:
-                    pending[key] = None
-            order = list(pending)
-
-            results: dict[tuple, tuple[Objectives, Measurement]] = {}
-            # persistent-cache phase: serve what a previous process already
-            # measured; hits are committed below like any computed result,
-            # so E stays exact while dispatch shrinks to the cold keys
-            if getattr(self.target, "has_disk_cache", False):
-                for key in order:
-                    disk = self.target.disk_fetch(key)
-                    if disk is not None:
-                        results[key] = disk
-                        batch.disk_hits += 1
-            compute = [key for key in order if key not in results]
-            batch.dispatched = len(compute)
-
-            serial = self.max_workers == 1 or self._degraded or len(compute) <= 1
+            order, results, compute = self._classify(self.target, keys, batch)
             if compute:
-                if serial:
-                    if self._degraded:
-                        batch.serial_fallbacks += 1
-                    self._compute_serial(compute, results, batch)
+                if self._degraded:
+                    batch.serial_fallbacks += 1
+                if self._degraded or len(compute) <= 1 or not self._pooled(self.target):
+                    self._compute_inline(compute, results, batch, self.target)
                 else:
                     self._compute_parallel(compute, results, batch)
-
-            # single-writer commit, in batch order — the only ledger mutation
-            for key in order:
-                obj, measurement = results[key]
-                if self.target.commit(key, obj, measurement):
-                    batch.new_evaluations += 1
-
-            if compute and getattr(self.target, "has_disk_cache", False):
-                self.target.disk_store_many(
-                    [(key, *results[key]) for key in compute]
-                )
-
+            self._commit(self.target, order, compute, results, batch)
             objectives = tuple(self.target.lookup(key) for key in keys)
             batch.wall_time_s = time.perf_counter() - t0
             span.set(**batch.as_dict())
@@ -419,6 +404,53 @@ class EvaluationEngine:
             new_evaluations=batch.new_evaluations,
             stats=batch,
         )
+
+    def _classify(
+        self,
+        target: SimulatedTarget,
+        keys: list[tuple],
+        stats: EngineStats,
+        fp: str | None = None,
+    ) -> tuple[list[tuple], dict, list[tuple]]:
+        """Sort a batch's canonical *keys* by where their result comes from:
+        in-batch duplicates (``deduped``), the target's ledger
+        (``cache_hits``), the fused session's computed or in-flight results
+        under fingerprint *fp* (``shared_hits``; fused batches only), then
+        one disk-cache read over the rest (``disk_hits``).  Returns the
+        unique ledger misses in batch order, the disk-served results and
+        the cold keys left to compute (``dispatched``)."""
+        pending: dict[tuple, None] = {}
+        for key in keys:
+            if key in pending:
+                stats.deduped += 1
+            elif target.lookup(key) is not None:
+                stats.cache_hits += 1
+            else:
+                pending[key] = None
+        order = list(pending)
+        cold = order
+        if fp is not None:
+            cold = [
+                key
+                for key in order
+                if (fp, key) not in self._fused_results
+                and (fp, key) not in self._fused_inflight
+            ]
+            stats.shared_hits = len(order) - len(cold)
+        disk = target.disk_fetch_many(cold)
+        stats.disk_hits = len(disk)
+        compute = [key for key in cold if key not in disk] if disk else cold
+        stats.dispatched = len(compute)
+        return order, disk, compute
+
+    def _commit(self, target, order, compute, results, stats) -> None:
+        """Single-writer commit in batch order — the only ledger mutation
+        — then persist the keys this batch computed itself."""
+        for key in order:
+            if target.commit(key, *results[key]):
+                stats.new_evaluations += 1
+        if compute and target.has_disk_cache:
+            target.disk_store_many([(key, *results[key]) for key in compute])
 
     def _observe_batch(self, batch: EngineStats) -> None:
         """Fold one batch's accounting into the metrics registry."""
@@ -465,30 +497,34 @@ class EvaluationEngine:
             "repro_engine_batch_seconds", "wall time per evaluation batch"
         ).observe(batch.wall_time_s)
 
-    # -- serial path -------------------------------------------------------
+    # -- inline path -------------------------------------------------------
 
-    def _compute_serial(self, order, results, batch) -> None:
-        if self.fault_policy is None:
-            # bulk vectorized computation; bit-identical to any chunking
-            for key, result in zip(order, self.target.compute_keys(order)):
-                results[key] = result
+    def _compute_inline(self, keys, results, stats, target) -> None:
+        """Compute *keys* into *results* in the caller's thread, one
+        ``compute_keys`` call per ``chunk_size`` keys (the whole batch by
+        default).  A failed call is rescued per key, like a failed pooled
+        chunk; under a fault policy every key takes the checked per-key
+        path."""
+        if self.fault_policy is not None:
+            for key in keys:
+                results[key] = self._rescue(key, stats, 1, target)
             return
-        for key in order:
-            results[key] = self._rescue(key, batch, first_attempt=1)
+        for chunk in self._chunks(keys) if self.chunk_size else [keys]:
+            try:
+                results.update(zip(chunk, target.compute_keys(chunk)))
+            except Exception:  # noqa: BLE001 — rescued below
+                stats.failed += len(chunk)
+                for key in chunk:
+                    results[key] = self._rescue(key, stats, 2, target)
 
     # -- pooled path -------------------------------------------------------
 
     def _chunks(self, keys: list[tuple]) -> list[tuple[tuple, ...]]:
-        """Shard *keys* into the per-worker chunks of one fan-out: by
-        default ``ceil(B/workers)`` keys each, so every worker makes one
-        vectorized ``compute_keys`` call over its whole share."""
+        """Shard *keys* into the ``compute_keys`` calls of one fan-out:
+        ``chunk_size`` keys each, by default ``ceil(B/workers)`` so every
+        worker makes one vectorized call over its whole share."""
         size = self.chunk_size or max(1, math.ceil(len(keys) / self.max_workers))
         return [tuple(keys[i : i + size]) for i in range(0, len(keys), size)]
-
-    def _submit_chunk(self, pool, chunk: tuple[tuple, ...], attempt: int):
-        if self.backend == "process":
-            return pool.submit(_proc_compute, chunk)
-        return pool.submit(self._compute_chunk, chunk, attempt)
 
     def _compute_parallel(self, order, results, batch) -> None:
         remaining = list(order)
@@ -501,7 +537,7 @@ class EvaluationEngine:
                     batch.retried += len(remaining)
                     time.sleep(self.backoff_s * (attempt - 1))
                 futures = {
-                    self._submit_chunk(pool, chunk, attempt): chunk
+                    self._submit(pool, chunk, attempt, self.target): chunk
                     for chunk in self._chunks(remaining)
                 }
                 # one deadline for the whole attempt: n stragglers cost one
@@ -543,57 +579,58 @@ class EvaluationEngine:
                 )
             # last line of defence: per-key serial rescue in this thread
             for key in remaining:
-                results[key] = self._rescue(key, batch, first_attempt=attempt)
+                results[key] = self._rescue(key, batch, attempt, self.target)
         else:
             self._strikes = 0
 
-    def _pool(self):
+    def _pool(self, fused: bool = False):
+        """The cached process pool (both paths), the fused session's
+        cached thread pool, or a fresh per-batch thread pool."""
         if self.backend == "process":
             if self._process_pool is None:
                 # the process machinery (multiprocessing, subprocess) loads
                 # only when this backend is used
                 from concurrent.futures import ProcessPoolExecutor
 
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    initializer=_proc_init,
-                    initargs=(self.target,),
-                )
+                self._process_pool = ProcessPoolExecutor(max_workers=self.max_workers)
             return self._process_pool
-        return ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="repro-eval"
-        )
+        if not fused:
+            return ThreadPoolExecutor(
+                max_workers=self.max_workers, thread_name_prefix="repro-eval"
+            )
+        if self._fused_pool is None:
+            self._fused_pool = ThreadPoolExecutor(
+                max_workers=self.max_workers, thread_name_prefix="repro-fused"
+            )
+        return self._fused_pool
+
+    def _submit(self, pool, chunk: tuple[tuple, ...], attempt: int, target):
+        if self.backend == "process":
+            return pool.submit(_proc_compute, target, chunk)
+        return pool.submit(self._compute_chunk, chunk, attempt, target)
 
     def _compute_chunk(
-        self, keys: tuple[tuple, ...], attempt: int, target=None
+        self, keys: tuple[tuple, ...], attempt: int, target: SimulatedTarget
     ) -> list[tuple[Objectives, Measurement]]:
         """Pure chunk computation (worker body): one vectorized
         ``compute_keys`` call per chunk; a fault on any key fails the whole
-        chunk (its keys are retried together, then rescued per key).
-        *target* defaults to the engine's own; the fused session passes
-        each batch's region target explicitly."""
+        chunk (its keys are retried together, then rescued per key)."""
         if self.fault_policy is not None:
             for key in keys:
                 self.fault_policy.check(key, attempt, False)
-        return (target or self.target).compute_keys(list(keys))
-
-    def _compute_one(
-        self, key: tuple, attempt: int, serial: bool, target=None
-    ) -> tuple[Objectives, Measurement]:
-        """Pure per-configuration computation (rescue body)."""
-        if self.fault_policy is not None:
-            self.fault_policy.check(key, attempt, serial)
-        return (target or self.target).compute_keys([key])[0]
+        return target.compute_keys(keys)
 
     def _rescue(
-        self, key: tuple, batch: EngineStats, first_attempt: int, target=None
+        self, key: tuple, batch: EngineStats, first_attempt: int, target
     ) -> tuple[Objectives, Measurement]:
-        """Serial computation with bounded retries; the last line of
-        defence — raises :class:`EvaluationError` if even this fails."""
+        """Serial per-key computation with bounded retries; the last line
+        of defence — raises :class:`EvaluationError` if even this fails."""
         last_error: Exception | None = None
         for attempt in range(first_attempt, first_attempt + self.retries + 1):
             try:
-                return self._compute_one(key, attempt, serial=True, target=target)
+                if self.fault_policy is not None:
+                    self.fault_policy.check(key, attempt, True)
+                return target.compute_keys([key])[0]
             except Exception as exc:  # noqa: BLE001 — deliberate catch-all
                 last_error = exc
                 batch.retried += 1
@@ -604,16 +641,17 @@ class EvaluationEngine:
 
     # -- fused multi-target session (cross-region scheduling) --------------
     #
-    # Several regions' batches — each against its own target — share one
-    # persistent pool.  Dedup happens at three levels: within the batch
-    # (deduped), against the batch's own ledger (cache_hits), and across
-    # the whole session by target fingerprint (shared_hits: a key another
-    # region computed, fetched from disk, or still has in flight).  The
-    # coordinator thread owns all session state — workers only ever run
-    # the pure compute_keys, so no locking beyond the targets' commit
-    # locks is needed.  Commits are per batch, in batch order, as soon as
-    # a batch's results have drained; results are therefore bit-identical
-    # for any worker count, chunk size, or completion interleaving.
+    # Several regions' batches — each against its own target — share the
+    # pool rule and, when pooled, one persistent pool.  Dedup happens at
+    # three levels: within the batch (deduped), against the batch's own
+    # ledger (cache_hits), and across the whole session by target
+    # fingerprint (shared_hits: a key another region computed, fetched from
+    # disk, or still has in flight).  The coordinator thread owns all
+    # session state — workers only ever run the pure compute_keys, so no
+    # locking beyond the targets' commit locks is needed.  Commits are per
+    # batch, in batch order, as soon as a batch's results have drained;
+    # results are therefore bit-identical for any worker count, chunk size,
+    # or completion interleaving.
 
     @property
     def fused_active(self) -> bool:
@@ -639,40 +677,17 @@ class EvaluationEngine:
         """Enqueue one region's batch into the fused session.
 
         Dedups against the batch itself, *target*'s ledger, the session's
-        shared results, and sibling in-flight chunks; dispatches only the
-        cold remainder as ``ceil(B/workers)`` chunks onto the shared pool.
-        Returns immediately — :meth:`fused_wait` delivers the batch once
-        its results (own chunks plus awaited sibling keys) are in.
+        shared results, and sibling in-flight chunks, then reads the disk
+        cache once.  The cold remainder is computed inline right here, or,
+        when the pool rule holds, dispatched as ``ceil(B/workers)`` chunks
+        onto the shared pool.  :meth:`fused_wait` delivers the batch once
+        its results (own keys plus awaited sibling keys) are in.
         """
         fp = target.fingerprint()
         keys = [target.config_key(tiles, thr) for tiles, thr in configs]
         bstats = EngineStats(batches=1, configs=len(keys))
-
-        pending: dict[tuple, None] = {}
-        for key in keys:
-            if key in pending:
-                bstats.deduped += 1
-            elif target.lookup(key) is not None:
-                bstats.cache_hits += 1
-            else:
-                pending[key] = None
-        order = list(pending)
-
-        compute: list[tuple] = []
-        for key in order:
-            gk = (fp, key)
-            if gk in self._fused_results:
-                bstats.shared_hits += 1
-            elif gk in self._fused_inflight:
-                bstats.shared_hits += 1
-            elif getattr(target, "has_disk_cache", False) and (
-                disk := target.disk_fetch(key)
-            ) is not None:
-                self._fused_results[gk] = disk
-                bstats.disk_hits += 1
-            else:
-                compute.append(key)
-        bstats.dispatched = len(compute)
+        order, disk, compute = self._classify(target, keys, bstats, fp)
+        self._fused_results.update(((fp, key), r) for key, r in disk.items())
 
         batch = FusedBatch(
             region=region,
@@ -685,10 +700,15 @@ class EvaluationEngine:
             stats=bstats,
             t0=time.perf_counter(),
         )
-        for chunk in self._chunks(compute):
-            future = self._fused_submit_chunk(chunk, target)
-            self._fused_futures[future] = (fp, chunk, batch)
-            self._fused_inflight.update((fp, key) for key in chunk)
+        if self._pooled(target):
+            for chunk in self._chunks(compute):
+                future = self._submit(self._pool(fused=True), chunk, 1, target)
+                self._fused_futures[future] = (fp, chunk, batch)
+                self._fused_inflight.update((fp, key) for key in chunk)
+        elif compute:
+            computed: dict = {}
+            self._compute_inline(compute, computed, bstats, target)
+            self._fused_results.update(((fp, key), r) for key, r in computed.items())
         self._fused_pending.append(batch)
         return batch
 
@@ -704,11 +724,9 @@ class EvaluationEngine:
         """
         t0 = time.perf_counter()
         while True:
-            ready = [
-                b
-                for b in self._fused_pending
-                if b.needs.issubset(self._fused_results.keys())
-            ]
+            # a view-vs-set comparison probes only the batch's own keys
+            computed = self._fused_results.keys()
+            ready = [b for b in self._fused_pending if computed >= b.needs]
             if ready or not self._fused_futures:
                 break
             done, _ = wait(set(self._fused_futures), return_when=FIRST_COMPLETED)
@@ -719,9 +737,7 @@ class EvaluationEngine:
                 except Exception:
                     owner.stats.failed += len(chunk)
                     chunk_results = [
-                        self._rescue(
-                            key, owner.stats, first_attempt=2, target=owner.target
-                        )
+                        self._rescue(key, owner.stats, 2, owner.target)
                         for key in chunk
                     ]
                 for key, result in zip(chunk, chunk_results):
@@ -743,38 +759,10 @@ class EvaluationEngine:
             self._fused_pending.remove(batch)
         return ready
 
-    def _fused_submit_chunk(self, chunk: tuple[tuple, ...], target):
-        pool = self._fused_pool
-        if pool is None:
-            if self.backend == "process":
-                from concurrent.futures import ProcessPoolExecutor
-
-                pool = ProcessPoolExecutor(max_workers=self.max_workers)
-            else:
-                pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-fused",
-                )
-            self._fused_pool = pool
-        if self.backend == "process":
-            # the target pickles only its pure measurement state, so
-            # shipping it per chunk costs one small pickle, no ledger
-            return pool.submit(_proc_compute_target, target, chunk)
-        return pool.submit(self._compute_chunk, chunk, 1, target)
-
     def _fused_commit(self, batch: FusedBatch) -> None:
-        """Single-writer commit of one complete batch, in batch order."""
-        for key in batch.order:
-            obj, measurement = self._fused_results[(batch.fp, key)]
-            if batch.target.commit(key, obj, measurement):
-                batch.stats.new_evaluations += 1
-        if batch.compute and getattr(batch.target, "has_disk_cache", False):
-            batch.target.disk_store_many(
-                [
-                    (key, *self._fused_results[(batch.fp, key)])
-                    for key in batch.compute
-                ]
-            )
+        """Commit one complete batch through the shared commit stage."""
+        results = {key: self._fused_results[(batch.fp, key)] for key in batch.order}
+        self._commit(batch.target, batch.order, batch.compute, results, batch.stats)
         batch.objectives = tuple(batch.target.lookup(key) for key in batch.keys)
         batch.stats.wall_time_s = time.perf_counter() - batch.t0
         batch.done = True
@@ -794,34 +782,15 @@ class EvaluationEngine:
         self.stats.merge(batch.stats)
 
 
-# -- process-backend worker half ------------------------------------------
-#
-# The target's __getstate__ ships only the pure measurement function (model
-# + noise parameters) to each worker process once, at pool start; chunks
-# then cross the pipe as plain key tuples and results as (Objectives,
-# Measurement) pairs.  The parent keeps the ledger and commits serially,
-# exactly as with the thread backend.
-
-_PROC_TARGET: SimulatedTarget | None = None
-
-
-def _proc_init(target: SimulatedTarget) -> None:
-    global _PROC_TARGET
-    _PROC_TARGET = target
-
-
-def _proc_compute(keys: tuple[tuple, ...]) -> list[tuple[Objectives, Measurement]]:
-    assert _PROC_TARGET is not None, "worker process was not initialized"
-    return _PROC_TARGET.compute_keys(list(keys))
-
-
-def _proc_compute_target(
+def _proc_compute(
     target: SimulatedTarget, keys: tuple[tuple, ...]
 ) -> list[tuple[Objectives, Measurement]]:
-    """Fused-session process worker: the session serves many targets, so no
-    single target can be pinned at pool init — each chunk ships its own
-    (the pickle carries only pure measurement state, no ledger)."""
-    return target.compute_keys(list(keys))
+    """Process-backend worker body.  Each chunk ships its own target — the
+    pickle carries only the pure measurement state (model + noise
+    parameters), no ledger — so one pool serves every target of a fused
+    session; the parent keeps the ledgers and commits serially, exactly as
+    with the thread backend."""
+    return target.compute_keys(keys)
 
 
 #: Backwards-compatible alias — the old BatchEvaluator interface

@@ -153,11 +153,12 @@ class SimulatedTarget:
     def has_disk_cache(self) -> bool:
         return self.disk_cache is not None
 
-    def disk_fetch(self, key: tuple):
-        """(Objectives, Measurement) from the persistent cache, or None."""
-        if self.disk_cache is None:
-            return None
-        return self.disk_cache.fetch(self.fingerprint(), key)
+    def disk_fetch_many(self, keys: Sequence[tuple]) -> dict:
+        """``key → (Objectives, Measurement)`` for those *keys* the
+        persistent cache holds (one shard read for the whole batch)."""
+        if self.disk_cache is None or not keys:
+            return {}
+        return self.disk_cache.fetch_many(self.fingerprint(), keys)
 
     def disk_store_many(
         self, items: list[tuple[tuple, Objectives, Measurement]]
@@ -294,7 +295,7 @@ class SimulatedTarget:
         hit = self.lookup(key)
         if hit is not None:
             return hit
-        disk = self.disk_fetch(key)
+        disk = self.disk_fetch_many([key]).get(key)
         if disk is not None:
             self.commit(key, *disk)
             return self.lookup(key)
@@ -340,15 +341,10 @@ class SimulatedTarget:
             for b in range(len(clipped))
         ]
         pending = dict.fromkeys(k for k in keys if self.lookup(k) is None)
-        to_compute = list(pending)
-        if self.disk_cache is not None:
-            to_compute = []
-            for key in pending:
-                disk = self.disk_fetch(key)
-                if disk is not None:
-                    self.commit(key, *disk)
-                else:
-                    to_compute.append(key)
+        disk = self.disk_fetch_many(list(pending))
+        for key, hit in disk.items():
+            self.commit(key, *hit)
+        to_compute = [key for key in pending if key not in disk]
         computed = []
         for key, result in zip(to_compute, self.compute_keys(to_compute)):
             self.commit(key, *result)

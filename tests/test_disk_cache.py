@@ -10,6 +10,8 @@ from repro.evaluation import (
     MeasurementDiskCache,
     SimulatedTarget,
 )
+from repro.evaluation.measurements import Measurement
+from repro.evaluation.objectives import Objectives
 from repro.experiments.setups import make_setup
 from repro.machine.model import BARCELONA, WESTMERE
 
@@ -245,6 +247,84 @@ class TestConcurrency:
         assert not any(t.is_alive() for t in threads)
         assert cache.hits + cache.misses == 4000
         assert cache.hits == 2000
+
+
+def _record(writer: int, i: int):
+    """A synthetic stored measurement; 64 samples make each line long."""
+    samples = tuple(writer * 1000.0 + i + r / 8 for r in range(64))
+    obj = Objectives(time=samples[0], threads=1)
+    return (writer, i, 1, 1), obj, Measurement(value=samples[0], samples=samples)
+
+
+def _append_records(root, fp, writer, n, per_call, start=None):
+    """Process body: append *n* records to *fp*'s shard, *per_call* at a
+    time, after every writer has reached *start*."""
+    cache = MeasurementDiskCache(root)
+    if start is not None:
+        start.wait()
+    for first in range(0, n, per_call):
+        cache.store_many(
+            fp, [_record(writer, i) for i in range(first, first + per_call)]
+        )
+
+
+class TestProcesses:
+    """Several processes sharing one shard file."""
+
+    FP = "shared-target"
+
+    @staticmethod
+    def _run(ctx, *jobs):
+        procs = [ctx.Process(target=_append_records, args=job) for job in jobs]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=120)
+        assert [p.exitcode for p in procs] == [0] * len(procs)
+
+    def test_two_writers_lose_and_glue_nothing(self, tmp_path):
+        import json
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("spawn")
+        start = ctx.Barrier(2, timeout=120)
+        n = 200
+        self._run(
+            ctx,
+            (tmp_path, self.FP, 1, n, 4, start),
+            (tmp_path, self.FP, 2, n, 4, start),
+        )
+        (shard_path,) = tmp_path.glob("*.jsonl")
+        lines = shard_path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]  # nothing glued
+        assert sum("schema" in r for r in records) == 1
+        assert records[0]["fingerprint"]
+        assert len(lines) == 1 + 2 * n
+        fresh = MeasurementDiskCache(tmp_path)
+        keys = [(w, i, 1, 1) for w in (1, 2) for i in range(n)]
+        hits = fresh.fetch_many(self.FP, keys)
+        assert hits == {
+            key: (obj, meas)
+            for key, obj, meas in (_record(w, i) for w in (1, 2) for i in range(n))
+        }
+
+    def test_reader_sees_a_foreign_append_without_reopening(self, tmp_path):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("spawn")
+        reader = MeasurementDiskCache(tmp_path)
+        own = [_record(0, i) for i in range(3)]
+        assert reader.store_many(self.FP, own) == 3
+        foreign = [(9, i, 1, 1) for i in range(10)]
+        assert reader.fetch_many(self.FP, foreign) == {}
+
+        self._run(ctx, (tmp_path, self.FP, 9, 10, 5))
+        hits = reader.fetch_many(self.FP, foreign + [key for key, *_ in own])
+        assert len(hits) == 13
+        assert hits[(9, 4, 1, 1)] == _record(9, 4)[1:]
+        assert reader.hits == 13 and reader.misses == 10
+        # the foreign records also count as present for the next append
+        assert reader.store_many(self.FP, [_record(9, 0), _record(0, 5)]) == 1
 
 
 class TestPickling:

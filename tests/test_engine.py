@@ -23,6 +23,7 @@ from repro.evaluation.parallel_eval import (
     FlakyFaultPolicy,
     auto_workers,
 )
+from repro.evaluation.measurements import MeasurementProtocol
 from repro.evaluation.simulator import SimulatedTarget
 from repro.experiments import make_setup
 from repro.machine.model import WESTMERE
@@ -31,8 +32,15 @@ from repro.optimizer.rsgde3 import RSGDE3Settings
 from repro.optimizer.gde3 import GDE3Settings
 
 
-def fresh_target(mm_model, seed=0):
-    return SimulatedTarget(mm_model, seed=seed)
+#: per-configuration latency makes the engine's pool rule hold: a test that
+#: loops over ``PROTOCOLS`` runs its batches once inline (``None``) and once
+#: on the pool, with the same expected results
+LATENCY = MeasurementProtocol(overhead_s=1e-4)
+PROTOCOLS = (None, LATENCY)
+
+
+def fresh_target(mm_model, seed=0, protocol=None):
+    return SimulatedTarget(mm_model, seed=seed, protocol=protocol)
 
 
 def some_configs(n, duplicate_every=3):
@@ -119,29 +127,31 @@ class TestConcurrencyStress:
         return batches
 
     def test_parallel_bit_identical_to_serial(self, mm_model):
-        serial_target = fresh_target(mm_model, seed=11)
-        parallel_target = fresh_target(mm_model, seed=11)
-        serial = EvaluationEngine(serial_target, max_workers=1)
-        parallel = EvaluationEngine(parallel_target, max_workers=self.WORKERS)
+        for protocol in PROTOCOLS:
+            serial_target = fresh_target(mm_model, seed=11, protocol=protocol)
+            parallel_target = fresh_target(mm_model, seed=11, protocol=protocol)
+            serial = EvaluationEngine(serial_target, max_workers=1)
+            parallel = EvaluationEngine(parallel_target, max_workers=self.WORKERS)
 
-        for configs in self._batches():
-            rs = serial.evaluate_batch(configs)
-            rp = parallel.evaluate_batch(configs)
-            assert rs.new_evaluations == rp.new_evaluations
-            for a, b in zip(rs.objectives, rp.objectives):
-                assert a.time == b.time  # bit-identical, not approx
-                assert a.threads == b.threads
-        assert serial_target.evaluations == parallel_target.evaluations
-        assert parallel.stats.failed == 0
+            for configs in self._batches():
+                rs = serial.evaluate_batch(configs)
+                rp = parallel.evaluate_batch(configs)
+                assert rs.new_evaluations == rp.new_evaluations
+                for a, b in zip(rs.objectives, rp.objectives):
+                    assert a.time == b.time  # bit-identical, not approx
+                    assert a.threads == b.threads
+            assert serial_target.evaluations == parallel_target.evaluations
+            assert parallel.stats.failed == 0
 
     def test_exact_evaluation_count(self, mm_model):
-        target = fresh_target(mm_model, seed=5)
-        engine = EvaluationEngine(target, max_workers=self.WORKERS)
-        seen = set()
-        for configs in self._batches():
-            engine.evaluate_batch(configs)
-            seen.update(target.config_key(t, thr) for t, thr in configs)
-        assert target.evaluations == len(seen)
+        for protocol in PROTOCOLS:
+            target = fresh_target(mm_model, seed=5, protocol=protocol)
+            engine = EvaluationEngine(target, max_workers=self.WORKERS)
+            seen = set()
+            for configs in self._batches():
+                engine.evaluate_batch(configs)
+                seen.update(target.config_key(t, thr) for t, thr in configs)
+            assert target.evaluations == len(seen)
 
     def test_target_ledger_thread_safe_for_external_callers(self, mm_model):
         """The satellite bug: concurrent target.evaluate used to lose
@@ -381,8 +391,8 @@ class TestChunkedDispatch:
     the serial path for every (workers, chunk_size) combination, with and
     without fault injection."""
 
-    def _reference(self, mm_model, configs):
-        target = fresh_target(mm_model, seed=21)
+    def _reference(self, mm_model, configs, protocol=None):
+        target = fresh_target(mm_model, seed=21, protocol=protocol)
         return EvaluationEngine(target).evaluate_batch(configs), target
 
     def _configs(self, n=48):
@@ -399,16 +409,17 @@ class TestChunkedDispatch:
     @pytest.mark.parametrize("chunk_size", [None, 1, 3])
     def test_bit_identical_for_any_chunking(self, mm_model, workers, chunk_size):
         configs = self._configs()
-        ref, ref_target = self._reference(mm_model, configs)
-        target = fresh_target(mm_model, seed=21)
-        engine = EvaluationEngine(
-            target, max_workers=workers, chunk_size=chunk_size
-        )
-        res = engine.evaluate_batch(configs)
-        assert res.objectives == ref.objectives  # bit-identical
-        assert target.evaluations == ref_target.evaluations  # E exact
-        s = engine.stats
-        assert s.configs == s.dispatched + s.cache_hits + s.deduped + s.disk_hits
+        for protocol in PROTOCOLS:
+            ref, ref_target = self._reference(mm_model, configs, protocol)
+            target = fresh_target(mm_model, seed=21, protocol=protocol)
+            engine = EvaluationEngine(
+                target, max_workers=workers, chunk_size=chunk_size
+            )
+            res = engine.evaluate_batch(configs)
+            assert res.objectives == ref.objectives  # bit-identical
+            assert target.evaluations == ref_target.evaluations  # E exact
+            s = engine.stats
+            assert s.configs == s.dispatched + s.cache_hits + s.deduped + s.disk_hits
 
     @pytest.mark.parametrize("workers", [2, 8])
     @pytest.mark.parametrize("chunk_size", [None, 1, 3])
@@ -570,47 +581,63 @@ class TestFusedSession:
 
     @pytest.mark.parametrize("workers", [1, 4, 8])
     def test_two_targets_bit_identical(self, mm_model, workers):
-        refs = []
-        for seed in (0, 1):
-            t = fresh_target(mm_model, seed=seed)
-            refs.append(
-                (t, EvaluationEngine(t).evaluate_batch(some_configs(12)))
-            )
+        for protocol in PROTOCOLS:
+            refs = []
+            for seed in (0, 1):
+                t = fresh_target(mm_model, seed=seed, protocol=protocol)
+                refs.append(
+                    (t, EvaluationEngine(t).evaluate_batch(some_configs(12)))
+                )
 
-        targets = [fresh_target(mm_model, seed=s) for s in (0, 1)]
-        engine = EvaluationEngine(targets[0], max_workers=workers)
-        batches = [
-            engine.fused_submit(t, some_configs(12), region=str(i))
-            for i, t in enumerate(targets)
-        ]
-        self.drain(engine)
-        engine.close()
-        for batch, target, (ref_t, ref) in zip(batches, targets, refs):
-            assert batch.objectives == ref.objectives
-            assert target.evaluations == ref_t.evaluations
+            targets = [
+                fresh_target(mm_model, seed=s, protocol=protocol) for s in (0, 1)
+            ]
+            engine = EvaluationEngine(targets[0], max_workers=workers)
+            batches = [
+                engine.fused_submit(t, some_configs(12), region=str(i))
+                for i, t in enumerate(targets)
+            ]
+            self.drain(engine)
+            engine.close()
+            for batch, target, (ref_t, ref) in zip(batches, targets, refs):
+                assert batch.objectives == ref.objectives
+                assert target.evaluations == ref_t.evaluations
 
     def test_equal_fingerprints_share_one_dispatch(self, mm_model):
-        a = fresh_target(mm_model)
-        b = fresh_target(mm_model)
-        assert a.fingerprint() == b.fingerprint()
-        engine = EvaluationEngine(a, max_workers=4)
-        ba = engine.fused_submit(a, some_configs(10, duplicate_every=0), region="a")
-        bb = engine.fused_submit(b, some_configs(10, duplicate_every=0), region="b")
-        self.drain(engine)
-        engine.close()
-        assert ba.objectives == bb.objectives
-        assert ba.stats.dispatched == 10 and ba.stats.shared_hits == 0
-        assert bb.stats.dispatched == 0 and bb.stats.shared_hits == 10
-        # the shared computation still commits to b's own ledger
-        assert b.evaluations == 10
-        for stats in (ba.stats, bb.stats):
-            assert stats.configs == (
-                stats.dispatched
-                + stats.cache_hits
-                + stats.deduped
-                + stats.disk_hits
-                + stats.shared_hits
-            )
+        configs = some_configs(10, duplicate_every=0)
+        for protocol in PROTOCOLS:
+            a = fresh_target(mm_model, protocol=protocol)
+            b = fresh_target(mm_model, protocol=protocol)
+            assert a.fingerprint() == b.fingerprint()
+            session = {(a.fingerprint(), a.config_key(*c)) for c in configs}
+            engine = EvaluationEngine(a, max_workers=4)
+            ba = engine.fused_submit(a, configs, region="a")
+            # only fused_wait moves results out of flight, so b's batch is
+            # classified against a's keys exactly as submit left them: still
+            # in flight on the pool, or already computed inline
+            if protocol is None:
+                assert engine._fused_results.keys() == session
+                assert not engine._fused_inflight
+            else:
+                assert engine._fused_inflight == session
+                assert not engine._fused_results
+            bb = engine.fused_submit(b, configs, region="b")
+            self.drain(engine)
+            assert not engine._fused_inflight
+            engine.close()
+            assert ba.objectives == bb.objectives
+            assert ba.stats.dispatched == 10 and ba.stats.shared_hits == 0
+            assert bb.stats.dispatched == 0 and bb.stats.shared_hits == 10
+            # the shared computation still commits to b's own ledger
+            assert b.evaluations == 10
+            for stats in (ba.stats, bb.stats):
+                assert stats.configs == (
+                    stats.dispatched
+                    + stats.cache_hits
+                    + stats.deduped
+                    + stats.disk_hits
+                    + stats.shared_hits
+                )
 
     def test_session_results_persist_across_generations(self, mm_model):
         """A key computed generations ago is still served as shared_hits."""
@@ -688,3 +715,165 @@ class TestFusedSession:
         assert attrs["configs"] == 9
         m = obs.metrics.as_dict()
         assert m["repro_scheduler_drain_seconds"]["count"] >= 1
+
+
+class RecordingTarget(SimulatedTarget):
+    """A simulated target that records which thread runs each
+    ``compute_keys`` call (class-wide, so targets built inside the
+    multi-region tuner are recorded too)."""
+
+    threads: list = []
+
+    def compute_keys(self, keys):
+        RecordingTarget.threads.append(threading.current_thread())
+        return super().compute_keys(keys)
+
+
+class TestPoolRule:
+    """A pool is used only when it can overlap waits: a process backend,
+    per-configuration latency on the target, or a timeout / fault policy.
+    Otherwise every computation runs on the caller's thread, one
+    ``compute_keys`` call per batch.  Objectives are bit-identical either
+    way."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_record(self, monkeypatch):
+        monkeypatch.setattr(RecordingTarget, "threads", [])
+
+    @staticmethod
+    def _pooled_threads():
+        me = threading.current_thread()
+        return [t for t in RecordingTarget.threads if t is not me]
+
+    def _reference(self, mm_model, seed, configs, protocol=None):
+        target = SimulatedTarget(mm_model, seed=seed, protocol=protocol)
+        return EvaluationEngine(target).evaluate_batch(configs).objectives
+
+    def _engine_cases(self):
+        return [
+            ({}, None, False),
+            ({}, LATENCY, True),
+            ({"fault_policy": FlakyFaultPolicy()}, None, True),
+            ({"timeout_s": 30.0}, None, True),
+        ]
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_evaluate_batch(self, mm_model, workers):
+        configs = some_configs(24)
+        for kwargs, protocol, pooled in self._engine_cases():
+            RecordingTarget.threads = []
+            target = RecordingTarget(mm_model, seed=4, protocol=protocol)
+            engine = EvaluationEngine(target, max_workers=workers, **kwargs)
+            res = engine.evaluate_batch(configs)
+            assert res.objectives == self._reference(mm_model, 4, configs, protocol)
+            if pooled:
+                assert self._pooled_threads() == RecordingTarget.threads, kwargs
+            else:
+                assert RecordingTarget.threads == [threading.current_thread()]
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_fused_session(self, mm_model, workers):
+        configs = some_configs(12)
+        for kwargs, protocol, pooled in self._engine_cases():
+            RecordingTarget.threads = []
+            targets = [
+                RecordingTarget(mm_model, seed=s, protocol=protocol) for s in (0, 1)
+            ]
+            engine = EvaluationEngine(targets[0], max_workers=workers, **kwargs)
+            batches = [
+                engine.fused_submit(t, configs, region=str(i))
+                for i, t in enumerate(targets)
+            ]
+            while engine.fused_active:
+                engine.fused_wait()
+            engine.close()
+            for batch, seed in zip(batches, (0, 1)):
+                assert batch.objectives == self._reference(
+                    mm_model, seed, configs, protocol
+                )
+            if pooled:
+                assert self._pooled_threads() == RecordingTarget.threads, kwargs
+            else:
+                me = threading.current_thread()
+                assert RecordingTarget.threads == [me, me]
+
+    @pytest.mark.parametrize("chunk_size", [None, 1, 3])
+    def test_pooled_chunking_bit_identical(self, mm_model, chunk_size):
+        configs = some_configs(24)
+        target = RecordingTarget(mm_model, seed=4, protocol=LATENCY)
+        engine = EvaluationEngine(target, max_workers=4, chunk_size=chunk_size)
+        res = engine.evaluate_batch(configs)
+        assert res.objectives == self._reference(mm_model, 4, configs, LATENCY)
+        assert self._pooled_threads() == RecordingTarget.threads
+
+    def test_inline_chunk_size_splits_the_call(self, mm_model):
+        configs = some_configs(9, duplicate_every=0)
+        engine = EvaluationEngine(
+            RecordingTarget(mm_model, seed=4), max_workers=8, chunk_size=1
+        )
+        res = engine.evaluate_batch(configs)
+        assert RecordingTarget.threads == [threading.current_thread()] * 9
+        assert res.objectives == self._reference(mm_model, 4, configs)
+
+    def test_inline_failure_is_rescued_per_key(self, mm_model, monkeypatch):
+        configs = some_configs(6, duplicate_every=0)
+        target = SimulatedTarget(mm_model, seed=4)
+        original = SimulatedTarget.compute_keys
+
+        def fail_bulk(self, keys):
+            if len(keys) > 1:
+                raise RuntimeError("bulk call failed")
+            return original(self, keys)
+
+        monkeypatch.setattr(SimulatedTarget, "compute_keys", fail_bulk)
+        engine = EvaluationEngine(target, max_workers=4, backoff_s=0.0)
+        res = engine.evaluate_batch(configs)
+        monkeypatch.undo()
+        assert res.stats.failed == 6
+        assert res.new_evaluations == 6
+        assert res.objectives == self._reference(mm_model, 4, configs)
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_tune_multiregion(self, monkeypatch, workers):
+        import repro.driver.multiregion as multiregion
+        from repro.driver.compiler import TuningDriver
+        from repro.frontend import get_kernel
+
+        monkeypatch.setattr(multiregion, "SimulatedTarget", RecordingTarget)
+        kernel = get_kernel("jacobi2d")
+        settings = RSGDE3Settings(
+            gde3=GDE3Settings(population_size=8), max_generations=3, patience=100
+        )
+
+        def signature(res):
+            return (
+                [tuple(c.objectives for c in r.front) for r in res.results],
+                [r.evaluations for r in res.results],
+                res.program_runs,
+            )
+
+        def run(workers, protocol=None):
+            RecordingTarget.threads = []
+            if protocol is None:
+                driver = TuningDriver(machine=WESTMERE, workers=workers, settings=settings)
+                return signature(
+                    driver.tune_multiregion(kernel.function, {"N": 200, "T": 5})
+                )
+            tuner = multiregion.MultiRegionTuner(
+                function=kernel.function,
+                sizes={"N": 200, "T": 5},
+                machine=WESTMERE,
+                settings=settings,
+                workers=workers,
+                protocol=protocol,
+            )
+            return signature(tuner.run())
+
+        reference = run(1)
+        assert run(workers) == reference
+        assert RecordingTarget.threads
+        assert self._pooled_threads() == []
+        pooled = run(workers, LATENCY)
+        assert RecordingTarget.threads
+        assert self._pooled_threads() == RecordingTarget.threads
+        assert pooled == run(1, LATENCY)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.driver.multiregion import MultiRegionResult, MultiRegionTuner
+from repro.evaluation.measurements import MeasurementProtocol
 from repro.frontend import get_kernel
 from repro.frontend.parser import parse_function
 from repro.machine import WESTMERE
@@ -29,6 +30,13 @@ void twins(int N, double A[N][N], double B[N][N]) {
             B[i][j] += 2.0 * A[i][j];
 }
 """
+
+
+#: per-configuration latency makes the engine's pool rule hold: a test that
+#: loops over ``PROTOCOLS`` runs the scheduler once inline (``None``) and once
+#: on the pool, against a lock-step reference under the same protocol
+LATENCY = MeasurementProtocol(overhead_s=1e-4)
+PROTOCOLS = (None, LATENCY)
 
 
 def jacobi_tuner(**kw):
@@ -127,30 +135,42 @@ class TestCrossRegionScheduler:
     def lockstep(self):
         return jacobi_tuner().run_lockstep(seed=2)
 
+    @pytest.fixture(scope="class")
+    def lockstep_runs(self, lockstep):
+        """``(protocol, lock-step reference)`` for each of ``PROTOCOLS``."""
+        latency = jacobi_tuner(protocol=LATENCY).run_lockstep(seed=2)
+        return [(None, lockstep), (LATENCY, latency)]
+
     @pytest.mark.parametrize("workers", [1, 4, 8])
     @pytest.mark.parametrize("chunk_size", [1, None])
     def test_bit_identity_across_workers_and_chunks(
-        self, lockstep, workers, chunk_size
+        self, lockstep_runs, workers, chunk_size
     ):
-        got = jacobi_tuner(workers=workers, chunk_size=chunk_size).run(seed=2)
-        assert fronts(got) == fronts(lockstep)
-        assert [r.evaluations for r in got.results] == [
-            r.evaluations for r in lockstep.results
-        ]
-        assert got.program_runs == lockstep.program_runs
-        assert got.generations == lockstep.generations
+        for protocol, ref in lockstep_runs:
+            got = jacobi_tuner(
+                workers=workers, chunk_size=chunk_size, protocol=protocol
+            ).run(seed=2)
+            assert fronts(got) == fronts(ref)
+            assert [r.evaluations for r in got.results] == [
+                r.evaluations for r in ref.results
+            ]
+            assert got.program_runs == ref.program_runs
+            assert got.generations == ref.generations
 
     @pytest.mark.parametrize("workers", [1, 8])
-    def test_pipelined_equals_lockstep(self, lockstep, workers):
+    def test_pipelined_equals_lockstep(self, lockstep_runs, workers):
         """Bounded-lag pipelining (lag ≤ 1 generation) changes only the
         schedule, never the results: regions are data-independent and
         measurement noise is hash-derived per key."""
-        got = jacobi_tuner(workers=workers, pipeline=True).run(seed=2)
-        assert fronts(got) == fronts(lockstep)
-        assert [r.evaluations for r in got.results] == [
-            r.evaluations for r in lockstep.results
-        ]
-        assert got.program_runs == lockstep.program_runs
+        for protocol, ref in lockstep_runs:
+            got = jacobi_tuner(
+                workers=workers, pipeline=True, protocol=protocol
+            ).run(seed=2)
+            assert fronts(got) == fronts(ref)
+            assert [r.evaluations for r in got.results] == [
+                r.evaluations for r in ref.results
+            ]
+            assert got.program_runs == ref.program_runs
 
     def test_convergence_records_match_lockstep(self, lockstep):
         got = jacobi_tuner(workers=8, pipeline=True).run(seed=2)
@@ -205,30 +225,32 @@ class TestCrossRegionDedup:
         assert problems[0].target.fingerprint() == problems[1].target.fingerprint()
 
     def test_shared_hits_and_exact_ledger(self, twin_fn):
-        ref = self.make(twin_fn).run_lockstep(seed=4)
-        got = self.make(twin_fn, workers=4).run(seed=4)
-        # sharing never distorts the ledger: per-region E, program_runs
-        # and fronts are exactly the lock-step values
-        assert fronts(got) == fronts(ref)
-        assert [r.evaluations for r in got.results] == [
-            r.evaluations for r in ref.results
-        ]
-        assert got.program_runs == ref.program_runs
-        stats = got.engine_stats
-        assert stats.shared_hits > 0
-        assert stats.configs == (
-            stats.dispatched
-            + stats.cache_hits
-            + stats.deduped
-            + stats.disk_hits
-            + stats.shared_hits
-        )
-        # what one region shared, the other did not dispatch
-        assert stats.dispatched < ref.engine_stats.dispatched
+        for protocol in PROTOCOLS:
+            ref = self.make(twin_fn, protocol=protocol).run_lockstep(seed=4)
+            got = self.make(twin_fn, workers=4, protocol=protocol).run(seed=4)
+            # sharing never distorts the ledger: per-region E, program_runs
+            # and fronts are exactly the lock-step values
+            assert fronts(got) == fronts(ref)
+            assert [r.evaluations for r in got.results] == [
+                r.evaluations for r in ref.results
+            ]
+            assert got.program_runs == ref.program_runs
+            stats = got.engine_stats
+            assert stats.shared_hits > 0
+            assert stats.configs == (
+                stats.dispatched
+                + stats.cache_hits
+                + stats.deduped
+                + stats.disk_hits
+                + stats.shared_hits
+            )
+            # what one region shared, the other did not dispatch
+            assert stats.dispatched < ref.engine_stats.dispatched
 
     def test_program_runs_formula(self, twin_fn):
         """program_runs = NP × (1 + generations): the paper's amortized
         cost — one program execution per zipped trial row."""
-        got = self.make(twin_fn, workers=4).run(seed=4)
         np_size = FAST.gde3.population_size
-        assert got.program_runs == np_size * (1 + got.generations)
+        for protocol in PROTOCOLS:
+            got = self.make(twin_fn, workers=4, protocol=protocol).run(seed=4)
+            assert got.program_runs == np_size * (1 + got.generations)
