@@ -40,22 +40,20 @@ REPEATS = 3
 ARTIFACT = Path("BENCH_dispatch.json")
 
 
-def _configs(n: int) -> list[tuple[dict[str, int], int]]:
+def _keys(target: SimulatedTarget, n: int) -> list[tuple]:
     rng = np.random.default_rng(12)
     tiles = rng.integers(1, 512, size=(n, 3))
     threads = rng.choice([1, 5, 10, 20, 40], size=n)
-    return [
-        ({"i": int(a), "j": int(b), "k": int(c)}, int(t))
-        for (a, b, c), t in zip(tiles, threads)
-    ]
+    return target.keys_of(tiles, threads)
 
 
 def _timed(workers: int, chunk_size: int | None):
     setup = make_setup("mm", WESTMERE)
     target = SimulatedTarget(setup.model, seed=0)
     engine = EvaluationEngine(target, max_workers=workers, chunk_size=chunk_size)
+    keys = _keys(target, N_CONFIGS)
     t0 = time.perf_counter()
-    result = engine.evaluate_batch(_configs(N_CONFIGS))
+    result = engine.evaluate_batch(keys)
     wall = time.perf_counter() - t0
     return wall, [o.time for o in result.objectives], target.evaluations
 

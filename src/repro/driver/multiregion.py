@@ -184,13 +184,13 @@ class MultiRegionTuner:
             chunk_size=self.chunk_size,
             obs=obs,
         )
-        #: region index → decoded values of its batch in flight
-        in_flight: dict[int, list[dict[str, int]]] = {}
+        #: region index → decoded value rows of its batch in flight
+        in_flight: dict[int, list[list[int]]] = {}
 
         def submit(idx: int) -> None:
             problem = states[idx].problem
-            in_flight[idx], configs = problem.batch_configs(states[idx].ask())
-            engine.fused_submit(problem.target, configs, region=str(idx))
+            in_flight[idx], keys = problem.decode(states[idx].ask())
+            engine.fused_submit(problem.target, keys, region=str(idx))
 
         with obs.tracer.span(
             "scheduler.run",
@@ -205,7 +205,7 @@ class MultiRegionTuner:
                     for batch in engine.fused_wait():
                         idx = int(batch.region)
                         st = states[idx]
-                        st.tell(st.problem.make_configurations(
+                        st.tell(st.problem.configurations(
                             in_flight.pop(idx), batch.objectives
                         ))
                     # bounded lag: a region may run ahead of the slowest

@@ -7,11 +7,11 @@ multiple cores ... to generate, compile and execute code versions in
 parallel".  :class:`EvaluationEngine` is that component: optimizers hand it
 the configurations of one generation and it runs a three-stage pipeline —
 
-1. **classify** — one pass over the batch's canonical keys (the target's
-   ``config_key``): in-batch duplicates, the target's memo ledger, the
-   fused session's shared and in-flight results, then one read of the
-   persistent disk cache for whatever is left.  Each unique configuration
-   is computed at most once per run;
+1. **classify** — one read of the target's memo ledger, then one pass over
+   the batch's canonical keys (the target's ``keys_of``): in-batch
+   duplicates, ledger hits, the fused session's shared and in-flight
+   results, then one read of the persistent disk cache for whatever is
+   left.  Each unique configuration is computed at most once per run;
 2. **compute** — the cold keys run *inline*, in the caller's thread, as
    one vectorized ``compute_keys`` call, unless a worker pool can overlap
    something.  A pool is used only when ``max_workers > 1`` and the
@@ -237,6 +237,9 @@ class FusedBatch:
     fp: str
     #: every submitted canonical key, input order
     keys: list[tuple]
+    #: the target ledger's results for *keys* (its hits at submission,
+    #: then every committed key)
+    known: dict
     #: the unique ledger-miss keys this batch commits, in batch order
     order: list[tuple]
     #: session-result entries that must exist before the batch can commit
@@ -252,8 +255,8 @@ class FusedBatch:
 class EvaluationEngine:
     """Parallel, fault-tolerant batch evaluator over a target platform.
 
-    :param target: the (simulated) platform; must provide ``config_key``,
-        ``lookup``, pure ``compute_keys`` and single-writer ``commit``.
+    :param target: the (simulated) platform; must provide ``lookup_many``,
+        pure ``compute_keys`` and single-writer ``commit``.
     :param max_workers: the widest pool the engine may use; ``"auto"`` →
         :func:`auto_workers`.  1 (the default) always evaluates inline.
         Above 1, a batch still runs inline unless the pool rule (module
@@ -368,23 +371,20 @@ class EvaluationEngine:
 
     # ------------------------------------------------------------------
 
-    def evaluate_batch(
-        self, configs: list[tuple[dict[str, int], int]]
-    ) -> BatchResult:
-        """Evaluate ``[(tile_sizes, threads), ...]``; preserves order.
+    def evaluate_batch(self, keys: list[tuple]) -> BatchResult:
+        """Evaluate canonical keys (``keys_of``); preserves order.
 
         Results are bit-identical for any ``max_workers`` and the ledger's
         ``E`` grows by exactly the number of configurations that were new
         to the target.
         """
         t0 = time.perf_counter()
-        batch = EngineStats(batches=1, configs=len(configs))
+        batch = EngineStats(batches=1, configs=len(keys))
 
         with self.obs.tracer.span(
-            "engine.batch", configs=len(configs), workers=self.max_workers
+            "engine.batch", configs=len(keys), workers=self.max_workers
         ) as span:
-            keys = [self.target.config_key(tiles, thr) for tiles, thr in configs]
-            order, results, compute = self._classify(self.target, keys, batch)
+            order, known, results, compute = self._classify(self.target, keys, batch)
             if compute:
                 if self._degraded:
                     batch.serial_fallbacks += 1
@@ -392,8 +392,8 @@ class EvaluationEngine:
                     self._compute_inline(compute, results, batch, self.target)
                 else:
                     self._compute_parallel(compute, results, batch)
-            self._commit(self.target, order, compute, results, batch)
-            objectives = tuple(self.target.lookup(key) for key in keys)
+            self._commit(self.target, order, compute, results, batch, known)
+            objectives = tuple(map(known.__getitem__, keys))
             batch.wall_time_s = time.perf_counter() - t0
             span.set(**batch.as_dict())
 
@@ -411,19 +411,21 @@ class EvaluationEngine:
         keys: list[tuple],
         stats: EngineStats,
         fp: str | None = None,
-    ) -> tuple[list[tuple], dict, list[tuple]]:
+    ) -> tuple[list[tuple], dict, dict, list[tuple]]:
         """Sort a batch's canonical *keys* by where their result comes from:
-        in-batch duplicates (``deduped``), the target's ledger
+        in-batch duplicates (``deduped``), the target's ledger, read once
         (``cache_hits``), the fused session's computed or in-flight results
         under fingerprint *fp* (``shared_hits``; fused batches only), then
         one disk-cache read over the rest (``disk_hits``).  Returns the
-        unique ledger misses in batch order, the disk-served results and
-        the cold keys left to compute (``dispatched``)."""
+        unique ledger misses in batch order, the ledger's hits, the
+        disk-served results and the cold keys left to compute
+        (``dispatched``)."""
+        known = target.lookup_many(keys)
         pending: dict[tuple, None] = {}
         for key in keys:
             if key in pending:
                 stats.deduped += 1
-            elif target.lookup(key) is not None:
+            elif key in known:
                 stats.cache_hits += 1
             else:
                 pending[key] = None
@@ -441,13 +443,16 @@ class EvaluationEngine:
         stats.disk_hits = len(disk)
         compute = [key for key in cold if key not in disk] if disk else cold
         stats.dispatched = len(compute)
-        return order, disk, compute
+        return order, known, disk, compute
 
-    def _commit(self, target, order, compute, results, stats) -> None:
-        """Single-writer commit in batch order — the only ledger mutation
-        — then persist the keys this batch computed itself."""
+    def _commit(self, target, order, compute, results, stats, known) -> None:
+        """Single-writer commit in batch order — the only ledger mutation,
+        also recorded in *known*, the batch's ledger hits — then persist the
+        keys this batch computed itself."""
         for key in order:
-            if target.commit(key, *results[key]):
+            obj, measurement = results[key]
+            known[key] = obj
+            if target.commit(key, obj, measurement):
                 stats.new_evaluations += 1
         if compute and target.has_disk_cache:
             target.disk_store_many([(key, *results[key]) for key in compute])
@@ -669,12 +674,10 @@ class EvaluationEngine:
         self._fused_inflight.clear()
 
     def fused_submit(
-        self,
-        target: SimulatedTarget,
-        configs: list[tuple[dict[str, int], int]],
-        region: str = "",
+        self, target: SimulatedTarget, keys: list[tuple], region: str = ""
     ) -> FusedBatch:
-        """Enqueue one region's batch into the fused session.
+        """Enqueue one region's batch of canonical keys into the fused
+        session.
 
         Dedups against the batch itself, *target*'s ledger, the session's
         shared results, and sibling in-flight chunks, then reads the disk
@@ -684,9 +687,8 @@ class EvaluationEngine:
         its results (own keys plus awaited sibling keys) are in.
         """
         fp = target.fingerprint()
-        keys = [target.config_key(tiles, thr) for tiles, thr in configs]
         bstats = EngineStats(batches=1, configs=len(keys))
-        order, disk, compute = self._classify(target, keys, bstats, fp)
+        order, known, disk, compute = self._classify(target, keys, bstats, fp)
         self._fused_results.update(((fp, key), r) for key, r in disk.items())
 
         batch = FusedBatch(
@@ -694,6 +696,7 @@ class EvaluationEngine:
             target=target,
             fp=fp,
             keys=keys,
+            known=known,
             order=order,
             needs={(fp, key) for key in order},
             compute=compute,
@@ -762,8 +765,10 @@ class EvaluationEngine:
     def _fused_commit(self, batch: FusedBatch) -> None:
         """Commit one complete batch through the shared commit stage."""
         results = {key: self._fused_results[(batch.fp, key)] for key in batch.order}
-        self._commit(batch.target, batch.order, batch.compute, results, batch.stats)
-        batch.objectives = tuple(batch.target.lookup(key) for key in batch.keys)
+        self._commit(
+            batch.target, batch.order, batch.compute, results, batch.stats, batch.known
+        )
+        batch.objectives = tuple(map(batch.known.__getitem__, batch.keys))
         batch.stats.wall_time_s = time.perf_counter() - batch.t0
         batch.done = True
         self.obs.tracer.event(
@@ -794,6 +799,6 @@ def _proc_compute(
 
 
 #: Backwards-compatible alias — the old BatchEvaluator interface
-#: (``BatchEvaluator(target, max_workers=n).evaluate_batch(configs)``) is a
+#: (``BatchEvaluator(target, max_workers=n).evaluate_batch(keys)``) is a
 #: strict subset of the engine's.
 BatchEvaluator = EvaluationEngine

@@ -88,6 +88,7 @@ class SimulatedTarget:
         self._measurements: dict[tuple, Measurement] = {}
         self._fingerprint: str | None = None
         self._lock = threading.Lock()
+        self._extent = np.array([model.extent[v] for v in model.band], dtype=np.int64)
 
     # -- pickling (process backend) ---------------------------------------
 
@@ -117,13 +118,19 @@ class SimulatedTarget:
     def band(self) -> tuple[str, ...]:
         return self.model.band
 
+    def keys_of(self, tiles, threads) -> list[tuple]:
+        """Canonical keys of a whole batch: the (B, len(band)) *tiles*
+        matrix in band order, clipped into [1, extent], then the (B,)
+        *threads*, every entry a Python ``int``."""
+        clipped = np.clip(np.asarray(tiles, dtype=np.int64), 1, self._extent)
+        rows = np.column_stack([clipped, np.asarray(threads, dtype=np.int64)])
+        return list(map(tuple, rows.tolist()))
+
     def config_key(self, tile_sizes: dict[str, int], threads: int) -> tuple:
-        """Canonical key: tile sizes clipped into [1, extent], band order."""
-        tiles = tuple(
-            int(min(max(1, tile_sizes.get(v, self.model.extent[v])), self.model.extent[v]))
-            for v in self.band
-        )
-        return tiles + (int(threads),)
+        """:meth:`keys_of` for one configuration; band loops missing from
+        *tile_sizes* run at their full extent."""
+        ext = self.model.extent
+        return self.keys_of([[tile_sizes.get(v, ext[v]) for v in self.band]], [threads])[0]
 
     def fingerprint(self) -> str:
         """Content hash of everything that determines a measurement: the
@@ -227,10 +234,9 @@ class SimulatedTarget:
         """
         if not len(keys):
             return []
-        tiles = np.array([k[:-1] for k in keys], dtype=np.int64)
-        threads = np.array([k[-1] for k in keys], dtype=np.int64)
+        matrix = np.array(keys, dtype=np.int64)
         true_times = np.asarray(
-            self.model.time_batch(tiles, threads, collapsed=self.collapsed)
+            self.model.time_batch(matrix[:, :-1], matrix[:, -1], collapsed=self.collapsed)
         )
         reps = self.protocol.repetitions
         overhead = self.protocol.overhead_s
@@ -239,15 +245,15 @@ class SimulatedTarget:
             # how the batch is chunked
             _time.sleep(overhead * len(keys))
         # one hash-derived factor matrix + one median sweep for the whole
-        # chunk: the per-key loop below only assembles result objects
+        # chunk: the per-key loop below only assembles result objects, from
+        # Python floats (``tolist``), as the disk cache serves them
         factors = self._noise_factor_matrix(keys, reps)
         samples = true_times[:, None] * factors
-        medians = np.median(samples, axis=1)
+        medians = np.median(samples, axis=1).tolist()
         out = []
-        for b, key in enumerate(keys):
-            measurement = Measurement(
-                value=float(medians[b]), samples=tuple(samples[b])
-            )
+        for key, value, row, true_time in zip(
+            keys, medians, samples.tolist(), true_times.tolist()
+        ):
             energy = None
             if self.measure_energy:
                 # energy measurements share the run's jitter: scale the
@@ -256,11 +262,11 @@ class SimulatedTarget:
                 true_energy = self.model.energy(
                     tile_map, int(key[-1]), collapsed=self.collapsed
                 )
-                energy = true_energy * (measurement.value / true_times[b])
-            obj = Objectives(
-                time=measurement.value, threads=int(key[-1]), energy=energy
-            )
-            out.append((obj, measurement))
+                energy = true_energy * (value / true_time)
+            out.append((
+                Objectives(time=value, threads=int(key[-1]), energy=energy),
+                Measurement(value=value, samples=tuple(row)),
+            ))
         return out
 
     # -- the single-writer ledger ------------------------------------------
@@ -269,6 +275,12 @@ class SimulatedTarget:
         """Memoized result of a canonical key, or None."""
         with self._lock:
             return self._cache.get(key)
+
+    def lookup_many(self, keys: Sequence[tuple]) -> dict[tuple, Objectives]:
+        """Memoized results of those *keys* the ledger holds (one lock)."""
+        with self._lock:
+            cache = self._cache
+            return {key: cache[key] for key in keys if key in cache}
 
     def commit(self, key: tuple, obj: Objectives, measurement: Measurement) -> bool:
         """Record a computed measurement in the ledger; returns whether the
@@ -303,7 +315,8 @@ class SimulatedTarget:
             _time.sleep(self.protocol.overhead_s)
 
         true_time = self.model.time(tile_sizes, threads, collapsed=self.collapsed)
-        samples = tuple(true_time * self._noise_factors(key, self.protocol.repetitions))
+        factors = self._noise_factors(key, self.protocol.repetitions)
+        samples = tuple((true_time * factors).tolist())
         measurement = Measurement(value=median(samples), samples=samples)
         energy = None
         if self.measure_energy:
@@ -332,14 +345,7 @@ class SimulatedTarget:
         in the ledger exactly once across both paths; results agree
         bit-for-bit with :meth:`evaluate`.
         """
-        tiles = np.asarray(tiles, dtype=np.int64)
-        threads = np.asarray(threads, dtype=np.int64)
-        ext = np.array([self.model.extent[v] for v in self.band], dtype=np.int64)
-        clipped = np.clip(tiles, 1, ext[None, :])
-        keys = [
-            tuple(int(x) for x in clipped[b]) + (int(threads[b]),)
-            for b in range(len(clipped))
-        ]
+        keys = self.keys_of(tiles, threads)
         pending = dict.fromkeys(k for k in keys if self.lookup(k) is None)
         disk = self.disk_fetch_many(list(pending))
         for key, hit in disk.items():

@@ -91,29 +91,29 @@ class ParetoArchive:
         """Insert one objective vector; returns whether it is currently
         non-dominated (exact duplicates of a front point count as front
         members and return True)."""
-        p = tuple(float(v) for v in np.asarray(point, dtype=float).reshape(-1))
-        if len(p) != self.m:
-            raise ValueError(
-                f"point has {len(p)} objectives, archive expects {self.m}"
-            )
-        if not self._fast:
-            return self._add_fallback(p, payload)
-        entered = self._front_insert(p[0], p[1], payload)
-        if entered:
-            self._hv_insert(p[0], p[1])
-        return entered
+        return self.add_many(np.reshape(point, (1, -1)), [payload]) == 1
 
     def add_many(self, points, payloads=None) -> int:
-        """Insert a batch (row per point); returns how many entered the
-        front at insertion time."""
+        """Insert a batch (row per point), in order; returns how many
+        entered the front at insertion time.  The rows go to the
+        staircases as Python floats (one ``tolist``)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.size == 0:
             return 0
+        if pts.shape[1] != self.m:
+            raise ValueError(
+                f"point has {pts.shape[1]} objectives, archive expects {self.m}"
+            )
         if payloads is None:
             payloads = [None] * pts.shape[0]
-        return sum(
-            bool(self.add(row, payload)) for row, payload in zip(pts, payloads)
-        )
+        entered = 0
+        for row, payload in zip(pts.tolist(), payloads):
+            if not self._fast:
+                entered += self._add_fallback(tuple(row), payload)
+            elif self._front_insert(row[0], row[1], payload):
+                self._hv_insert(row[0], row[1])
+                entered += 1
+        return entered
 
     # -- queries --------------------------------------------------------
 

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from repro.obs import DISABLED, ConvergenceRecord, emit_generation
-from repro.optimizer.config import Configuration
+from repro.optimizer.config import Configuration, objective_matrix
 from repro.optimizer.pareto import non_dominated_mask
 from repro.optimizer.problem import TuningProblem
 from repro.optimizer.rsgde3 import OptimizerResult, _dedupe
@@ -113,7 +113,7 @@ def brute_force_search(
         "optimizer.run", algorithm="brute-force", grid_points=len(vectors)
     ) as span:
         configs = problem.evaluate_batch(vectors)
-        objs = np.array([c.objectives for c in configs])
+        objs = objective_matrix(configs)
         mask = non_dominated_mask(objs)
         front = _dedupe([c for c, keep in zip(configs, mask) if keep])
         span.set(

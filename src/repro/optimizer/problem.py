@@ -13,9 +13,11 @@ evaluation ledger of the target provides the ``E`` metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from repro.evaluation.objectives import Objectives
 from repro.evaluation.parallel_eval import EvaluationEngine
 from repro.evaluation.simulator import SimulatedTarget
 from repro.obs import DISABLED, Observability
@@ -116,37 +118,56 @@ class TuningProblem:
         vec = obj.vector3() if self.tri_objective else obj.vector()
         return Configuration.make(values, vec)
 
-    def evaluate_vector(self, vec: np.ndarray) -> Configuration:
-        return self.evaluate(self.space.to_dict(vec))
+    @cached_property
+    def _columns(self) -> tuple:
+        """:meth:`decode`'s column maps: each band loop's ``tile_`` column
+        (0 and masked if absent: the loop runs at its extent), the mask,
+        the extents, the ``threads`` column (None: 1 thread), and the
+        name-sorted column order with its names."""
+        names = self.space.names
+        tiles = [f"tile_{v}" for v in self.target.band]
+        threads = names.index("threads") if "threads" in names else None
+        order = sorted(range(len(names)), key=names.__getitem__)
+        return (
+            [names.index(t) if t in names else 0 for t in tiles],
+            np.array([t not in names for t in tiles]),
+            np.array([self.target.model.extent[v] for v in self.target.band]),
+            threads,
+            order,
+            tuple(names[j] for j in order),
+        )
 
-    def batch_configs(
-        self, vectors: np.ndarray
-    ) -> tuple[list[dict[str, int]], list[tuple[dict[str, int], int]]]:
-        """Decode (B, dim) parameter vectors into the per-row value dicts
-        and the ``(tile_sizes, threads)`` pairs an evaluation engine
-        consumes — the front half of :meth:`evaluate_batch`, exposed so a
-        cross-region scheduler can route the engine call itself."""
-        vectors = np.asarray(vectors)
-        values_list = [self.space.to_dict(row) for row in vectors]
-        configs = [self.split_values(values) for values in values_list]
-        return values_list, configs
+    def decode(self, vectors: np.ndarray) -> tuple[list[list[int]], list[tuple]]:
+        """Decode (B, dim) parameter vectors, rounded half to even like
+        ``int(round(x))``, into each row's values in name order and the
+        target's canonical keys — the front half of :meth:`evaluate_batch`,
+        exposed so a cross-region scheduler can route the engine call
+        itself.  A NaN or infinite entry raises as ``int(round(x))`` does."""
+        vectors = np.asarray(vectors, dtype=float).reshape(len(vectors), self.space.dim)
+        finite = np.isfinite(vectors)
+        if not finite.all():
+            int(vectors[~finite][0])  # ValueError for NaN, OverflowError for inf
+        ints = np.rint(vectors).astype(np.int64)
+        tile_cols, missing, extent, thread_col, order, _ = self._columns
+        tiles = np.where(missing, extent, ints[:, tile_cols])
+        threads = np.ones(len(ints), np.int64) if thread_col is None else ints[:, thread_col]
+        return ints[:, order].tolist(), self.target.keys_of(tiles, threads)
 
-    def make_configurations(
-        self, values_list: list[dict[str, int]], objectives
-    ) -> list[Configuration]:
-        """Pair decoded value dicts with their measured objectives — the
-        back half of :meth:`evaluate_batch`."""
-        out = []
-        for values, obj in zip(values_list, objectives):
-            vec = obj.vector3() if self.tri_objective else obj.vector()
-            out.append(Configuration.make(values, vec))
-        return out
+    def configurations(self, values: list[list[int]], objectives) -> list[Configuration]:
+        """Pair :meth:`decode`'s value rows with their measured objectives
+        — the back half of :meth:`evaluate_batch`."""
+        names = self._columns[-1]
+        vector = Objectives.vector3 if self.tri_objective else Objectives.vector
+        return [
+            Configuration(tuple(zip(names, row)), vector(obj))
+            for row, obj in zip(values, objectives)
+        ]
 
     def evaluate_batch(self, vectors: np.ndarray) -> list[Configuration]:
         """Evaluate (B, dim) parameter vectors through the evaluation
         engine — the paper's parallel evaluation of each generation's
         configurations (dedup → dispatch to workers → serial commit).
         """
-        values_list, configs = self.batch_configs(vectors)
-        result = self.evaluation_engine.evaluate_batch(configs)
-        return self.make_configurations(values_list, result.objectives)
+        values, keys = self.decode(vectors)
+        result = self.evaluation_engine.evaluate_batch(keys)
+        return self.configurations(values, result.objectives)

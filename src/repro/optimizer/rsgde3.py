@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.obs import DISABLED, ConvergenceRecord, emit_generation, population_delta
 from repro.optimizer.archive import ParetoArchive
-from repro.optimizer.config import Configuration
+from repro.optimizer.config import Configuration, objective_matrix
 from repro.optimizer.gde3 import GDE3, GDE3Settings
 from repro.optimizer.pareto import non_dominated
 from repro.optimizer.problem import TuningProblem
@@ -120,7 +120,7 @@ class ConvergenceLog:
     ) -> ConvergenceRecord:
         """Record *population*, which replaced *previous* (None for the
         initial sample)."""
-        objs = np.array([c.objectives for c in population])
+        objs = objective_matrix(population)
         if self.ref is None:
             self.ref = objs.max(axis=0) * 1.1
         # one staircase pass for |S| and V together — bit-identical to the

@@ -95,9 +95,6 @@ class SkeletonChoiceProblem:
         cfg = sub.evaluate({k: v for k, v in values.items() if k != "skeleton"})
         return Configuration.make(values, cfg.objectives)
 
-    def evaluate_vector(self, vec: np.ndarray) -> Configuration:
-        return self.evaluate(self.space.to_dict(vec))
-
     def evaluate_batch(self, vectors: np.ndarray) -> list[Configuration]:
         vectors = np.asarray(vectors)
         names = self.space.names

@@ -21,6 +21,16 @@ pre-vectorization pairwise phase of :meth:`GDE3.select` and the per-row
 general-m non-dominated sweep; ``benchmarks/test_select_speedup.py`` and
 ``tests/test_optimizer_pareto.py`` check the vectorized kernels against
 them.
+
+``evaluate_batch`` (with ``batch_configs``, ``config_key`` and
+``make_configurations``) and ``skeleton_choice_evaluate_batch`` are the
+per-row decode of :meth:`TuningProblem.evaluate_batch` and
+:meth:`SkeletonChoiceProblem.evaluate_batch` before the trial matrix was
+decoded and keyed as arrays: a value dict per row, a ``(tile_sizes,
+threads)`` pair per row, a scalar canonical key per pair and a
+``Configuration.make`` per row.  ``tests/test_problem_decode.py`` asserts
+equal keys and equal, equally typed Configurations against them, and
+``benchmarks/test_perf_micro.py`` times the decode against them.
 """
 
 from __future__ import annotations
@@ -40,6 +50,11 @@ __all__ = [
     "rough_set_boundary",
     "select_pairs_scalar",
     "non_dominated_mask_general_scalar",
+    "config_key",
+    "batch_configs",
+    "make_configurations",
+    "evaluate_batch",
+    "skeleton_choice_evaluate_batch",
 ]
 
 
@@ -205,3 +220,71 @@ def non_dominated_mask_general_scalar(objs: np.ndarray) -> np.ndarray:
         if dominates_i.any():
             mask[i] = False
     return mask
+
+
+def config_key(target, tile_sizes: dict[str, int], threads: int) -> tuple:
+    """Canonical key: tile sizes clipped into [1, extent], band order."""
+    tiles = tuple(
+        int(min(max(1, tile_sizes.get(v, target.model.extent[v])), target.model.extent[v]))
+        for v in target.band
+    )
+    return tiles + (int(threads),)
+
+
+def batch_configs(self, vectors: np.ndarray):
+    """Decode (B, dim) parameter vectors into the per-row value dicts and
+    the ``(tile_sizes, threads)`` pairs an evaluation engine consumed."""
+    vectors = np.asarray(vectors)
+    values_list = [
+        {p.name: int(round(x)) for p, x in zip(self.space.parameters, row)}
+        for row in vectors
+    ]
+    configs = []
+    for values in values_list:
+        tiles = {
+            name[len("tile_"):]: v for name, v in values.items() if name.startswith("tile_")
+        }
+        configs.append((tiles, int(values.get("threads", 1))))
+    return values_list, configs
+
+
+def make_configurations(self, values_list, objectives) -> list[Configuration]:
+    """Pair decoded value dicts with their measured objectives."""
+    out = []
+    for values, obj in zip(values_list, objectives):
+        vec = obj.vector3() if self.tri_objective else obj.vector()
+        out.append(Configuration.make(values, vec))
+    return out
+
+
+def evaluate_batch(self, vectors: np.ndarray) -> list[Configuration]:
+    """The per-row ``TuningProblem.evaluate_batch``: decode, key each pair,
+    evaluate through the problem's engine, pair up."""
+    values_list, configs = batch_configs(self, vectors)
+    keys = [config_key(self.target, tiles, thr) for tiles, thr in configs]
+    result = self.evaluation_engine.evaluate_batch(keys)
+    return make_configurations(self, values_list, result.objectives)
+
+
+def skeleton_choice_evaluate_batch(self, vectors: np.ndarray) -> list[Configuration]:
+    """``SkeletonChoiceProblem.evaluate_batch`` over the per-row
+    :func:`evaluate_batch` of each sub-problem."""
+    vectors = np.asarray(vectors)
+    names = self.space.names
+    sk_col = names.index("skeleton")
+    out: list[Configuration | None] = [None] * len(vectors)
+    for idx, sub in enumerate(self.sub_problems):
+        rows = np.flatnonzero(np.round(vectors[:, sk_col]).astype(int) == idx)
+        if rows.size == 0:
+            continue
+        sub_names = sub.space.names
+        sub_vecs = np.stack(
+            [vectors[rows][:, names.index(n)] for n in sub_names], axis=1
+        )
+        configs = evaluate_batch(sub, sub_vecs)
+        for row, cfg in zip(rows, configs):
+            values = {
+                p.name: int(round(x)) for p, x in zip(self.space.parameters, vectors[row])
+            }
+            out[row] = Configuration.make(values, cfg.objectives)
+    return out  # type: ignore[return-value]

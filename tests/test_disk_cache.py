@@ -32,6 +32,11 @@ def _target(model, tmp_root=None, seed=7, schema=None, **kw):
     return SimulatedTarget(model, seed=seed, disk_cache=cache, **kw)
 
 
+def as_keys(target, configs):
+    """Canonical keys of ``(tile_sizes, threads)`` pairs — the engine's input."""
+    return [target.config_key(tiles, threads) for tiles, threads in configs]
+
+
 def _configs(target, n=60, seed=1):
     rng = np.random.default_rng(seed)
     return [
@@ -52,13 +57,13 @@ class TestRoundTrip:
 
         cold = _target(mm_model, tmp_path)
         e_cold = EvaluationEngine(cold, max_workers=4)
-        r_cold = e_cold.evaluate_batch(configs)
+        r_cold = e_cold.evaluate_batch(as_keys(e_cold.target, configs))
         assert e_cold.stats.disk_hits == 0
         assert e_cold.stats.dispatched > 0
 
         warm = _target(mm_model, tmp_path)
         e_warm = EvaluationEngine(warm, max_workers=4)
-        r_warm = e_warm.evaluate_batch(configs)
+        r_warm = e_warm.evaluate_batch(as_keys(e_warm.target, configs))
         assert r_warm.objectives == r_cold.objectives
         assert e_warm.stats.dispatched == 0
         assert e_warm.stats.disk_hits == e_cold.stats.dispatched
@@ -68,10 +73,30 @@ class TestRoundTrip:
         s = e_warm.stats
         assert s.configs == s.dispatched + s.cache_hits + s.deduped + s.disk_hits
 
+    @pytest.mark.parametrize("energy", [False, True], ids=["time", "energy"])
+    def test_computed_and_disk_served_results_carry_the_same_types(
+        self, mm_model, tmp_path, energy
+    ):
+        """A computed result and its disk-served copy compare equal and hold
+        Python scalars: float times, samples and energy, int threads."""
+        configs = _configs(_target(mm_model), n=12)
+        runs = []
+        for _ in ("cold", "warm"):
+            target = _target(mm_model, tmp_path, measure_energy=energy)
+            result = EvaluationEngine(target).evaluate_batch(as_keys(target, configs))
+            runs.append((result.objectives, [target.measurement(*c) for c in configs]))
+        (cold_objs, cold_meas), (warm_objs, warm_meas) = runs
+        assert warm_objs == cold_objs and warm_meas == cold_meas
+        for obj, meas in zip(cold_objs + warm_objs, cold_meas + warm_meas):
+            assert type(obj.time) is float and type(obj.threads) is int
+            assert type(obj.energy) is (float if energy else type(None))
+            assert type(meas.value) is float
+            assert {type(s) for s in meas.samples} == {float}
+
     def test_matches_uncached_target_exactly(self, mm_model, tmp_path):
         configs = _configs(_target(mm_model))
         plain = _target(mm_model)
-        ref = EvaluationEngine(plain).evaluate_batch(configs)
+        ref = EvaluationEngine(plain).evaluate_batch(as_keys(plain, configs))
 
         _target(mm_model, tmp_path).evaluate_batch(
             np.array(
@@ -80,7 +105,9 @@ class TestRoundTrip:
             np.array([thr for _, thr in configs], dtype=np.int64),
         )
         warm = _target(mm_model, tmp_path)
-        got = EvaluationEngine(warm, max_workers=2).evaluate_batch(configs)
+        got = EvaluationEngine(warm, max_workers=2).evaluate_batch(
+            as_keys(warm, configs)
+        )
         assert got.objectives == ref.objectives
 
     def test_scalar_evaluate_uses_disk(self, mm_model, tmp_path):
@@ -103,10 +130,11 @@ class TestRoundTrip:
 class TestKeying:
     def test_schema_version_invalidates(self, mm_model, tmp_path):
         configs = _configs(_target(mm_model), n=20)
-        EvaluationEngine(_target(mm_model, tmp_path)).evaluate_batch(configs)
+        cold = _target(mm_model, tmp_path)
+        EvaluationEngine(cold).evaluate_batch(as_keys(cold, configs))
         bumped = _target(mm_model, tmp_path, schema=2)
         e = EvaluationEngine(bumped)
-        e.evaluate_batch(configs)
+        e.evaluate_batch(as_keys(e.target, configs))
         assert e.stats.disk_hits == 0
         assert e.stats.dispatched == len(
             {bumped.config_key(t, thr) for t, thr in configs}

@@ -43,6 +43,11 @@ def fresh_target(mm_model, seed=0, protocol=None):
     return SimulatedTarget(mm_model, seed=seed, protocol=protocol)
 
 
+def as_keys(target, configs):
+    """Canonical keys of ``(tile_sizes, threads)`` pairs — the engine's input."""
+    return [target.config_key(tiles, threads) for tiles, threads in configs]
+
+
 def some_configs(n, duplicate_every=3):
     """n configs with deliberate duplicates sprinkled in."""
     configs = []
@@ -60,7 +65,7 @@ class TestDedupPipeline:
         engine = EvaluationEngine(target)
         configs = some_configs(9, duplicate_every=3)
         unique = len({target.config_key(t, thr) for t, thr in configs})
-        res = engine.evaluate_batch(configs)
+        res = engine.evaluate_batch(as_keys(engine.target, configs))
         assert len(res.objectives) == 9
         assert res.new_evaluations == unique
         assert target.evaluations == unique
@@ -71,9 +76,9 @@ class TestDedupPipeline:
         target = fresh_target(mm_model)
         engine = EvaluationEngine(target)
         configs = some_configs(6, duplicate_every=0)
-        engine.evaluate_batch(configs)
+        engine.evaluate_batch(as_keys(engine.target, configs))
         before = target.evaluations
-        res = engine.evaluate_batch(configs)
+        res = engine.evaluate_batch(as_keys(engine.target, configs))
         assert res.new_evaluations == 0
         assert res.stats.cache_hits == 6
         assert res.stats.dispatched == 0
@@ -82,14 +87,16 @@ class TestDedupPipeline:
     def test_duplicates_get_identical_objectives(self, mm_model):
         target = fresh_target(mm_model)
         engine = EvaluationEngine(target)
-        res = engine.evaluate_batch([({"i": 32, "j": 64, "k": 8}, 10)] * 4)
+        res = engine.evaluate_batch(
+            as_keys(engine.target, [({"i": 32, "j": 64, "k": 8}, 10)] * 4)
+        )
         assert len({o.time for o in res.objectives}) == 1
 
     def test_stats_accounting_invariant(self, mm_model):
         target = fresh_target(mm_model)
         engine = EvaluationEngine(target, max_workers=4)
         for n in (5, 9, 17):
-            engine.evaluate_batch(some_configs(n))
+            engine.evaluate_batch(as_keys(engine.target, some_configs(n)))
         s = engine.stats
         assert s.configs == s.dispatched + s.cache_hits + s.deduped
         assert s.new_evaluations == target.evaluations
@@ -100,7 +107,7 @@ class TestDedupPipeline:
         target = fresh_target(mm_model)
         engine = EvaluationEngine(target, max_workers=4)
         configs = [({"i": 32, "j": 64, "k": 8}, t) for t in (1, 10, 40, 10)]
-        res = engine.evaluate_batch(configs)
+        res = engine.evaluate_batch(as_keys(engine.target, configs))
         assert [o.threads for o in res.objectives] == [1, 10, 40, 10]
 
 
@@ -134,8 +141,8 @@ class TestConcurrencyStress:
             parallel = EvaluationEngine(parallel_target, max_workers=self.WORKERS)
 
             for configs in self._batches():
-                rs = serial.evaluate_batch(configs)
-                rp = parallel.evaluate_batch(configs)
+                rs = serial.evaluate_batch(as_keys(serial.target, configs))
+                rp = parallel.evaluate_batch(as_keys(parallel.target, configs))
                 assert rs.new_evaluations == rp.new_evaluations
                 for a, b in zip(rs.objectives, rp.objectives):
                     assert a.time == b.time  # bit-identical, not approx
@@ -149,7 +156,7 @@ class TestConcurrencyStress:
             engine = EvaluationEngine(target, max_workers=self.WORKERS)
             seen = set()
             for configs in self._batches():
-                engine.evaluate_batch(configs)
+                engine.evaluate_batch(as_keys(engine.target, configs))
                 seen.update(target.config_key(t, thr) for t, thr in configs)
             assert target.evaluations == len(seen)
 
@@ -186,7 +193,9 @@ class TestFaultTolerance:
         engine = EvaluationEngine(
             target, max_workers=4, retries=2, backoff_s=0.0, fault_policy=policy
         )
-        res = engine.evaluate_batch(some_configs(6, duplicate_every=0))
+        res = engine.evaluate_batch(
+            as_keys(engine.target, some_configs(6, duplicate_every=0))
+        )
         assert res.new_evaluations == 6
         assert engine.stats.retried >= 6
         assert engine.stats.failed == 0
@@ -204,8 +213,8 @@ class TestFaultTolerance:
             fault_policy=FlakyFaultPolicy(fail_attempts=2),
         )
         configs = some_configs(8, duplicate_every=0)
-        a = clean.evaluate_batch(configs)
-        b = flaky.evaluate_batch(configs)
+        a = clean.evaluate_batch(as_keys(clean.target, configs))
+        b = flaky.evaluate_batch(as_keys(flaky.target, configs))
         assert [o.time for o in a.objectives] == [o.time for o in b.objectives]
         assert clean_target.evaluations == flaky_target.evaluations
 
@@ -220,7 +229,9 @@ class TestFaultTolerance:
             backoff_s=0.0,
             fault_policy=policy,
         )
-        res = engine.evaluate_batch(some_configs(2, duplicate_every=0))
+        res = engine.evaluate_batch(
+            as_keys(engine.target, some_configs(2, duplicate_every=0))
+        )
         assert res.new_evaluations == 2
         assert engine.stats.timeouts >= 1
 
@@ -235,7 +246,9 @@ class TestFaultTolerance:
             degrade_after=2,
             fault_policy=policy,
         )
-        res = engine.evaluate_batch(some_configs(5, duplicate_every=0))
+        res = engine.evaluate_batch(
+            as_keys(engine.target, some_configs(5, duplicate_every=0))
+        )
         assert res.new_evaluations == 5  # serial rescue computed them all
         assert engine.stats.failed == 5
         assert not engine.degraded  # one strike so far
@@ -251,11 +264,17 @@ class TestFaultTolerance:
             degrade_after=2,
             fault_policy=policy,
         )
-        engine.evaluate_batch(some_configs(4, duplicate_every=0))
-        engine.evaluate_batch(some_configs(8, duplicate_every=0)[4:])
+        engine.evaluate_batch(
+            as_keys(engine.target, some_configs(4, duplicate_every=0))
+        )
+        engine.evaluate_batch(
+            as_keys(engine.target, some_configs(8, duplicate_every=0)[4:])
+        )
         assert engine.degraded
         # degraded batches run serially (fault policy spares serial mode)
-        res = engine.evaluate_batch([({"i": 100, "j": 100, "k": 100}, 20)])
+        res = engine.evaluate_batch(
+            as_keys(engine.target, [({"i": 100, "j": 100, "k": 100}, 20)])
+        )
         assert res.stats.serial_fallbacks == 1
         assert res.new_evaluations == 1
         engine.reset_faults()
@@ -268,14 +287,18 @@ class TestFaultTolerance:
             target, max_workers=2, retries=1, backoff_s=0.0, fault_policy=policy
         )
         with pytest.raises(EvaluationError):
-            engine.evaluate_batch(some_configs(3, duplicate_every=0))
+            engine.evaluate_batch(
+                as_keys(engine.target, some_configs(3, duplicate_every=0))
+            )
 
     def test_serial_engine_with_fault_policy(self, mm_model):
         """workers=1 engines run the same retry machinery inline."""
         target = fresh_target(mm_model)
         policy = FlakyFaultPolicy(fail_attempts=99)  # serial attempts pass
         engine = EvaluationEngine(target, max_workers=1, fault_policy=policy)
-        res = engine.evaluate_batch(some_configs(3, duplicate_every=0))
+        res = engine.evaluate_batch(
+            as_keys(engine.target, some_configs(3, duplicate_every=0))
+        )
         assert res.new_evaluations == 3
 
 
@@ -393,7 +416,7 @@ class TestChunkedDispatch:
 
     def _reference(self, mm_model, configs, protocol=None):
         target = fresh_target(mm_model, seed=21, protocol=protocol)
-        return EvaluationEngine(target).evaluate_batch(configs), target
+        return EvaluationEngine(target).evaluate_batch(as_keys(target, configs)), target
 
     def _configs(self, n=48):
         rng = np.random.default_rng(7)
@@ -415,7 +438,7 @@ class TestChunkedDispatch:
             engine = EvaluationEngine(
                 target, max_workers=workers, chunk_size=chunk_size
             )
-            res = engine.evaluate_batch(configs)
+            res = engine.evaluate_batch(as_keys(engine.target, configs))
             assert res.objectives == ref.objectives  # bit-identical
             assert target.evaluations == ref_target.evaluations  # E exact
             s = engine.stats
@@ -437,7 +460,7 @@ class TestChunkedDispatch:
             backoff_s=0.0,
             fault_policy=FlakyFaultPolicy(fail_attempts=1),
         )
-        res = engine.evaluate_batch(configs)
+        res = engine.evaluate_batch(as_keys(engine.target, configs))
         assert res.objectives == ref.objectives
         assert target.evaluations == ref_target.evaluations
         assert engine.stats.retried > 0
@@ -470,7 +493,9 @@ class TestChunkedDispatch:
         import time as _time
 
         t0 = _time.perf_counter()
-        res = engine.evaluate_batch(some_configs(6, duplicate_every=0))
+        res = engine.evaluate_batch(
+            as_keys(engine.target, some_configs(6, duplicate_every=0))
+        )
         elapsed = _time.perf_counter() - t0
         assert res.new_evaluations == 6
         assert elapsed < 2.0  # never waited out a sleeping worker
@@ -486,7 +511,9 @@ class TestChunkedDispatch:
 
     def test_close_is_idempotent_for_thread_backend(self, mm_model):
         engine = EvaluationEngine(fresh_target(mm_model), max_workers=2)
-        engine.evaluate_batch(some_configs(4, duplicate_every=0))
+        engine.evaluate_batch(
+            as_keys(engine.target, some_configs(4, duplicate_every=0))
+        )
         engine.close()
         engine.close()
 
@@ -497,17 +524,18 @@ class TestProcessBackend:
             ({"i": 16 * (i + 1), "j": 64, "k": 8}, 10) for i in range(24)
         ]
         ref_target = fresh_target(mm_model, seed=9)
-        ref = EvaluationEngine(ref_target).evaluate_batch(configs)
+        ref = EvaluationEngine(ref_target).evaluate_batch(as_keys(ref_target, configs))
         target = fresh_target(mm_model, seed=9)
         engine = EvaluationEngine(target, max_workers=4, backend="process")
         try:
-            res = engine.evaluate_batch(configs)
+            res = engine.evaluate_batch(as_keys(engine.target, configs))
             assert res.objectives == ref.objectives
             assert target.evaluations == ref_target.evaluations
             # the pool is cached across batches
             pool = engine._process_pool
             assert pool is not None
-            engine.evaluate_batch(configs)  # all memo hits, pool untouched
+            # all memo hits, pool untouched
+            engine.evaluate_batch(as_keys(engine.target, configs))
             assert engine._process_pool is pool
         finally:
             engine.close()
@@ -530,7 +558,9 @@ class TestEngineObservability:
 
         obs = Observability.tracing(clock=FakeClock(tick=1e-3))
         engine = EvaluationEngine(fresh_target(mm_model), obs=obs)
-        res = engine.evaluate_batch(some_configs(9, duplicate_every=3))
+        res = engine.evaluate_batch(
+            as_keys(engine.target, some_configs(9, duplicate_every=3))
+        )
         (span,) = [r for r in obs.tracer.records() if r["type"] == "span"]
         assert span["name"] == "engine.batch"
         assert span["attrs"]["configs"] == 9
@@ -543,8 +573,11 @@ class TestEngineObservability:
 
         obs = Observability.disabled()  # metrics still collected
         engine = EvaluationEngine(fresh_target(mm_model), obs=obs)
-        engine.evaluate_batch(some_configs(6, duplicate_every=0))
-        engine.evaluate_batch(some_configs(6, duplicate_every=0))  # all cached
+        engine.evaluate_batch(
+            as_keys(engine.target, some_configs(6, duplicate_every=0))
+        )
+        # all cached
+        engine.evaluate_batch(as_keys(engine.target, some_configs(6, duplicate_every=0)))
         m = obs.metrics.as_dict()
         assert m["repro_engine_batches_total"] == 2
         assert m["repro_engine_configs_total"] == 12
@@ -566,11 +599,11 @@ class TestFusedSession:
     def test_single_batch_matches_evaluate_batch(self, mm_model):
         configs = some_configs(9, duplicate_every=3)
         ref_target = fresh_target(mm_model)
-        ref = EvaluationEngine(ref_target).evaluate_batch(configs)
+        ref = EvaluationEngine(ref_target).evaluate_batch(as_keys(ref_target, configs))
 
         target = fresh_target(mm_model)
         engine = EvaluationEngine(target, max_workers=4)
-        batch = engine.fused_submit(target, configs, region="r0")
+        batch = engine.fused_submit(target, as_keys(target, configs), region="r0")
         self.drain(engine)
         engine.close()
         assert batch.done
@@ -586,7 +619,9 @@ class TestFusedSession:
             for seed in (0, 1):
                 t = fresh_target(mm_model, seed=seed, protocol=protocol)
                 refs.append(
-                    (t, EvaluationEngine(t).evaluate_batch(some_configs(12)))
+                    (t, EvaluationEngine(t).evaluate_batch(
+                        as_keys(t, some_configs(12))
+                    ))
                 )
 
             targets = [
@@ -594,7 +629,7 @@ class TestFusedSession:
             ]
             engine = EvaluationEngine(targets[0], max_workers=workers)
             batches = [
-                engine.fused_submit(t, some_configs(12), region=str(i))
+                engine.fused_submit(t, as_keys(t, some_configs(12)), region=str(i))
                 for i, t in enumerate(targets)
             ]
             self.drain(engine)
@@ -611,7 +646,7 @@ class TestFusedSession:
             assert a.fingerprint() == b.fingerprint()
             session = {(a.fingerprint(), a.config_key(*c)) for c in configs}
             engine = EvaluationEngine(a, max_workers=4)
-            ba = engine.fused_submit(a, configs, region="a")
+            ba = engine.fused_submit(a, as_keys(a, configs), region="a")
             # only fused_wait moves results out of flight, so b's batch is
             # classified against a's keys exactly as submit left them: still
             # in flight on the pool, or already computed inline
@@ -621,7 +656,7 @@ class TestFusedSession:
             else:
                 assert engine._fused_inflight == session
                 assert not engine._fused_results
-            bb = engine.fused_submit(b, configs, region="b")
+            bb = engine.fused_submit(b, as_keys(b, configs), region="b")
             self.drain(engine)
             assert not engine._fused_inflight
             engine.close()
@@ -644,9 +679,13 @@ class TestFusedSession:
         a = fresh_target(mm_model)
         b = fresh_target(mm_model)
         engine = EvaluationEngine(a, max_workers=2)
-        engine.fused_submit(a, some_configs(6, duplicate_every=0), region="a")
+        engine.fused_submit(
+            a, as_keys(a, some_configs(6, duplicate_every=0)), region="a"
+        )
         self.drain(engine)
-        later = engine.fused_submit(b, some_configs(6, duplicate_every=0), region="b")
+        later = engine.fused_submit(
+            b, as_keys(b, some_configs(6, duplicate_every=0)), region="b"
+        )
         self.drain(engine)
         engine.close()
         assert later.stats.shared_hits == 6
@@ -656,12 +695,16 @@ class TestFusedSession:
         target = fresh_target(mm_model)
         policy = FlakyFaultPolicy(fail_attempts=1)
         ref_target = fresh_target(mm_model)
-        ref = EvaluationEngine(ref_target).evaluate_batch(some_configs(8))
+        ref = EvaluationEngine(ref_target).evaluate_batch(
+            as_keys(ref_target, some_configs(8))
+        )
 
         engine = EvaluationEngine(
             target, max_workers=4, fault_policy=policy, backoff_s=0.0
         )
-        batch = engine.fused_submit(target, some_configs(8), region="r")
+        batch = engine.fused_submit(
+            target, as_keys(target, some_configs(8)), region="r"
+        )
         self.drain(engine)
         engine.close()
         assert batch.objectives == ref.objectives
@@ -671,13 +714,13 @@ class TestFusedSession:
         targets = [fresh_target(mm_model, seed=s) for s in (0, 1)]
         refs = [
             EvaluationEngine(fresh_target(mm_model, seed=s)).evaluate_batch(
-                some_configs(8)
+                as_keys(targets[0], some_configs(8))
             )
             for s in (0, 1)
         ]
         engine = EvaluationEngine(targets[0], max_workers=2, backend="process")
         batches = [
-            engine.fused_submit(t, some_configs(8), region=str(i))
+            engine.fused_submit(t, as_keys(t, some_configs(8)), region=str(i))
             for i, t in enumerate(targets)
         ]
         self.drain(engine)
@@ -688,7 +731,7 @@ class TestFusedSession:
     def test_fused_reset_clears_state(self, mm_model):
         target = fresh_target(mm_model)
         engine = EvaluationEngine(target, max_workers=2)
-        engine.fused_submit(target, some_configs(5), region="r")
+        engine.fused_submit(target, as_keys(target, some_configs(5)), region="r")
         self.drain(engine)
         assert engine._fused_results
         engine.fused_reset()
@@ -701,7 +744,9 @@ class TestFusedSession:
         obs = Observability.tracing()
         target = fresh_target(mm_model)
         engine = EvaluationEngine(target, max_workers=2, obs=obs)
-        engine.fused_submit(target, some_configs(9, duplicate_every=3), region="r7")
+        engine.fused_submit(
+            target, as_keys(target, some_configs(9, duplicate_every=3)), region="r7"
+        )
         self.drain(engine)
         engine.close()
         events = [
@@ -747,7 +792,9 @@ class TestPoolRule:
 
     def _reference(self, mm_model, seed, configs, protocol=None):
         target = SimulatedTarget(mm_model, seed=seed, protocol=protocol)
-        return EvaluationEngine(target).evaluate_batch(configs).objectives
+        return EvaluationEngine(target).evaluate_batch(
+            as_keys(target, configs)
+        ).objectives
 
     def _engine_cases(self):
         return [
@@ -764,7 +811,7 @@ class TestPoolRule:
             RecordingTarget.threads = []
             target = RecordingTarget(mm_model, seed=4, protocol=protocol)
             engine = EvaluationEngine(target, max_workers=workers, **kwargs)
-            res = engine.evaluate_batch(configs)
+            res = engine.evaluate_batch(as_keys(engine.target, configs))
             assert res.objectives == self._reference(mm_model, 4, configs, protocol)
             if pooled:
                 assert self._pooled_threads() == RecordingTarget.threads, kwargs
@@ -781,7 +828,7 @@ class TestPoolRule:
             ]
             engine = EvaluationEngine(targets[0], max_workers=workers, **kwargs)
             batches = [
-                engine.fused_submit(t, configs, region=str(i))
+                engine.fused_submit(t, as_keys(t, configs), region=str(i))
                 for i, t in enumerate(targets)
             ]
             while engine.fused_active:
@@ -802,7 +849,7 @@ class TestPoolRule:
         configs = some_configs(24)
         target = RecordingTarget(mm_model, seed=4, protocol=LATENCY)
         engine = EvaluationEngine(target, max_workers=4, chunk_size=chunk_size)
-        res = engine.evaluate_batch(configs)
+        res = engine.evaluate_batch(as_keys(engine.target, configs))
         assert res.objectives == self._reference(mm_model, 4, configs, LATENCY)
         assert self._pooled_threads() == RecordingTarget.threads
 
@@ -811,7 +858,7 @@ class TestPoolRule:
         engine = EvaluationEngine(
             RecordingTarget(mm_model, seed=4), max_workers=8, chunk_size=1
         )
-        res = engine.evaluate_batch(configs)
+        res = engine.evaluate_batch(as_keys(engine.target, configs))
         assert RecordingTarget.threads == [threading.current_thread()] * 9
         assert res.objectives == self._reference(mm_model, 4, configs)
 
@@ -827,7 +874,7 @@ class TestPoolRule:
 
         monkeypatch.setattr(SimulatedTarget, "compute_keys", fail_bulk)
         engine = EvaluationEngine(target, max_workers=4, backoff_s=0.0)
-        res = engine.evaluate_batch(configs)
+        res = engine.evaluate_batch(as_keys(engine.target, configs))
         monkeypatch.undo()
         assert res.stats.failed == 6
         assert res.new_evaluations == 6

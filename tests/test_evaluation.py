@@ -29,6 +29,11 @@ from repro.machine.model import CacheLevel, MachineModel
 from repro.transform import replace_at_path, tile
 
 
+def as_keys(target, configs):
+    """Canonical keys of ``(tile_sizes, threads)`` pairs — the engine's input."""
+    return [target.config_key(tiles, threads) for tiles, threads in configs]
+
+
 class TestObjectives:
     def test_vector(self):
         o = Objectives(time=2.0, threads=4)
@@ -379,14 +384,14 @@ class TestBatchEvaluator:
     def test_preserves_order(self, mm_target):
         be = BatchEvaluator(mm_target)
         configs = [({"i": 32, "j": 64, "k": 8}, t) for t in (1, 10, 40)]
-        res = be.evaluate_batch(configs)
+        res = be.evaluate_batch(as_keys(be.target, configs))
         assert [o.threads for o in res.objectives] == [1, 10, 40]
         assert res.new_evaluations == 3
 
     def test_thread_pool_path(self, mm_target):
         be = BatchEvaluator(mm_target, max_workers=4)
         configs = [({"i": 16 * t, "j": 64, "k": 8}, 10) for t in range(1, 9)]
-        res = be.evaluate_batch(configs)
+        res = be.evaluate_batch(as_keys(be.target, configs))
         assert len(res.objectives) == 8
 
 

@@ -2,7 +2,8 @@
 
 RS-GDE3 at the ``repro tune`` defaults (seed 0, run seed 0, default
 sizes, serial evaluation) for the five Table VI kernels on both machines,
-the jacobi-2d multi-region run and one NSGA-II run, compared with ``==``
+the jacobi-2d multi-region run, one NSGA-II run and the mm brute-force
+sweep on Westmere (the Fig. 9 reference front), compared with ``==``
 against ``tests/golden/results.json``.  A refactor of the optimizer loop,
 the evaluation engine or the cost model must leave every value unchanged;
 floats are pinned as ``float.hex`` and fronts and convergence traces as
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.driver.compiler import TuningDriver
-from repro.experiments import EXPERIMENT_KERNELS
+from repro.experiments import EXPERIMENT_KERNELS, make_setup, run_brute_force
 from repro.frontend import get_kernel
 from repro.machine import BARCELONA, WESTMERE
 
@@ -77,6 +78,16 @@ def nsga2_case() -> dict:
     return _pin(result, boundary=False)
 
 
+def brute_force_case() -> dict:
+    result = run_brute_force(make_setup("mm", WESTMERE)).result
+    return {
+        "E": result.evaluations,
+        "S": result.size,
+        "V": float(result.convergence[-1].hypervolume).hex(),
+        "front": _front_digest(result.front),
+    }
+
+
 def multiregion_case() -> dict:
     kernel = get_kernel("jacobi2d")
     res = TuningDriver(machine=WESTMERE).tune_multiregion(
@@ -105,6 +116,7 @@ def compute() -> dict:
             for k in EXPERIMENT_KERNELS
         },
         "nsga2": {"mm/Westmere": nsga2_case()},
+        "brute_force": {"mm/Westmere": brute_force_case()},
         "multiregion": {"jacobi2d/Westmere": multiregion_case()},
     }
 
@@ -122,6 +134,10 @@ def test_rsgde3_table6_cell(golden, kernel, machine):
 
 def test_nsga2_mm(golden):
     assert nsga2_case() == golden["nsga2"]["mm/Westmere"]
+
+
+def test_brute_force_mm(golden):
+    assert brute_force_case() == golden["brute_force"]["mm/Westmere"]
 
 
 def test_multiregion_jacobi2d(golden):
