@@ -6,8 +6,9 @@ the scalar and vectorized cost model (at brute-force and at tuning batch
 sizes, the latter against the frozen oracle in ``tests/cost_oracle.py``),
 configuration measurement, the noise factors of a tuning batch (against
 SciPy's ``ndtri`` where it is installed), one GDE3 generation, GDE3 trial
-construction and the bookkeeping of one evaluated generation (both against
-the frozen oracle in ``tests/optimizer_oracle.py``), non-dominated
+construction, the bookkeeping of one evaluated generation and one
+``tell`` (all three against the frozen oracle in
+``tests/optimizer_oracle.py``), non-dominated
 filtering at brute-force scale, and hypervolume.  Regression guards assert
 the throughput floors the experiment harness relies on.
 """
@@ -24,11 +25,14 @@ from repro.experiments import make_setup
 from repro.machine import WESTMERE
 from repro.optimizer import GDE3, hypervolume, rough_set_boundary
 from repro.optimizer.pareto import non_dominated_mask
+from repro.optimizer.rsgde3 import RSGDE3Settings, RSGDE3State
 from repro.util.ndtri import ndtri
 from repro.util.rng import derive_rng
 from tests.cost_oracle import time_batch as oracle_time_batch
 from tests.optimizer_oracle import evaluate_batch as oracle_evaluate_batch
 from tests.optimizer_oracle import propose as oracle_propose
+from tests.optimizer_oracle import tell as oracle_tell
+from tests.test_tell_oracle import assert_same_tell, tell
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +219,39 @@ def test_perf_evaluate_batch_bookkeeping(benchmark, setup):
         f"oracle {old_s * 1e6:.0f} us ({old_s / new_s:.1f}x)"
     )
     assert old_s / new_s >= 3.0
+
+
+def test_perf_tell(benchmark, setup):
+    """One RS-GDE3 ``tell`` at NP = 30 on a captured mm generation:
+    selection, rough-set box, its volume fraction and |S|/V from one front
+    ranking.  The same population, box bytes and values as the frozen
+    NumPy path, and at least 2x faster than it (median of 3 interleaved
+    runs)."""
+    problem = setup.problem(seed=7)
+    state = RSGDE3State(problem, RSGDE3Settings(), derive_rng(7, "rsgde3"))
+    state.tell(problem.evaluate_batch(state.ask()))
+    for _ in range(5):  # a mid-run generation inside a reduced box
+        previous, configs = state.population, problem.evaluate_batch(state.ask())
+        state.tell(configs)
+    args = (state.gde3, previous, configs, state.full, state.settings.protect,
+            state.log.ref)
+
+    out = benchmark(lambda: tell(*args))
+    assert_same_tell(out, oracle_tell(*args))
+
+    def per_call(fn, number=300):
+        return timeit.timeit(fn, number=number) / number
+
+    new_s, old_s = [], []
+    for _ in range(3):  # interleaved, so host drift hits both sides
+        new_s.append(per_call(lambda: tell(*args)))
+        old_s.append(per_call(lambda: oracle_tell(*args)))
+    new_s, old_s = statistics.median(new_s), statistics.median(old_s)
+    print(
+        f"\ntell NP=30: {new_s * 1e6:.0f} us, "
+        f"oracle {old_s * 1e6:.0f} us ({old_s / new_s:.1f}x)"
+    )
+    assert old_s / new_s >= 2.0
 
 
 def test_perf_non_dominated_mask_large(benchmark):

@@ -192,8 +192,8 @@ class EngineStats:
     wall_time_s: float = 0.0
 
     def merge(self, other: "EngineStats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _STATS_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def summary(self) -> str:
         return (
@@ -205,7 +205,11 @@ class EngineStats:
         )
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _STATS_FIELDS}
+
+
+#: the field names of :class:`EngineStats`, read once
+_STATS_FIELDS = tuple(f.name for f in fields(EngineStats))
 
 
 @dataclass(frozen=True)
@@ -395,7 +399,8 @@ class EvaluationEngine:
             self._commit(self.target, order, compute, results, batch, known)
             objectives = tuple(map(known.__getitem__, keys))
             batch.wall_time_s = time.perf_counter() - t0
-            span.set(**batch.as_dict())
+            if self.obs.tracer.enabled:
+                span.set(**batch.as_dict())
 
         self._observe_batch(batch)
         self.stats.merge(batch)
@@ -460,6 +465,8 @@ class EvaluationEngine:
     def _observe_batch(self, batch: EngineStats) -> None:
         """Fold one batch's accounting into the metrics registry."""
         m = self.obs.metrics
+        if not m.enabled:
+            return
         m.counter(
             "repro_engine_batches_total", "evaluation batches processed"
         ).inc()

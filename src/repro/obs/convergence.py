@@ -60,10 +60,13 @@ def emit_generation(obs, algorithm: str, record: ConvergenceRecord) -> None:
     event plus the optimizer gauges/counters (*obs* is an
     :class:`~repro.obs.Observability` handle; duck-typed to avoid the
     circular import)."""
-    obs.tracer.event(
-        "optimizer.generation", algorithm=algorithm, **record.as_dict()
-    )
+    if obs.tracer.enabled:
+        obs.tracer.event(
+            "optimizer.generation", algorithm=algorithm, **record.as_dict()
+        )
     m = obs.metrics
+    if not m.enabled:
+        return
     m.counter(
         "repro_optimizer_generations_total", "optimizer generations executed"
     ).inc()

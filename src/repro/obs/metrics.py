@@ -135,6 +135,9 @@ class Histogram:
 class MetricsRegistry:
     """Name → instrument map with get-or-create accessors."""
 
+    #: whether updates are kept; callers skip building them when not
+    enabled = True
+
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
         self._lock = threading.Lock()
@@ -206,6 +209,8 @@ class NullMetricsRegistry(MetricsRegistry):
     """A registry that records nothing: every accessor returns one shared
     inert instrument and nothing is ever registered, so a handle built
     without a run of its own cannot accumulate state across runs."""
+
+    enabled = False
 
     def _get(self, cls, name: str, help: str, **kwargs):
         return _NULL_INSTRUMENT

@@ -31,7 +31,7 @@ from bisect import bisect_left
 import numpy as np
 
 from repro.optimizer.hypervolume import hypervolume
-from repro.optimizer.pareto import non_dominated_mask
+from repro.optimizer.pareto import first_front, non_dominated_mask
 
 __all__ = ["ParetoArchive"]
 
@@ -51,6 +51,8 @@ class ParetoArchive:
         self.reference = ref
         self.m = int(ref.shape[0])
         self._fast = self.m == 2
+        # the reference as Python floats for the 2-D staircases
+        self._ref = tuple(ref.tolist())
         # front staircase over original coordinates (2-D fast path):
         # _fx strictly increasing, _fy strictly decreasing, _fpay[i] the
         # payloads of every exact duplicate of point i, insertion order
@@ -81,9 +83,29 @@ class ParetoArchive:
     def stats_of(cls, points, reference) -> tuple[int, float]:
         """(front size, hypervolume) of *points* against *reference* in
         one pass — bit-identical to ``len(non_dominated(points))`` and
-        ``hypervolume(points, reference)``."""
-        archive = cls.of(points, reference)
-        return archive.front_size, archive.hypervolume
+        ``hypervolume(points, reference)``.  Both depend only on the
+        non-dominated points, so a caller that has ranked its points
+        passes just those.
+
+        Two objectives need no incremental archive: the non-dominated
+        points (:func:`first_front`), clipped at the reference and swept
+        in (x, y) order, keep exactly the strictly improving steps the
+        volume staircase would hold, and :func:`_staircase_volume` sums
+        them in its term order."""
+        if isinstance(points, np.ndarray):
+            points = points.tolist()
+        if not (len(points) and len(points[0]) == 2 == len(reference)):
+            archive = cls.of(points, reference)
+            return archive.front_size, archive.hypervolume
+        rx, ry = (float(r) for r in reference)
+        front = [points[i] for i in first_front(points)]
+        sx: list[float] = []
+        sy: list[float] = []
+        for x, y in sorted((min(x, rx), min(y, ry)) for x, y in front):
+            if x < rx and y < (sy[-1] if sy else ry):
+                sx.append(x)
+                sy.append(y)
+        return len(front), _staircase_volume(sx, sy, rx, ry)
 
     # ------------------------------------------------------------------
 
@@ -134,7 +156,7 @@ class ParetoArchive:
         ``hypervolume(self.front_points(), self.reference)``."""
         if self._fast:
             if self._dirty:
-                self._hv = self._sweep()
+                self._hv = _staircase_volume(self._sx, self._sy, *self._ref)
                 self._dirty = False
             return self._hv
         if self._dirty:
@@ -195,7 +217,7 @@ class ParetoArchive:
     # -- 2-D hypervolume staircase (clipped coordinates) -----------------
 
     def _hv_insert(self, x: float, y: float) -> None:
-        rx, ry = self.reference[0], self.reference[1]
+        rx, ry = self._ref
         cx, cy = min(x, rx), min(y, ry)
         if not (cx < rx or cy < ry):
             return  # not strictly inside the box in any dimension
@@ -217,17 +239,6 @@ class ParetoArchive:
         sx.insert(j, cx)
         sy.insert(j, cy)
         self._dirty = True
-
-    def _sweep(self) -> float:
-        """The exact sweep of :func:`hypervolume`'s 2-D staircase, term
-        for term, so float association matches a full recomputation."""
-        rx, ry = self.reference[0], self.reference[1]
-        total = 0.0
-        prev_y = ry
-        for x, y in zip(self._sx, self._sy):
-            total += (rx - x) * (prev_y - y)
-            prev_y = y
-        return float(total)
 
     # -- m != 2 fallback -------------------------------------------------
 
@@ -253,3 +264,16 @@ class ParetoArchive:
                 mask = non_dominated_mask(pts)
                 self._front_cache = [i for i, keep in enumerate(mask) if keep]
         return self._front_cache
+
+
+def _staircase_volume(sx: list[float], sy: list[float], rx: float, ry: float) -> float:
+    """Area under a 2-D staircase (x increasing, y strictly decreasing,
+    clipped at the reference) — the exact sweep of :func:`hypervolume`'s
+    2-D staircase, term for term, so float association matches a full
+    recomputation."""
+    total = 0.0
+    prev_y = ry
+    for x, y in zip(sx, sy):
+        total += (rx - x) * (prev_y - y)
+        prev_y = y
+    return total

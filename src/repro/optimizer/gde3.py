@@ -26,14 +26,14 @@ import numpy as np
 
 from repro.optimizer.config import Configuration, objective_matrix, value_matrix
 from repro.optimizer.pareto import (
-    crowding_distance,
-    non_dominated_sort,
+    crowding,
     pairwise_dominance,
+    sort_fronts,
 )
 from repro.optimizer.problem import TuningProblem
 from repro.optimizer.space import Boundary
 
-__all__ = ["GDE3Settings", "GDE3", "truncate"]
+__all__ = ["GDE3Settings", "GDE3", "survivors"]
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,9 @@ class GDE3:
 
     problem: TuningProblem
     settings: GDE3Settings = field(default_factory=GDE3Settings)
+    #: positions of the non-dominated members of the last :meth:`select`
+    #: result, ascending; None when it kept every survivor unranked
+    front: list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def propose(
         self,
@@ -115,19 +118,17 @@ class GDE3:
         """GDE3 selection: dominating trials replace their targets,
         dominated trials are dropped, mutually non-dominated pairs are both
         kept; the population is truncated back to NP by non-dominated
-        sorting with crowding distance."""
+        sorting with crowding distance.
+
+        A truncation ranks the survivors; it leaves the positions of the
+        returned population's non-dominated members in :attr:`front`, so
+        the rough-set update and the generation's |S| and V reuse that
+        ranking.  Without one (every pair decided, so at most NP
+        survivors) nothing is ranked and :attr:`front` is None."""
         np_size = self.settings.population_size
-        # one broadcasted trial-vs-target comparison instead of 2·N scalar
-        # dominates() calls (tests/optimizer_oracle.py keeps that scalar
-        # loop as the guarded baseline)
-        n = min(len(population), len(trial_configs))
-        trial_dom, target_dom = pairwise_dominance(
-            objective_matrix(trial_configs[:n]),
-            objective_matrix(population[:n]),
-        )
         next_pop: list[Configuration] = []
         for target, trial, t_dom, a_dom in zip(
-            population, trial_configs, trial_dom.tolist(), target_dom.tolist()
+            population, trial_configs, *_pair_dominance(trial_configs, population)
         ):
             if t_dom:
                 next_pop.append(trial)
@@ -137,25 +138,52 @@ class GDE3:
                 next_pop.append(target)
                 next_pop.append(trial)
 
+        self.front = None
         if len(next_pop) > np_size:
-            next_pop = truncate(next_pop, np_size)
+            kept, n_front = survivors([c.objectives for c in next_pop], np_size)
+            next_pop = [next_pop[i] for i in kept]
+            self.front = list(range(n_front))
         return next_pop
 
 
-def truncate(pop: list[Configuration], size: int) -> list[Configuration]:
-    """The first *size* members of *pop* by non-dominated rank, the last
-    admitted front thinned by crowding distance (GDE3's and NSGA-II's
-    survivor selection)."""
-    objs = np.array([c.objectives for c in pop])
+def _pair_dominance(
+    trials: list[Configuration], targets: list[Configuration]
+) -> tuple[list[bool], list[bool]]:
+    """(trial dominates target, target dominates trial) per aligned pair.
+    Two objectives compare as Python floats; more take one broadcasted
+    :func:`pairwise_dominance` (``tests/optimizer_oracle.py`` keeps the
+    scalar :func:`dominates` loop as the baseline)."""
+    n = min(len(trials), len(targets))
+    if n and len(trials[0].objectives) == 2:
+        t_dom, a_dom = [], []
+        for trial, target in zip(trials, targets):
+            t0, t1 = trial.objectives
+            a0, a1 = target.objectives
+            t_dom.append(t0 <= a0 and t1 <= a1 and (t0 < a0 or t1 < a1))
+            a_dom.append(a0 <= t0 and a1 <= t1 and (a0 < t0 or a1 < t1))
+        return t_dom, a_dom
+    t_dom, a_dom = pairwise_dominance(
+        objective_matrix(trials[:n]), objective_matrix(targets[:n])
+    )
+    return t_dom.tolist(), a_dom.tolist()
+
+
+def survivors(points: list, size: int) -> tuple[list[int], int]:
+    """GDE3's and NSGA-II's survivor selection over objective rows: the
+    indices of the first *size* points by non-dominated rank, the last
+    admitted front thinned by crowding distance (largest first, ties in
+    index order), and how many of them — the leading ones — are
+    non-dominated."""
+    fronts = sort_fronts(points)
     kept: list[int] = []
-    for front in non_dominated_sort(objs):
+    for front in fronts:
         if len(kept) + len(front) <= size:
-            kept.extend(front.tolist())
+            kept.extend(front)
             continue
         remaining = size - len(kept)
         if remaining > 0:
-            dist = crowding_distance(objs[front])
-            order = np.argsort(-dist, kind="stable")
-            kept.extend(front[order[:remaining]].tolist())
+            dist = crowding([points[i] for i in front])
+            order = sorted(range(len(front)), key=lambda k: -dist[k])
+            kept.extend(front[k] for k in order[:remaining])
         break
-    return [pop[i] for i in kept]
+    return kept, min(len(fronts[0]), size) if fronts else 0

@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.obs import DISABLED
 from repro.optimizer.config import Configuration, value_matrix
-from repro.optimizer.gde3 import truncate
-from repro.optimizer.pareto import crowding_distance, non_dominated, non_dominated_sort
+from repro.optimizer.gde3 import survivors
+from repro.optimizer.pareto import crowding, non_dominated, sort_fronts
 from repro.optimizer.problem import TuningProblem
 from repro.optimizer.rsgde3 import ConvergenceLog, OptimizerResult, _dedupe
 from repro.util.rng import derive_rng
@@ -54,9 +54,10 @@ class NSGA2:
             for _ in range(self.settings.generations):
                 offspring_vecs = self._make_offspring(pop, rng)
                 offspring = self.problem.evaluate_batch(offspring_vecs)
-                previous = pop
-                pop = truncate(pop + offspring, np_size)
-                log.record(pop, previous)
+                previous, merged = pop, pop + offspring
+                kept, n_front = survivors([c.objectives for c in merged], np_size)
+                pop = [merged[i] for i in kept]
+                log.record(pop, previous, list(range(n_front)))
 
             front = _dedupe(non_dominated(pop, key=lambda c: c.objectives))
             span.set(
@@ -73,14 +74,14 @@ class NSGA2:
 
     # ------------------------------------------------------------------
 
-    def _rank_and_crowd(self, pop: list[Configuration]) -> tuple[np.ndarray, np.ndarray]:
-        objs = np.array([c.objectives for c in pop])
-        fronts = non_dominated_sort(objs)
-        rank = np.empty(len(pop), dtype=int)
-        crowd = np.empty(len(pop))
-        for r, front in enumerate(fronts):
-            rank[front] = r
-            crowd[front] = crowding_distance(objs[front])
+    def _rank_and_crowd(self, pop: list[Configuration]) -> tuple[list[int], list[float]]:
+        objs = [c.objectives for c in pop]
+        rank = [0] * len(pop)
+        crowd = [0.0] * len(pop)
+        for r, front in enumerate(sort_fronts(objs)):
+            for i, d in zip(front, crowding([objs[i] for i in front])):
+                rank[i] = r
+                crowd[i] = d
         return rank, crowd
 
     def _tournament(self, rank, crowd, rng) -> int:

@@ -9,6 +9,7 @@ dominates; a set of mutually non-dominated configurations is a Pareto set.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 
 import numpy as np
@@ -18,7 +19,11 @@ __all__ = [
     "pairwise_dominance",
     "non_dominated",
     "non_dominated_mask",
+    "front_ranks",
+    "sort_fronts",
+    "first_front",
     "non_dominated_sort",
+    "crowding",
     "crowding_distance",
 ]
 
@@ -161,38 +166,100 @@ def non_dominated(items: Sequence, key=lambda x: x) -> list:
     return [it for it, keep in zip(items, mask) if keep]
 
 
-def non_dominated_sort(objs: np.ndarray) -> list[np.ndarray]:
-    """Fast non-dominated sorting: list of index arrays, best front first."""
-    objs = np.asarray(objs, dtype=float)
-    n = objs.shape[0]
+def front_ranks(points: Sequence[Sequence[float]]) -> list[int]:
+    """Non-dominated front index of each bi-objective point (0 = the
+    Pareto front), in one pass.
+
+    Points are visited sorted by (f0, f1), stably.  Each front's last
+    visited point has the largest f0 in the front so far, so a later point
+    is dominated by that front exactly when the last point's f1 is ≤ its
+    own and the two are not equal; the last points' f1 never decrease from
+    front to front, so the first front that does not dominate a point is a
+    bisection away.  Exact duplicates are visited back to back and share a
+    front.  The same fronts as peeling off :func:`non_dominated_mask` once
+    per front (``tests/optimizer_oracle.py`` keeps that loop)."""
+    rank = [0] * len(points)
+    tail: list = []  # each front's last visited point
+    tail_f1: list[float] = []  # its second objective, non-decreasing
+    for i in sorted(range(len(points)), key=points.__getitem__):
+        p = points[i]
+        k = bisect_right(tail_f1, p[1])
+        if k and tail[k - 1] == p:
+            k -= 1  # an exact duplicate of that front's last point
+        if k == len(tail):
+            tail.append(p)
+            tail_f1.append(p[1])
+        else:
+            tail[k] = p
+            tail_f1[k] = p[1]
+        rank[i] = k
+    return rank
+
+
+def sort_fronts(points: Sequence[Sequence[float]]) -> list[list[int]]:
+    """Indices of *points* (rows of objectives) grouped by non-dominated
+    front, best front first, ascending within a front.  Bi-objective
+    points take one :func:`front_ranks` pass; otherwise each front is
+    peeled off the rest with :func:`non_dominated_mask`."""
+    n = len(points)
+    if n == 0:
+        return []
+    if len(points[0]) == 2:
+        ranks = front_ranks(points)
+        fronts: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+        for i, r in enumerate(ranks):
+            fronts[r].append(i)
+        return fronts
+    objs = np.array(points, dtype=float)
     remaining = np.arange(n)
-    fronts: list[np.ndarray] = []
+    fronts = []
     while remaining.size:
-        sub = objs[remaining]
-        mask = non_dominated_mask(sub)
-        fronts.append(remaining[mask])
+        mask = non_dominated_mask(objs[remaining])
+        fronts.append(remaining[mask].tolist())
         remaining = remaining[~mask]
     return fronts
 
 
-def crowding_distance(objs: np.ndarray) -> np.ndarray:
-    """NSGA-II crowding distance of each row of an (N, m) objective array.
+def first_front(points: Sequence[Sequence[float]]) -> list[int]:
+    """Ascending indices of the non-dominated rows of *points* (exact
+    duplicates all retained): rank 0 of :func:`front_ranks` for two
+    objectives, :func:`non_dominated_mask` otherwise."""
+    if not points:
+        return []
+    if len(points[0]) == 2:
+        return [i for i, r in enumerate(front_ranks(points)) if r == 0]
+    return np.flatnonzero(non_dominated_mask(np.array(points, dtype=float))).tolist()
+
+
+def non_dominated_sort(objs: np.ndarray) -> list[np.ndarray]:
+    """Non-dominated sorting: list of index arrays, best front first."""
+    objs = np.asarray(objs, dtype=float)
+    return [np.array(f, dtype=int) for f in sort_fronts(objs.tolist())]
+
+
+def crowding(points: Sequence[Sequence[float]]) -> list[float]:
+    """NSGA-II crowding distance of each point, on Python floats.
 
     Boundary points get infinite distance; interior points the sum of
-    normalized neighbour gaps per objective."""
-    objs = np.asarray(objs, dtype=float)
-    n, m = objs.shape
-    dist = np.zeros(n)
+    their neighbours' gaps per objective, each divided by the objective's
+    span, added objective by objective in stable sort order — the float
+    operations of the NumPy formulation, in its order."""
+    n = len(points)
     if n <= 2:
-        return np.full(n, np.inf)
-    for j in range(m):
-        order = np.argsort(objs[:, j], kind="stable")
-        col = objs[order, j]
-        span = col[-1] - col[0]
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
+        return [math.inf] * n
+    dist = [0.0] * n
+    for col in zip(*points):
+        order = sorted(range(n), key=col.__getitem__)
+        span = col[order[-1]] - col[order[0]]
+        dist[order[0]] = math.inf
+        dist[order[-1]] = math.inf
         if span <= 0:
             continue
-        gaps = (col[2:] - col[:-2]) / span
-        dist[order[1:-1]] += gaps
+        for a, i, b in zip(order, order[1:-1], order[2:]):
+            dist[i] += (col[b] - col[a]) / span
     return dist
+
+
+def crowding_distance(objs: np.ndarray) -> np.ndarray:
+    """:func:`crowding` of each row of an (N, m) objective array."""
+    return np.array(crowding(np.asarray(objs, dtype=float).tolist()), dtype=float)

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.optimizer.config import Configuration, objective_matrix, value_matrix
-from repro.optimizer.pareto import non_dominated_mask
+from repro.optimizer.config import Configuration
+from repro.optimizer.pareto import first_front
 from repro.optimizer.space import Boundary
 
 __all__ = ["rough_set_boundary"]
@@ -36,6 +36,7 @@ def rough_set_boundary(
     full: Boundary,
     min_span_fraction: float = 0.1,
     protect: frozenset[str] | set[str] = frozenset(),
+    front: list[int] | None = None,
 ) -> Boundary:
     """Reduced boundary from *population* within the *full* space.
 
@@ -59,38 +60,63 @@ def rough_set_boundary(
     region around the non-dominated set stays explorable) while still
     discarding the bulk of the space.
 
+    ``front`` gives the ascending positions of the population's
+    non-dominated members when the caller has ranked it already
+    (:attr:`GDE3.front <repro.optimizer.gde3.GDE3.front>`); otherwise they
+    are found here.
+
     Degenerate cases (no dominated points, or a fully non-dominated
     population) keep the full bounds in the affected dimensions.
     """
     if not population:
         return full
-    vecs = value_matrix(population, full.space.names)
-    nd_mask = non_dominated_mask(objective_matrix(population))
-    if nd_mask.all() or not nd_mask.any():
+    if front is None:
+        front = first_front([c.objectives for c in population])
+    if not front or len(front) == len(population):
         return full
-
-    nd = vecs[nd_mask]
-    dom = vecs[~nd_mask]
-    # every dimension at once; each step is a compare, min or max except
-    # the anti-collapse pad, which does the same float operations per
-    # dimension as a scalar loop would, so the box is exact
-    nd_min = nd.min(axis=0)
-    nd_max = nd.max(axis=0)
-    # the largest dominated coordinate still <= the front's smallest, and
-    # the smallest still >= its largest (±inf where there is none)
-    below = np.where(dom <= nd_min, dom, -np.inf).max(axis=0)
-    above = np.where(dom >= nd_max, dom, np.inf).min(axis=0)
-    # numerical safety: never exclude the non-dominated points
-    lo = np.minimum(np.maximum(full.lo, below), nd_min)
-    hi = np.maximum(np.minimum(full.hi, above), nd_max)
-    # anti-collapse floor
-    min_span = (full.hi - full.lo) * min_span_fraction
-    span = hi - lo
-    short = span < min_span
-    pad = 0.5 * (min_span - span)
-    lo = np.where(short, np.maximum(full.lo, lo - pad), lo)
-    hi = np.where(short, np.minimum(full.hi, hi + pad), hi)
-    protected = np.array([name in protect for name in full.space.names])
-    lo = np.where(protected, full.lo, lo)
-    hi = np.where(protected, full.hi, hi)
-    return Boundary(space=full.space, lo=lo, hi=hi)
+    nd_set = set(front)
+    dominated = [i for i in range(len(population)) if i not in nd_set]
+    # each configuration's values are sorted by name
+    position = {name: j for j, name in enumerate(sorted(full.space.names))}
+    lo_out, hi_out = [], []
+    # per dimension, the compare / min / max / pad steps on Python scalars
+    # (values are ints, exact as floats): the float operations of the
+    # per-dimension NumPy loop, so the box is exact
+    for name, full_lo, full_hi in zip(
+        full.space.names, full.lo.tolist(), full.hi.tolist()
+    ):
+        if name in protect:
+            lo_out.append(full_lo)
+            hi_out.append(full_hi)
+            continue
+        j = position[name]
+        nd = [population[i].values[j][1] for i in front]
+        dom = [population[i].values[j][1] for i in dominated]
+        nd_min = min(nd)
+        nd_max = max(nd)
+        lo, hi = full_lo, full_hi
+        # the largest dominated coordinate still <= the front's smallest,
+        # and the smallest still >= its largest
+        below = [x for x in dom if x <= nd_min]
+        above = [x for x in dom if x >= nd_max]
+        if below:
+            lo = max(lo, max(below))
+        if above:
+            hi = min(hi, min(above))
+        # numerical safety: never exclude the non-dominated points
+        lo = min(lo, nd_min)
+        hi = max(hi, nd_max)
+        # anti-collapse floor
+        min_span = (full_hi - full_lo) * min_span_fraction
+        span = hi - lo
+        if span < min_span:
+            pad = 0.5 * (min_span - span)
+            lo = max(full_lo, lo - pad)
+            hi = min(full_hi, hi + pad)
+        lo_out.append(lo)
+        hi_out.append(hi)
+    return Boundary(
+        space=full.space,
+        lo=np.array(lo_out, dtype=float),
+        hi=np.array(hi_out, dtype=float),
+    )

@@ -116,16 +116,23 @@ class ConvergenceLog:
         return self.problem.evaluations - self.evals_before
 
     def record(
-        self, population: list[Configuration], previous: list[Configuration] | None = None
+        self,
+        population: list[Configuration],
+        previous: list[Configuration] | None = None,
+        front: list[int] | None = None,
     ) -> ConvergenceRecord:
         """Record *population*, which replaced *previous* (None for the
-        initial sample)."""
-        objs = objective_matrix(population)
+        initial sample); *front* optionally lists the positions of its
+        non-dominated members."""
         if self.ref is None:
-            self.ref = objs.max(axis=0) * 1.1
+            self.ref = objective_matrix(population).max(axis=0) * 1.1
+        if front is None:
+            points = [c.objectives for c in population]
+        else:
+            points = [population[i].objectives for i in front]
         # one staircase pass for |S| and V together — bit-identical to the
         # non_dominated + hypervolume pair
-        front_size, hv = ParetoArchive.stats_of(objs, self.ref)
+        front_size, hv = ParetoArchive.stats_of(points, self.ref)
         if previous is None:
             accepted, dominated = len(population), 0
         else:
@@ -204,15 +211,17 @@ class RSGDE3State:
         """Fold the evaluated configurations of the last :meth:`ask` back
         in: selection, rough-set update, telemetry, stopping rule."""
         previous = self.population
+        front = None
         if previous is None:
             self.population = configs
         else:
             self.population = self.gde3.select(previous, configs)
+            front = self.gde3.front  # the selection's ranking, if any
         self.boundary = rough_set_boundary(
-            self.population, self.full, protect=self.settings.protect
+            self.population, self.full, protect=self.settings.protect, front=front
         )
         self.boundary_history.append(self.boundary.volume_fraction())
-        record = self.log.record(self.population, previous)
+        record = self.log.record(self.population, previous, front)
         # "improvement" = relative hypervolume gain over the best so far;
         # stop after `patience` non-improving generations
         if previous is None or record.hypervolume > self.best_hv * (

@@ -171,10 +171,8 @@ class Boundary:
 
     def volume_fraction(self) -> float:
         """Fraction of the full space's volume this box covers."""
-        full = self.space.full_boundary()
         frac = 1.0
-        for j in range(self.space.dim):
-            span_full = full.hi[j] - full.lo[j] + 1
-            span_here = self.hi[j] - self.lo[j] + 1
-            frac *= span_here / span_full
-        return float(frac)
+        for p, lo, hi in zip(self.space.parameters, self.lo.tolist(), self.hi.tolist()):
+            full_lo, full_hi = p.span()
+            frac *= (hi - lo + 1) / (float(full_hi) - float(full_lo) + 1)
+        return frac

@@ -22,6 +22,16 @@ general-m non-dominated sweep; ``benchmarks/test_select_speedup.py`` and
 ``tests/test_optimizer_pareto.py`` check the vectorized kernels against
 them.
 
+``non_dominated_sort``, ``crowding_distance``, ``truncate``, ``select``,
+``rough_set_boundary_vectorized``, ``volume_fraction`` and ``tell`` are
+the NumPy forms of one RS-GDE3 ``tell`` before it ran on Python floats
+from one front ranking: fronts peeled off with one ``non_dominated_mask``
+each, crowding over array columns, the broadcasted trial-vs-target
+comparison, the masked rough-set box, the box volume against a rebuilt
+full boundary, and |S| and V recomputed over the whole population.  ``tests/test_tell_oracle.py`` asserts the same populations,
+box bytes and values against them, and ``benchmarks/test_perf_micro.py``
+times ``tell`` against them.
+
 ``evaluate_batch`` (with ``batch_configs``, ``config_key`` and
 ``make_configurations``) and ``skeleton_choice_evaluate_batch`` are the
 per-row decode of :meth:`TuningProblem.evaluate_batch` and
@@ -37,8 +47,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.optimizer.config import Configuration
-from repro.optimizer.pareto import dominates, non_dominated_mask
+from repro.optimizer.config import Configuration, objective_matrix, value_matrix
+from repro.optimizer.hypervolume import hypervolume
+from repro.optimizer.pareto import dominates, non_dominated_mask, pairwise_dominance
 from repro.optimizer.space import Boundary
 
 __all__ = [
@@ -48,6 +59,13 @@ __all__ = [
     "get_closest_to",
     "sample",
     "rough_set_boundary",
+    "non_dominated_sort",
+    "crowding_distance",
+    "truncate",
+    "select",
+    "rough_set_boundary_vectorized",
+    "volume_fraction",
+    "tell",
     "select_pairs_scalar",
     "non_dominated_mask_general_scalar",
     "config_key",
@@ -181,6 +199,152 @@ def rough_set_boundary(
             lo[j] = max(full.lo[j], lo[j] - pad)
             hi[j] = min(full.hi[j], hi[j] + pad)
     return Boundary(space=full.space, lo=lo, hi=hi)
+
+
+def non_dominated_sort(objs: np.ndarray) -> list[np.ndarray]:
+    """Fast non-dominated sorting: list of index arrays, best front first."""
+    objs = np.asarray(objs, dtype=float)
+    n = objs.shape[0]
+    remaining = np.arange(n)
+    fronts: list[np.ndarray] = []
+    while remaining.size:
+        sub = objs[remaining]
+        mask = non_dominated_mask(sub)
+        fronts.append(remaining[mask])
+        remaining = remaining[~mask]
+    return fronts
+
+
+def crowding_distance(objs: np.ndarray) -> np.ndarray:
+    """NSGA-II crowding distance of each row of an (N, m) objective array.
+
+    Boundary points get infinite distance; interior points the sum of
+    normalized neighbour gaps per objective."""
+    objs = np.asarray(objs, dtype=float)
+    n, m = objs.shape
+    dist = np.zeros(n)
+    if n <= 2:
+        return np.full(n, np.inf)
+    for j in range(m):
+        order = np.argsort(objs[:, j], kind="stable")
+        col = objs[order, j]
+        span = col[-1] - col[0]
+        dist[order[0]] = np.inf
+        dist[order[-1]] = np.inf
+        if span <= 0:
+            continue
+        gaps = (col[2:] - col[:-2]) / span
+        dist[order[1:-1]] += gaps
+    return dist
+
+
+def truncate(pop: list[Configuration], size: int) -> list[Configuration]:
+    """The first *size* members of *pop* by non-dominated rank, the last
+    admitted front thinned by crowding distance (GDE3's and NSGA-II's
+    survivor selection)."""
+    objs = np.array([c.objectives for c in pop])
+    kept: list[int] = []
+    for front in non_dominated_sort(objs):
+        if len(kept) + len(front) <= size:
+            kept.extend(front.tolist())
+            continue
+        remaining = size - len(kept)
+        if remaining > 0:
+            dist = crowding_distance(objs[front])
+            order = np.argsort(-dist, kind="stable")
+            kept.extend(front[order[:remaining]].tolist())
+        break
+    return [pop[i] for i in kept]
+
+
+def select(
+    self,
+    population: list[Configuration],
+    trial_configs: list[Configuration],
+) -> list[Configuration]:
+    """GDE3 selection: dominating trials replace their targets,
+    dominated trials are dropped, mutually non-dominated pairs are both
+    kept; the population is truncated back to NP by non-dominated
+    sorting with crowding distance."""
+    np_size = self.settings.population_size
+    n = min(len(population), len(trial_configs))
+    trial_dom, target_dom = pairwise_dominance(
+        objective_matrix(trial_configs[:n]),
+        objective_matrix(population[:n]),
+    )
+    next_pop: list[Configuration] = []
+    for target, trial, t_dom, a_dom in zip(
+        population, trial_configs, trial_dom.tolist(), target_dom.tolist()
+    ):
+        if t_dom:
+            next_pop.append(trial)
+        elif a_dom:
+            next_pop.append(target)
+        else:
+            next_pop.append(target)
+            next_pop.append(trial)
+
+    if len(next_pop) > np_size:
+        next_pop = truncate(next_pop, np_size)
+    return next_pop
+
+
+def rough_set_boundary_vectorized(
+    population: list[Configuration],
+    full: Boundary,
+    min_span_fraction: float = 0.1,
+    protect: frozenset[str] | set[str] = frozenset(),
+) -> Boundary:
+    """The rough-set box over whole-population masks and per-dimension
+    NumPy reductions."""
+    if not population:
+        return full
+    vecs = value_matrix(population, full.space.names)
+    nd_mask = non_dominated_mask(objective_matrix(population))
+    if nd_mask.all() or not nd_mask.any():
+        return full
+
+    nd = vecs[nd_mask]
+    dom = vecs[~nd_mask]
+    nd_min = nd.min(axis=0)
+    nd_max = nd.max(axis=0)
+    below = np.where(dom <= nd_min, dom, -np.inf).max(axis=0)
+    above = np.where(dom >= nd_max, dom, np.inf).min(axis=0)
+    lo = np.minimum(np.maximum(full.lo, below), nd_min)
+    hi = np.maximum(np.minimum(full.hi, above), nd_max)
+    min_span = (full.hi - full.lo) * min_span_fraction
+    span = hi - lo
+    short = span < min_span
+    pad = 0.5 * (min_span - span)
+    lo = np.where(short, np.maximum(full.lo, lo - pad), lo)
+    hi = np.where(short, np.minimum(full.hi, hi + pad), hi)
+    protected = np.array([name in protect for name in full.space.names])
+    lo = np.where(protected, full.lo, lo)
+    hi = np.where(protected, full.hi, hi)
+    return Boundary(space=full.space, lo=lo, hi=hi)
+
+
+def volume_fraction(self) -> float:
+    """Fraction of the full space's volume the box covers."""
+    full = self.space.full_boundary()
+    frac = 1.0
+    for j in range(self.space.dim):
+        span_full = full.hi[j] - full.lo[j] + 1
+        span_here = self.hi[j] - self.lo[j] + 1
+        frac *= span_here / span_full
+    return float(frac)
+
+
+def tell(gde3, previous, configs, full: Boundary, protect, reference):
+    """One RS-GDE3 generation's ``tell`` work: the selected population,
+    its rough-set box, the box's volume fraction and (|S|, V) of the
+    population against *reference*, the last from the full-recomputation
+    pair that the archive's one-pass statistics are bit-identical to."""
+    population = select(gde3, previous, configs)
+    box = rough_set_boundary_vectorized(population, full, protect=protect)
+    objs = objective_matrix(population)
+    stats = (int(non_dominated_mask(objs).sum()), hypervolume(objs, reference))
+    return population, box, volume_fraction(box), stats
 
 
 def select_pairs_scalar(

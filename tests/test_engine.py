@@ -585,6 +585,54 @@ class TestEngineObservability:
         assert m["repro_engine_batch_seconds"]["count"] == 2
         assert obs.tracer.records() == []  # tracing stayed off
 
+    def test_merge_sums_every_field(self):
+        from dataclasses import fields
+
+        names = [f.name for f in fields(EngineStats)]
+        a = EngineStats(**{n: i + 1 for i, n in enumerate(names)})
+        b = EngineStats(**{n: 100 * (i + 1) for i, n in enumerate(names)})
+        a.merge(b)
+        assert a.as_dict() == {n: 101 * (i + 1) for i, n in enumerate(names)}
+
+    def test_enabled_registry_receives_every_batch_value(self, mm_model):
+        from repro.obs import Observability
+
+        obs = Observability.disabled()
+        engine = EvaluationEngine(fresh_target(mm_model), obs=obs)
+        res = engine.evaluate_batch(
+            as_keys(engine.target, some_configs(9, duplicate_every=3))
+        )
+        stats = res.stats
+        expected = {
+            "repro_engine_batches_total": 1,
+            "repro_engine_configs_total": 9,
+            "repro_engine_dispatched_total": stats.dispatched,
+            "repro_engine_cache_hits_total": stats.cache_hits,
+            "repro_engine_deduped_total": stats.deduped,
+            "repro_engine_disk_hits_total": stats.disk_hits,
+            "repro_engine_shared_hits_total": stats.shared_hits,
+            "repro_engine_retries_total": stats.retried,
+            "repro_engine_timeouts_total": stats.timeouts,
+            "repro_engine_failed_total": stats.failed,
+            "repro_engine_serial_fallbacks_total": stats.serial_fallbacks,
+            "repro_engine_degraded": 0,
+            "repro_engine_batch_seconds": {"sum": stats.wall_time_s, "count": 1},
+        }
+        assert obs.metrics.as_dict() == expected
+        assert stats.dispatched == 6 and stats.deduped == 3
+
+    def test_disabled_handle_builds_no_accounting(self, mm_model, monkeypatch):
+        from repro.obs.metrics import NullMetricsRegistry
+
+        def fail(*args, **kwargs):
+            raise AssertionError("disabled observability did work")
+
+        monkeypatch.setattr(NullMetricsRegistry, "_get", fail)
+        monkeypatch.setattr(EngineStats, "as_dict", fail)
+        engine = EvaluationEngine(fresh_target(mm_model))
+        res = engine.evaluate_batch(as_keys(engine.target, some_configs(6)))
+        assert res.stats.configs == 6 and engine.stats.batches == 1
+
 
 class TestFusedSession:
     """The multi-target fused session: several regions' batches share one

@@ -12,6 +12,7 @@ from repro.obs import (
     ConvergenceRecord,
     FakeClock,
     MetricsRegistry,
+    NullMetricsRegistry,
     NullTracer,
     Observability,
     SystemClock,
@@ -250,10 +251,23 @@ class TestConvergence:
         assert event["name"] == "optimizer.generation"
         assert event["attrs"]["algorithm"] == "rsgde3"
         assert event["attrs"]["hypervolume"] == 0.25
-        snap = obs.metrics.as_dict()
-        assert snap["repro_optimizer_generations_total"] == 1
-        assert snap["repro_optimizer_front_size"] == 5
-        assert snap["repro_optimizer_evaluations"] == 60
+        assert obs.metrics.as_dict() == {
+            "repro_optimizer_generations_total": 1,
+            "repro_optimizer_hypervolume": 0.25,
+            "repro_optimizer_front_size": 5,
+            "repro_optimizer_evaluations": 60,
+        }
+
+    def test_emit_generation_on_the_disabled_handle_does_nothing(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("disabled observability did work")
+
+        monkeypatch.setattr(NullMetricsRegistry, "_get", fail)
+        monkeypatch.setattr(ConvergenceRecord, "as_dict", fail)
+        emit_generation(
+            DISABLED, "rsgde3", ConvergenceRecord(generation=0, evaluations=30,
+                                                  front_size=3, hypervolume=0.1)
+        )
 
     def test_population_delta(self):
         class Cfg:
