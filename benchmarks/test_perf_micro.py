@@ -9,7 +9,8 @@ SciPy's ``ndtri`` where it is installed), one GDE3 generation, GDE3 trial
 construction, the bookkeeping of one evaluated generation and one
 ``tell`` (all three against the frozen oracle in
 ``tests/optimizer_oracle.py``), non-dominated
-filtering at brute-force scale, and hypervolume.  Regression guards assert
+filtering at brute-force scale, hypervolume, and precompiled runtime
+selection (against the per-call ``policy.select``).  Regression guards assert
 the throughput floors the experiment harness relies on.
 """
 
@@ -21,11 +22,13 @@ import timeit
 import numpy as np
 import pytest
 
+from repro.backend.meta import VersionMeta
 from repro.experiments import make_setup
 from repro.machine import WESTMERE
 from repro.optimizer import GDE3, hypervolume, rough_set_boundary
 from repro.optimizer.pareto import non_dominated_mask
 from repro.optimizer.rsgde3 import RSGDE3Settings, RSGDE3State
+from repro.runtime import Version, VersionTable, compile_policy, policy_by_name
 from repro.util.ndtri import ndtri
 from repro.util.rng import derive_rng
 from tests.cost_oracle import time_batch as oracle_time_batch
@@ -269,3 +272,50 @@ def test_perf_hypervolume_2d(benchmark):
     ref = np.array([1.1, 1.1])
     hv = benchmark(lambda: hypervolume(pts, ref))
     assert 0 < hv < 1.21
+
+
+def _metadata_table(n_versions: int = 12, seed: int = 0) -> VersionTable:
+    """A metadata-only Pareto-ish table: faster versions use more threads,
+    every third version lacks energy metadata."""
+    rng = np.random.default_rng(seed)
+    versions = []
+    for i in range(n_versions):
+        threads = int(2 ** (i % 5))
+        time_s = float(0.1 / (i + 1) * (1.0 + 0.05 * rng.random()))
+        energy = float(time_s * threads * 20.0) if i % 3 else None
+        meta = VersionMeta(index=i, time=time_s, resources=time_s * threads,
+                           threads=threads, tile_sizes=(("i", 8 * (i + 1)),),
+                           energy=energy)
+        versions.append(Version(meta=meta))
+    return VersionTable(region_name="mm", versions=tuple(versions))
+
+
+def test_perf_compiled_selection():
+    """Runtime selection over 20,000 seeded ``available_cores`` contexts on
+    a 12-version table: ``compile_policy(p, t).select(ctx)`` returns the
+    same Version objects as the per-call ``p.select(t, ctx)``, and is at
+    least 5x faster on each policy (median of 3 interleaved runs)."""
+    table = _metadata_table()
+    cores = derive_rng(12, "contexts").choice([1, 2, 4, 8, 16], 20_000)
+    contexts = [{"available_cores": int(c)} for c in cores]
+    for name in ("balanced", "thread_cap", "time_cap:0.05"):
+        policy = policy_by_name(name)
+        compiled = compile_policy(policy, table)
+
+        def fast():
+            return [compiled.select(ctx) for ctx in contexts]
+
+        def slow():
+            return [policy.select(table, ctx) for ctx in contexts]
+
+        assert all(a is b for a, b in zip(fast(), slow(), strict=True))
+        new_s, old_s = [], []
+        for _ in range(3):  # interleaved, so host drift hits both sides
+            new_s.append(timeit.timeit(fast, number=1))
+            old_s.append(timeit.timeit(slow, number=1))
+        new_s, old_s = statistics.median(new_s), statistics.median(old_s)
+        print(
+            f"\nselect {name}, 20000 contexts: compiled {new_s * 1e3:.1f} ms, "
+            f"per-call {old_s * 1e3:.1f} ms ({old_s / new_s:.1f}x)"
+        )
+        assert old_s / new_s >= 5.0, name

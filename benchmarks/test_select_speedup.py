@@ -1,15 +1,15 @@
-"""Vectorized selection kernels vs their scalar baselines.
+"""Optimizer selection kernels vs their scalar baselines.
 
-PR 4 vectorizes the two optimizer hot loops the cross-region scheduler
-exposes: the trial-vs-target pairwise phase of ``GDE3.select`` (one
-broadcasted comparison instead of 2·N scalar ``dominates()`` calls) and
-the general-m non-dominated mask (blocked all-pairs broadcast instead of
-a Python-level pass per row).  Both must return outputs identical to the
-retired scalar implementations — kept in ``tests/optimizer_oracle.py`` as
-``select_pairs_scalar`` and ``non_dominated_mask_general_scalar`` — and
-beat them by at least 5x on 512-point populations.  The oracle import
-needs the repository root on ``sys.path`` (run ``python -m pytest`` from
-the root).
+Two optimizer hot loops the cross-region scheduler exposes: the
+trial-vs-target pairwise phase of ``GDE3.select`` (two objectives compare
+as Python floats in one pass over the pairs instead of 2·N scalar
+``dominates()`` calls) and the general-m non-dominated mask (blocked
+all-pairs broadcast instead of a Python-level pass per row).  Both must
+return outputs identical to the retired scalar implementations — kept in
+``tests/optimizer_oracle.py`` as ``select_pairs_scalar`` and
+``non_dominated_mask_general_scalar`` — and beat them by at least 5x on
+512-point populations.  The oracle import needs the repository root on
+``sys.path`` (run ``python -m pytest`` from the root).
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ def test_vectorized_select_matches_and_beats_scalar():
 
     print_banner(f"GDE3.select pairwise phase ({N_POINTS}-point population)")
     print(f"{'scalar 2N dominates()':>24}: {t_ref * 1e3:8.3f} ms")
-    print(f"{'broadcasted':>24}: {t_vec * 1e3:8.3f} ms  ({speedup:.1f}x)")
+    print(f"{'pairwise float compare':>24}: {t_vec * 1e3:8.3f} ms  ({speedup:.1f}x)")
 
-    assert speedup >= FLOOR, f"vectorized select only {speedup:.2f}x"
+    assert speedup >= FLOOR, f"select pairwise phase only {speedup:.2f}x"
 
 
 def test_vectorized_general_mask_matches_and_beats_scalar():

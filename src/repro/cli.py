@@ -10,8 +10,6 @@
     python -m repro tune-file kernel.c --size N=1400 --machine barcelona
     python -m repro tune-file program.c --multiregion --size N=800 --workers 8
     python -m repro trace out.jsonl
-    python -m repro serve-replay mm --policy thread_cap --requests 200000 \
-        --cores 2 --cores 8 --baseline
 
 The ``tune`` commands run the full pipeline (analysis → RS-GDE3 →
 multi-versioning) against a simulated target machine and print the Pareto
@@ -171,60 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune_file.add_argument("path", help="file with one kernel function")
     add_tune_options(tune_file)
 
-    serve = sub.add_parser(
-        "serve-replay",
-        help="tune a kernel, then replay a synthetic request stream "
-        "through the runtime's precompiled dispatch path",
-    )
-    serve.add_argument("kernel", choices=sorted(ALL_KERNELS))
-    add_obs_options(serve)
-    add_cache_options(serve)
-    serve.add_argument("--machine", default="westmere", help="westmere | barcelona")
-    serve.add_argument(
-        "--size",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="problem-size binding (repeatable), e.g. --size N=700",
-    )
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--policy",
-        default="balanced",
-        metavar="NAME",
-        help="selection policy for dispatch (see repro.runtime."
-        "policy_by_name), e.g. balanced, fastest, thread_cap, time_cap:0.5",
-    )
-    serve.add_argument(
-        "--requests",
-        type=int,
-        default=100_000,
-        metavar="N",
-        help="synthetic requests to replay (default 100000)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="dispatch worker threads (default 1)",
-    )
-    serve.add_argument(
-        "--cores",
-        action="append",
-        type=int,
-        default=[],
-        metavar="N",
-        help="attach an available-cores context drawn uniformly from the "
-        "given values (repeatable) — exercises context-sensitive policies",
-    )
-    serve.add_argument(
-        "--baseline",
-        action="store_true",
-        help="also replay through the scalar per-call path and report the "
-        "precompiled speedup (selection sequences are verified identical)",
-    )
-    serve.add_argument("--json", metavar="FILE", help="write the result as JSON here")
     return parser
 
 
@@ -551,118 +495,6 @@ def _cmd_report(args, out) -> int:
     return 0
 
 
-def _cmd_serve_replay(args, out) -> int:
-    """``serve-replay``: tune, then drive the runtime dispatch path with a
-    deterministic synthetic request stream and report throughput."""
-    import numpy as np
-
-    from repro.driver.compiler import TuningDriver
-    from repro.machine.model import machine_by_name
-    from repro.runtime.selection import policy_by_name
-    from repro.runtime.serving import DispatchEngine, generate_workload
-
-    if args.requests < 1:
-        raise SystemExit("--requests must be >= 1")
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
-    try:
-        policy = policy_by_name(args.policy)
-    except KeyError as exc:
-        raise SystemExit(str(exc.args[0])) from None
-
-    machine = machine_by_name(args.machine)
-    obs = _build_obs(args)
-    driver = TuningDriver(
-        machine=machine, seed=args.seed, obs=obs, cache_dir=_cache_dir(args)
-    )
-    tuned = driver.tune_kernel(
-        args.kernel,
-        sizes=_parse_sizes(args.size) or None,
-        run_seed=args.seed,
-    )
-    table = tuned.build_version_table(executable=False)
-    region = table.region_name
-    print(
-        f"{region} on {machine.name}: {len(table)} versions, "
-        f"policy {policy.describe()}",
-        file=out,
-    )
-
-    workload = generate_workload(
-        [region], args.requests, seed=args.seed, core_choices=args.cores or None
-    )
-    engine = DispatchEngine(
-        {region: table}, policy, obs=obs, workers=args.workers
-    )
-    result = engine.replay(workload)
-    print(
-        f"replayed {result.requests} requests on {result.workers} worker(s) "
-        f"in {result.elapsed:.3f}s ({result.throughput:,.0f} selections/s)",
-        file=out,
-    )
-    for (_, index), count in sorted(result.version_counts.items()):
-        v = table[index]
-        print(
-            f"  version {index}: {count} requests "
-            f"(t={v.meta.time:.4g}s, threads={v.meta.threads})",
-            file=out,
-        )
-
-    speedup = None
-    if args.baseline:
-        baseline_engine = DispatchEngine(
-            {region: table}, policy, workers=args.workers, compiled=False
-        )
-        baseline = baseline_engine.replay(workload)
-        if not np.array_equal(result.selections, baseline.selections):
-            raise SystemExit(
-                "precompiled and per-call selection sequences diverged "
-                "(this is a bug — the compiled path must match its oracle)"
-            )
-        speedup = baseline.elapsed / result.elapsed if result.elapsed > 0 else float("inf")
-        print(
-            f"baseline (per-call): {baseline.elapsed:.3f}s "
-            f"({baseline.throughput:,.0f} selections/s) — precompiled is "
-            f"{speedup:.1f}x faster, selection sequences identical",
-            file=out,
-        )
-
-    if args.json:
-        payload = {
-            "kernel": args.kernel,
-            "machine": machine.name,
-            "policy": args.policy,
-            "requests": result.requests,
-            "workers": result.workers,
-            "elapsed_seconds": result.elapsed,
-            "throughput_per_second": result.throughput,
-            "version_counts": {
-                str(index): count
-                for (_, index), count in sorted(result.version_counts.items())
-            },
-        }
-        if speedup is not None:
-            payload["baseline_speedup"] = speedup
-        Path(args.json).write_text(json.dumps(payload, indent=1))
-        print(f"wrote {args.json}", file=out)
-
-    _finish_obs(
-        args,
-        obs,
-        meta={
-            "command": "serve-replay",
-            "kernel": args.kernel,
-            "machine": machine.name,
-            "policy": args.policy,
-            "requests": args.requests,
-            "seed": args.seed,
-            "workers": str(args.workers),
-        },
-        out=out,
-    )
-    return 0
-
-
 def _cmd_trace(args, out) -> int:
     from repro.obs import TraceError, trace_summary_for_path
 
@@ -684,8 +516,6 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
             return _cmd_report(args, out)
         if args.command == "trace":
             return _cmd_trace(args, out)
-        if args.command == "serve-replay":
-            return _cmd_serve_replay(args, out)
         return _cmd_tune(args, out)
     except BrokenPipeError:
         # downstream closed early (| head, | less q) — not an error; point

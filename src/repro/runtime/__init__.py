@@ -11,9 +11,7 @@ application-specific policies — the default being the weighted-sum rule of
   re-selection on context changes (available cores, energy budgets),
 * :mod:`repro.runtime.monitor` — execution history and system state,
 * :mod:`repro.runtime.compiled` — deterministic policies folded into
-  constant-time precompiled selections,
-* :mod:`repro.runtime.serving` — high-throughput dispatch of a request
-  stream across worker threads.
+  constant-time precompiled selections.
 """
 
 from repro._lazy import lazy_exports
@@ -42,13 +40,7 @@ _EXPORTS = {
     "WorkStealingPool": "tasks",
     "BanditSelector": "online",
     "ExecutionRecord": "monitor",
-    "MonitorShard": "monitor",
     "RuntimeMonitor": "monitor",
-    "DispatchEngine": "serving",
-    "DispatchRequest": "serving",
-    "DispatchResult": "serving",
-    "Workload": "serving",
-    "generate_workload": "serving",
 }
 
 __all__ = list(_EXPORTS)

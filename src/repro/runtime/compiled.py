@@ -1,9 +1,9 @@
 """Precompiled policy scoring: version selection as a frozen decision.
 
 The paper's runtime consults the selection policy on *every* region
-invocation; under serving-style traffic the scalar ``SelectionPolicy.select``
-implementations — Python loops re-scoring the whole version table per call —
-dominate dispatch cost.  But every deterministic policy is a pure function
+invocation; the scalar ``SelectionPolicy.select`` implementations — Python
+loops re-scoring the whole version table per call — would dominate the cost
+of a region call.  But every deterministic policy is a pure function
 of (table metadata, policy parameters, runtime context), and the table is
 frozen between recalibrations: the decision can be computed **once** and
 replayed.
@@ -23,7 +23,8 @@ Tie-breaking matches the scalar path exactly (``min`` keeps the first
 minimum in table order; ``argmin`` does the same), and the scalar
 implementations stay in-tree as the differential oracle: for every policy
 registered in ``policy_by_name`` the compiled and per-call selection
-sequences must be identical (asserted by ``tests/test_serving.py``).
+sequences must be identical (asserted by ``TestCompiledOracle`` in
+``tests/test_runtime.py``).
 Learning policies (:class:`~repro.runtime.online.BanditSelector`) are
 stateful and do not compile — ``compile_policy`` returns ``None`` and
 callers fall back to the per-call path.

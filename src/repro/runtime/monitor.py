@@ -11,32 +11,22 @@ protocol the tracer uses), so tests can pin ``ExecutionRecord.timestamp``
 with a :class:`~repro.obs.clock.FakeClock` instead of matching against
 ``time.time()``.
 
-Under serving traffic the monitor is written from many dispatch workers at
-once, so ingestion is built around **one lock and batched writes**:
-
-* :meth:`RuntimeMonitor.record` is the single-observation path (one lock
-  acquisition, history append plus aggregate update);
-* :meth:`RuntimeMonitor.observe_many` commits N observations under a single
-  acquisition;
-* :meth:`RuntimeMonitor.shard` hands out per-worker :class:`MonitorShard`
-  buffers that batch observations locally and flush through
-  ``observe_many`` — N observations cost one lock acquisition per shard
-  flush instead of N;
-* aggregate totals (:meth:`invocations`, :meth:`total_cpu_seconds`,
-  :meth:`version_counts`) are maintained incrementally, so they stay exact
-  even when ``history_limit`` bounds the in-memory ledger for long-running
-  serving loops.
+Executors sharing a monitor may record from several threads: one lock
+guards the history, :meth:`RuntimeMonitor.record` appends under it, and
+every query (:meth:`invocations`, :meth:`version_counts`,
+:meth:`total_cpu_seconds`) reads a consistent snapshot of the complete
+history.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.obs.clock import Clock, SystemClock
 
-__all__ = ["ExecutionRecord", "MonitorShard", "RuntimeMonitor"]
+__all__ = ["ExecutionRecord", "RuntimeMonitor"]
 
 
 @dataclass(frozen=True)
@@ -60,33 +50,14 @@ class RuntimeMonitor:
         after which executors re-select versions.
     :param clock: time source for record timestamps (and for executors
         timing invocations); inject a FakeClock for deterministic tests.
-    :param history_limit: keep only the newest N execution records (the
-        aggregate totals remain exact); ``None`` keeps everything.
     """
 
     available_cores: int = 0
     history: list[ExecutionRecord] = field(default_factory=list)
     clock: Clock = field(default_factory=SystemClock)
-    history_limit: int | None = None
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
-        if self.history_limit is not None:
-            self.history = deque(self.history, maxlen=self.history_limit)
-        self._invocations = 0
-        self._cpu_seconds = 0.0
-        self._version_counts: dict[tuple[str, int], int] = {}
-        for record in self.history:
-            self._aggregate(record.region, record.version_index,
-                            record.threads, record.wall_time)
-
-    def _aggregate(
-        self, region: str, version_index: int, threads: int, wall_time: float
-    ) -> None:
-        self._invocations += 1
-        self._cpu_seconds += wall_time * threads
-        key = (region, version_index)
-        self._version_counts[key] = self._version_counts.get(key, 0) + 1
 
     # -- system context --------------------------------------------------
 
@@ -111,7 +82,7 @@ class RuntimeMonitor:
         predicted_time: float,
         wall_time: float,
     ) -> None:
-        """Record one invocation (one lock acquisition)."""
+        """Record one invocation (one locked append)."""
         with self._lock:
             self.history.append(
                 ExecutionRecord(
@@ -123,60 +94,11 @@ class RuntimeMonitor:
                     timestamp=self.clock.now(),
                 )
             )
-            self._aggregate(region, version_index, threads, wall_time)
-
-    def observe_many(self, observations) -> int:
-        """Commit a batch of ``(region, version_index, threads,
-        predicted_time, wall_time)`` tuples under a single lock acquisition;
-        every record in the batch shares one timestamp.  Returns the number
-        of observations committed."""
-        batch = list(observations)
-        if not batch:
-            return 0
-        with self._lock:
-            stamp = self.clock.now()
-            for region, version_index, threads, predicted, wall in batch:
-                self.history.append(
-                    ExecutionRecord(
-                        region=region,
-                        version_index=version_index,
-                        threads=threads,
-                        predicted_time=predicted,
-                        wall_time=wall,
-                        timestamp=stamp,
-                    )
-                )
-                self._aggregate(region, version_index, threads, wall)
-        return len(batch)
-
-    def absorb(
-        self,
-        region: str,
-        version_index: int,
-        threads: int,
-        count: int,
-        cpu_seconds: float,
-    ) -> None:
-        """Aggregate-only ingestion: fold *count* invocations of one
-        version into the totals without materializing per-request history.
-        The serving loop's aggregate ledger mode uses this so million-
-        request replays do not allocate a record per request."""
-        with self._lock:
-            self._invocations += count
-            self._cpu_seconds += cpu_seconds
-            key = (region, version_index)
-            self._version_counts[key] = self._version_counts.get(key, 0) + count
-
-    def shard(self, capacity: int = 256) -> "MonitorShard":
-        """A per-worker observation buffer flushing through
-        :meth:`observe_many`."""
-        return MonitorShard(self, capacity=capacity)
 
     # -- queries ---------------------------------------------------------
 
     def selections(self) -> list[int]:
-        with self._lock:
-            return [r.version_index for r in self.history]
+        return [r.version_index for r in self.records()]
 
     def records(self) -> list[ExecutionRecord]:
         """Consistent snapshot of the execution history."""
@@ -185,58 +107,13 @@ class RuntimeMonitor:
 
     @property
     def invocations(self) -> int:
-        """Exact number of recorded invocations (survives history trims)."""
-        return self._invocations
+        """Number of recorded invocations."""
+        with self._lock:
+            return len(self.history)
 
     def total_cpu_seconds(self) -> float:
-        return self._cpu_seconds
+        return sum(r.wall_time * r.threads for r in self.records())
 
     def version_counts(self) -> dict[tuple[str, int], int]:
-        """``(region, version index) -> exact invocation count``."""
-        with self._lock:
-            return dict(self._version_counts)
-
-
-class MonitorShard:
-    """A thread-local observation buffer for one dispatch worker.
-
-    Observations accumulate locally (no locking); :meth:`flush` — called
-    automatically when the buffer reaches *capacity* — commits them through
-    the monitor's batched ``observe_many``, so N observations cost one lock
-    acquisition instead of N.  Not thread-safe by design: give each worker
-    its own shard.
-    """
-
-    def __init__(self, monitor: RuntimeMonitor, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("shard capacity must be positive")
-        self.monitor = monitor
-        self.capacity = capacity
-        self._buffer: list[tuple] = []
-        self.flushes = 0
-
-    def __len__(self) -> int:
-        return len(self._buffer)
-
-    def observe(
-        self,
-        region: str,
-        version_index: int,
-        threads: int,
-        predicted_time: float,
-        wall_time: float,
-    ) -> None:
-        self._buffer.append(
-            (region, version_index, threads, predicted_time, wall_time)
-        )
-        if len(self._buffer) >= self.capacity:
-            self.flush()
-
-    def flush(self) -> int:
-        """Commit everything buffered; returns the number committed."""
-        if not self._buffer:
-            return 0
-        committed = self.monitor.observe_many(self._buffer)
-        self._buffer.clear()
-        self.flushes += 1
-        return committed
+        """``(region, version index) -> invocation count``."""
+        return dict(Counter((r.region, r.version_index) for r in self.records()))

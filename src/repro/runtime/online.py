@@ -14,8 +14,8 @@ as a policy: exploration happens on real invocations, and the observed
 medians can be folded back via ``executor.recalibrate()``.
 
 Statistics live in NumPy arrays (counts / running means / Welford M2 per
-arm) guarded by one lock, so the serving loop can feed observations from
-many worker threads without losing a single count, and :meth:`select`
+arm) guarded by one lock, so executors on many threads can feed
+observations without losing a single count, and :meth:`select`
 computes every arm's UCB score in **one** vectorized expression instead of
 a per-arm Python loop.  :meth:`select_scalar` keeps the per-arm loop
 in-tree as the differential oracle — both paths read the same statistics
@@ -50,9 +50,9 @@ class BanditSelector(SelectionPolicy):
     :param seed: randomness for ε-greedy exploration.
 
     Feed observations with :meth:`observe` (the executor's recorded wall
-    time) or in bulk with :meth:`observe_many`; :meth:`select` then
-    balances exploitation and exploration.  Thread-safe: concurrent
-    ``observe``/``select`` calls never lose an observation and never raise.
+    time); :meth:`select` then balances exploitation and exploration.
+    Thread-safe: concurrent ``observe``/``select`` calls never lose an
+    observation and never raise.
     """
 
     strategy: str = "ucb1"
@@ -93,29 +93,17 @@ class BanditSelector(SelectionPolicy):
             self._epoch += 1
         return slot
 
-    def _observe_locked(self, version_index: int, wall_time: float) -> None:
-        slot = self._slot_locked(version_index)
-        self._counts[slot] += 1
-        delta = wall_time - self._means[slot]
-        self._means[slot] += delta / self._counts[slot]
-        self._m2[slot] += delta * (wall_time - self._means[slot])
-        self._total += 1
-
     def observe(self, version_index: int, wall_time: float) -> None:
         """Record one production measurement of a version."""
         if wall_time <= 0:
             raise ValueError("wall time must be positive")
         with self._lock:
-            self._observe_locked(version_index, wall_time)
-
-    def observe_many(self, version_indices, wall_times) -> None:
-        """Record a batch of measurements under a single lock acquisition."""
-        pairs = list(zip(version_indices, wall_times))
-        if any(wall <= 0 for _, wall in pairs):
-            raise ValueError("wall time must be positive")
-        with self._lock:
-            for idx, wall in pairs:
-                self._observe_locked(int(idx), float(wall))
+            slot = self._slot_locked(version_index)
+            self._counts[slot] += 1
+            delta = wall_time - self._means[slot]
+            self._means[slot] += delta / self._counts[slot]
+            self._m2[slot] += delta * (wall_time - self._means[slot])
+            self._total += 1
 
     # -- statistics ------------------------------------------------------
 

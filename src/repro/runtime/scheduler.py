@@ -35,9 +35,6 @@ class RegionExecutor:
     :param obs: observability handle — every decision becomes a
         ``runtime.selection`` event (policy, context, chosen version,
         predicted vs. actual time).
-    :param compiled: use the precompiled selection path when the policy
-        supports it (deterministic policies); disable to force the scalar
-        per-call oracle everywhere.
 
     Deterministic policies are compiled against the frozen table once and
     every subsequent decision replays the stored result; the cache is keyed
@@ -50,7 +47,6 @@ class RegionExecutor:
     policy: SelectionPolicy = field(default_factory=WeightedSumPolicy)
     monitor: RuntimeMonitor = field(default_factory=RuntimeMonitor)
     obs: Observability | None = None
-    compiled: bool = True
 
     def __post_init__(self) -> None:
         self._compiled_policy: SelectionPolicy | None = None
@@ -62,9 +58,7 @@ class RegionExecutor:
 
     def compiled_selection(self) -> CompiledSelection | None:
         """The policy compiled against the current table (cached), or
-        ``None`` when the policy is stateful or compilation is disabled."""
-        if not self.compiled:
-            return None
+        ``None`` when the policy is stateful."""
         if (
             self._compiled_policy is not self.policy
             or self._compiled_versions is not self.table.versions

@@ -22,7 +22,6 @@ NOT_LOADED = (
     "numpy.f2py",
     "numpy.testing",
     "repro.evaluation.native",
-    "repro.runtime.serving",
     "repro.backend.pygen",
     "repro.backend.cgen",
 )
@@ -61,11 +60,11 @@ def test_lazy_package_exports_still_resolve():
     loaded = loaded_after(
         "from repro.evaluation import NativeExecutor\n"
         "from repro.backend import compile_function, function_to_c\n"
-        "from repro.runtime import DispatchEngine, WorkStealingPool\n"
+        "from repro.runtime import WorkStealingPool\n"
         "from repro.util import Table, derive_rng"
     )
     assert {"repro.evaluation.native", "repro.backend.pygen", "repro.backend.cgen",
-            "repro.runtime.serving", "repro.runtime.tasks"} <= loaded
+            "repro.runtime.tasks"} <= loaded
 
 
 def test_tune_runs_without_scipy():

@@ -150,23 +150,6 @@ class TestVectorizedParity:
 
 
 class TestBatchedObservation:
-    def test_observe_many_equals_sequential(self):
-        a = BanditSelector(seed=0)
-        b = BanditSelector(seed=0)
-        arms = [0, 1, 0, 2, 1, 1, 0]
-        walls = [0.5, 0.2, 0.6, 0.9, 0.3, 0.25, 0.55]
-        for arm, wall in zip(arms, walls):
-            a.observe(arm, wall)
-        b.observe_many(arms, walls)
-        assert a.statistics() == b.statistics()
-
-    def test_observe_many_rejects_bad_walls_atomically(self):
-        b = BanditSelector()
-        with pytest.raises(ValueError):
-            b.observe_many([0, 1], [0.5, -1.0])
-        # nothing from the rejected batch may have landed
-        assert b.statistics() == {}
-
     def test_statistics_welford(self):
         b = BanditSelector()
         for wall in (1.0, 2.0, 3.0):
@@ -212,26 +195,3 @@ class TestBanditConcurrency:
         assert errors == []
         stats = b.statistics()
         assert sum(count for count, _, _ in stats.values()) == per_thread * n_threads
-
-    def test_concurrent_observe_many_counts_exact(self):
-        import threading
-
-        b = BanditSelector()
-        per_batch, batches, n_threads = 50, 10, 8
-
-        def run(tid):
-            rng = derive_rng(tid, "batch")
-            for _ in range(batches):
-                arms = [int(a) for a in rng.integers(4, size=per_batch)]
-                walls = [0.1 + float(w) for w in rng.random(per_batch)]
-                b.observe_many(arms, walls)
-
-        threads = [
-            threading.Thread(target=run, args=(t,)) for t in range(n_threads)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        total = sum(c for c, _, _ in b.statistics().values())
-        assert total == per_batch * batches * n_threads

@@ -8,6 +8,7 @@ import pytest
 
 from repro.backend.meta import VersionMeta
 from repro.runtime import (
+    BanditSelector,
     EfficiencyFloorPolicy,
     ExecutionRecord,
     FastestPolicy,
@@ -19,17 +20,19 @@ from repro.runtime import (
     Version,
     VersionTable,
     WeightedSumPolicy,
+    compile_policy,
     policy_by_name,
 )
 
 
-def meta(i, time, threads, resources=None):
+def meta(i, time, threads, resources=None, energy=None):
     return VersionMeta(
         index=i,
         time=time,
         resources=resources if resources is not None else time * threads,
         threads=threads,
         tile_sizes=(("i", 8),),
+        energy=energy,
     )
 
 
@@ -446,11 +449,6 @@ class TestCompiledExecutor:
         ex.set_policy(MostEfficientPolicy())
         assert ex.select().meta.index == 4
 
-    def test_disabled_compilation_forces_oracle(self, table):
-        ex = RegionExecutor(table, policy=FastestPolicy(), compiled=False)
-        assert ex.compiled_selection() is None
-        assert ex.select().meta.index == 0
-
     def test_compiled_and_oracle_selections_agree(self, table):
         for policy in (
             FastestPolicy(),
@@ -460,13 +458,12 @@ class TestCompiledExecutor:
             ThreadCapPolicy(),
             EfficiencyFloorPolicy(),
         ):
-            fast = RegionExecutor(table, policy=policy)
-            slow = RegionExecutor(table, policy=policy, compiled=False)
+            ex = RegionExecutor(table, policy=policy)
             for cores in (None, 2, 10, 40):
                 if cores is not None:
-                    fast.monitor.set_available_cores(cores)
-                    slow.monitor.set_available_cores(cores)
-                assert fast.select() is slow.select(), (policy, cores)
+                    ex.monitor.set_available_cores(cores)
+                want = policy.select(ex.table, ex.monitor.context())
+                assert ex.select() is want, (policy, cores)
 
     def test_recalibrate_invalidates_compiled_cache(self, table):
         """After recalibrate() builds a new table, the stale compiled
@@ -485,59 +482,6 @@ class TestCompiledExecutor:
 
 
 class TestMonitorBatching:
-    def test_observe_many_matches_sequential_records(self):
-        from repro.obs import FakeClock
-
-        a = RuntimeMonitor(clock=FakeClock(t=5.0))
-        b = RuntimeMonitor(clock=FakeClock(t=5.0))
-        obs = [("mm", i % 3, 2, 0.1, 0.1 * (i + 1)) for i in range(10)]
-        for o in obs:
-            a.record(*o)
-        assert b.observe_many(obs) == 10
-        assert a.selections() == b.selections()
-        assert a.version_counts() == b.version_counts()
-        assert a.total_cpu_seconds() == pytest.approx(b.total_cpu_seconds())
-        # the batch shares one timestamp
-        assert len({r.timestamp for r in b.records()}) == 1
-
-    def test_observe_many_empty(self):
-        assert RuntimeMonitor().observe_many([]) == 0
-
-    def test_shard_buffers_and_flushes(self):
-        m = RuntimeMonitor()
-        shard = m.shard(capacity=4)
-        for i in range(10):
-            shard.observe("mm", 0, 2, 0.1, 0.1)
-        # two automatic flushes at capacity, 2 left buffered
-        assert shard.flushes == 2
-        assert m.invocations == 8
-        assert len(shard) == 2
-        assert shard.flush() == 2
-        assert m.invocations == 10
-        assert shard.flush() == 0
-
-    def test_shard_capacity_validation(self):
-        with pytest.raises(ValueError):
-            RuntimeMonitor().shard(capacity=0)
-
-    def test_absorb_keeps_totals_exact_without_history(self):
-        m = RuntimeMonitor()
-        m.absorb("mm", 1, 4, count=1000, cpu_seconds=40.0)
-        m.absorb("mm", 2, 2, count=500, cpu_seconds=10.0)
-        assert m.invocations == 1500
-        assert m.total_cpu_seconds() == pytest.approx(50.0)
-        assert m.version_counts() == {("mm", 1): 1000, ("mm", 2): 500}
-        assert m.records() == []
-
-    def test_history_limit_preserves_aggregates(self):
-        m = RuntimeMonitor(history_limit=5)
-        for i in range(20):
-            m.record("mm", i % 2, 2, 0.1, 0.1)
-        assert len(m.records()) == 5
-        assert m.invocations == 20
-        assert m.version_counts() == {("mm", 0): 10, ("mm", 1): 10}
-        assert m.total_cpu_seconds() == pytest.approx(20 * 0.1 * 2)
-
     def test_preseeded_history_counts_in_aggregates(self):
         seed = [
             ExecutionRecord("mm", 0, 2, 0.1, 0.2, 0.0),
@@ -548,25 +492,32 @@ class TestMonitorBatching:
         assert m.total_cpu_seconds() == pytest.approx(0.2 * 2 + 0.3 * 4)
 
     def test_concurrent_ingestion_loses_nothing(self):
+        """8 threads recording at once, with thread switches forced often:
+        not one record may be lost."""
+        import sys
         import threading
 
         m = RuntimeMonitor()
         per_thread, n_threads = 500, 8
 
         def run(tid):
-            shard = m.shard(capacity=37)
-            for i in range(per_thread):
-                shard.observe("mm", tid % 3, 2, 0.1, 0.1)
-            shard.flush()
+            for _ in range(per_thread):
+                m.record("mm", tid % 3, 2, 0.1, 0.1)
 
         threads = [
             threading.Thread(target=run, args=(t,)) for t in range(n_threads)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert m.invocations == per_thread * n_threads
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(m.records()) == per_thread * n_threads
         assert sum(m.version_counts().values()) == per_thread * n_threads
 
 
@@ -607,3 +558,81 @@ class TestRecalibrateConcurrent:
             t.join()
         assert errors == []
         assert ex.monitor.invocations == len(ex.monitor.records())
+
+
+#: every selection-policy shape the registry can produce: the four plain
+#: names plus each parameterized family, with and without the optional
+#: argument where allowed.  The differential-oracle tests below run each of
+#: them — a compiled policy that drifts from its scalar select() fails here.
+REGISTRY_POLICIES = [
+    "fastest",
+    "efficient",
+    "balanced",
+    "greenest",
+    "time_cap:0.1",
+    "time_cap:10",
+    "thread_cap",
+    "thread_cap:2",
+    "thread_cap:3",
+    "efficiency_floor",
+    "efficiency_floor:0.3",
+    "energy_cap:1.5",
+    "energy_cap:0.001",
+]
+
+CONTEXTS = [{}, {"available_cores": 1}, {"available_cores": 3},
+            {"available_cores": 8}, {"available_cores": 64}]
+
+
+def make_table(region="mm"):
+    """mm-like Pareto table with a sequential entry, duplicate thread
+    counts, and partial energy metadata — every policy family has both a
+    feasible and an infeasible regime on it."""
+    metas = [
+        meta(0, 0.05, 8, energy=2.0),
+        meta(1, 0.08, 4, energy=1.0),
+        meta(2, 0.09, 4),
+        meta(3, 0.14, 2, energy=0.9),
+        meta(4, 1.10, 1, energy=3.0),
+    ]
+    return VersionTable(
+        region_name=region, versions=tuple(Version(meta=m) for m in metas)
+    )
+
+
+def degenerate_tables():
+    """Edge-case tables the compiled path must agree on too."""
+    single = VersionTable("single", (Version(meta=meta(0, 0.5, 2)),))
+    equal = VersionTable(
+        "equal",
+        tuple(Version(meta=meta(i, 0.5, 2, resources=1.0)) for i in range(3)),
+    )
+    no_seq = VersionTable(
+        "noseq", tuple(Version(meta=meta(i, 0.1 * (i + 1), 2)) for i in range(3))
+    )
+    return [single, equal, no_seq]
+
+
+class TestCompiledOracle:
+    @pytest.mark.parametrize("name", REGISTRY_POLICIES)
+    def test_compiled_matches_scalar_for_registry_policy(self, name):
+        """The differential oracle: for every registered policy shape, the
+        compiled selection must equal the per-call select() on every table
+        and context."""
+        policy = policy_by_name(name)
+        for table in [make_table()] + degenerate_tables():
+            compiled = compile_policy(policy, table)
+            assert compiled is not None, f"{name} must compile"
+            for ctx in CONTEXTS:
+                want = policy.select(table, ctx)
+                got = compiled.select(ctx)
+                assert got is want, (name, table.region_name, ctx)
+
+    def test_bandit_does_not_compile(self):
+        assert compile_policy(BanditSelector(), make_table()) is None
+
+    def test_objects_without_compile_do_not_compile(self):
+        class Legacy:
+            pass
+
+        assert compile_policy(Legacy(), make_table()) is None
