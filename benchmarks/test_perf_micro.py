@@ -6,8 +6,9 @@ the scalar and vectorized cost model (at brute-force and at tuning batch
 sizes, the latter against the frozen oracle in ``tests/cost_oracle.py``),
 configuration measurement, the noise factors of a tuning batch (against
 SciPy's ``ndtri`` where it is installed), one GDE3 generation, GDE3 trial
-construction, the bookkeeping of one evaluated generation and one
-``tell`` (all three against the frozen oracle in
+construction (against both its per-row NumPy form and its
+``Generator``-call form), the bookkeeping of one evaluated generation and
+one ``tell`` (all against the frozen oracle in
 ``tests/optimizer_oracle.py``), non-dominated
 filtering at brute-force scale, hypervolume, and precompiled runtime
 selection (against the per-call ``policy.select``).  Regression guards assert
@@ -34,6 +35,7 @@ from repro.util.rng import derive_rng
 from tests.cost_oracle import time_batch as oracle_time_batch
 from tests.optimizer_oracle import evaluate_batch as oracle_evaluate_batch
 from tests.optimizer_oracle import propose as oracle_propose
+from tests.optimizer_oracle import propose_generator_draws as oracle_propose_draws
 from tests.optimizer_oracle import tell as oracle_tell
 from tests.test_tell_oracle import assert_same_tell, tell
 
@@ -192,6 +194,47 @@ def test_perf_gde3_propose(benchmark, setup):
         f"oracle {old_s * 1e3:.3f} ms ({old_s / new_s:.1f}x)"
     )
     assert old_s / new_s >= 1.6
+
+
+def test_perf_gde3_propose_draws(setup):
+    """``GDE3.propose`` with its draws replayed from the raw PCG64 stream
+    against the same code calling ``Generator.choice``, ``integers``,
+    ``random`` and ``uniform`` (the frozen copy in
+    ``tests/optimizer_oracle.py``), at NP = 30 inside a rough-set box: the
+    same trials and generator state, and at least 1.8x faster.  Generators
+    are built before the clock starts, so only ``propose`` is timed."""
+    problem = setup.problem(seed=7)
+    gde3 = GDE3(problem)
+    full = problem.space.full_boundary()
+    pop = problem.evaluate_batch(
+        full.sample(derive_rng(7), gde3.settings.population_size)
+    )
+    box = rough_set_boundary(pop, full, protect={"threads"})
+
+    def fresh():
+        return np.random.default_rng(11)
+
+    def oracle(population, boundary, rng):
+        return oracle_propose_draws(gde3, population, boundary, rng)
+
+    new_rng, old_rng = fresh(), fresh()
+    new = gde3.propose(pop, box, new_rng)
+    assert new.tobytes() == oracle(pop, box, old_rng).tobytes()
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    def per_call(propose, number=20):
+        rngs = iter([fresh() for _ in range(number)])
+        return timeit.timeit(lambda: propose(pop, box, next(rngs)), number=number) / number
+
+    new_s = old_s = float("inf")
+    for _ in range(7):  # interleaved, so host drift hits both sides
+        new_s = min(new_s, per_call(gde3.propose))
+        old_s = min(old_s, per_call(oracle))
+    print(
+        f"\npropose NP=30, raw-stream draws: {new_s * 1e3:.3f} ms, "
+        f"Generator calls {old_s * 1e3:.3f} ms ({old_s / new_s:.2f}x)"
+    )
+    assert old_s / new_s >= 1.8
 
 
 def test_perf_evaluate_batch_bookkeeping(benchmark, setup):

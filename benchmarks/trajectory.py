@@ -4,8 +4,10 @@
 host probe and the untraced end-to-end medians of every perfbench
 workload.  This script prints, per workload, each end-to-end metric named
 in ``BENCHMARK.json`` for the previous and the last line, their ratio
-(last / previous) and whether that ratio is a gain or a loss for the
-metric's direction.  It is a report, not a gate::
+(last / previous), the host-probe ratio beside it and whether the metric's
+ratio is a gain or a loss for its direction.  Lines may come from hosts
+of different speed, so a timing ratio means little unless the probe ratio
+is near 1.  It is a report, not a gate::
 
     python benchmarks/trajectory.py
 """
@@ -55,15 +57,23 @@ def main() -> int:
         print(f"{path}: fewer than two lines, nothing to compare")
         return 0
     previous, last = lines[-2], lines[-1]
+    probe_a, probe_b = previous["host.probe_ms"], last["host.probe_ms"]
+    probe_ratio = probe_b / probe_a
     print(
         f"{previous['commit']} -> {last['commit']}  "
-        f"(host probe {previous['host.probe_ms']:.3f} -> {last['host.probe_ms']:.3f} ms)"
+        f"(host probe {probe_a:.3f} -> {probe_b:.3f} ms)"
     )
-    print(f"{'workload':<18} {'metric':<17} {'previous':>12} {'last':>12} {'ratio':>7}")
+    print(
+        f"{'workload':<18} {'metric':<17} {'previous':>12} {'last':>12} "
+        f"{'ratio':>7} {'probe':>7}"
+    )
     for workload, name, a, b, ratio, verdict in diff_rows(
         previous, last, end_to_end_metrics()
     ):
-        print(f"{workload:<18} {name:<17} {a:12.4g} {b:12.4g} {ratio:7.3f}  {verdict}")
+        print(
+            f"{workload:<18} {name:<17} {a:12.4g} {b:12.4g} "
+            f"{ratio:7.3f} {probe_ratio:7.3f}  {verdict}"
+        )
     return 0
 
 

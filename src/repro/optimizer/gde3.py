@@ -32,6 +32,7 @@ from repro.optimizer.pareto import (
 )
 from repro.optimizer.problem import TuningProblem
 from repro.optimizer.space import Boundary
+from repro.util.draws import Draws
 
 __all__ = ["GDE3Settings", "GDE3", "survivors"]
 
@@ -76,38 +77,44 @@ class GDE3:
 
         Each member costs exactly its RNG draws — partners, forced index,
         crossover uniforms and, when the trial collapses onto its target,
-        the jitter — in that order; the arithmetic runs on Python floats,
-        which for rows of 2–4 coordinates beats per-row NumPy calls."""
+        the jitter — in that order, replayed from the raw PCG64 stream by
+        :class:`~repro.util.draws.Draws` with the values and final state
+        of the direct ``Generator`` calls; the arithmetic runs on Python
+        floats, which for rows of 2–4 coordinates beats per-row NumPy
+        calls."""
         rows = value_matrix(population, self.problem.space.names).tolist()
         n = len(rows)
         dim = self.problem.space.dim
         f, cr = self.settings.f, self.settings.cr
         snap = boundary.snap
+        lo, hi = boundary.lo.tolist(), boundary.hi.tolist()
         trials = []
-        for i, a in enumerate(rows):
-            # three distinct partners other than i: draw from the n - 1
-            # other members and skip over i
-            p, q, r = rng.choice(n - 1, size=3, replace=False).tolist()
-            b = rows[p + (p >= i)]
-            c = rows[q + (q >= i)]
-            d = rows[r + (r >= i)]
-            # binomial crossover of the donor b + F(c - d), one forced index
-            forced = int(rng.integers(dim))
-            cross = rng.random(dim).tolist()
-            trial = snap(
-                [
-                    bj + f * (cj - dj) if u < cr or j == forced else aj
-                    for j, (aj, bj, cj, dj, u) in enumerate(zip(a, b, c, d, cross))
-                ]
-            )
-            if trial == a:
-                # integer snapping collapsed the trial onto its target —
-                # re-randomize one coordinate inside the box to keep the
-                # generation from re-evaluating known points
-                j = int(rng.integers(dim))
-                trial[j] = rng.uniform(boundary.lo[j], boundary.hi[j] + 1.0)
-                trial = snap(trial)
-            trials.append(trial)
+        with Draws(rng) as draws:
+            choice3, integers, randoms = draws.choice3, draws.integers, draws.randoms
+            for i, a in enumerate(rows):
+                # three distinct partners other than i: draw from the n - 1
+                # other members and skip over i
+                p, q, r = choice3(n - 1)
+                b = rows[p + (p >= i)]
+                c = rows[q + (q >= i)]
+                d = rows[r + (r >= i)]
+                # binomial crossover of the donor b + F(c - d), one forced index
+                forced = integers(dim)
+                cross = randoms(dim)
+                trial = snap(
+                    [
+                        bj + f * (cj - dj) if u < cr or j == forced else aj
+                        for j, (aj, bj, cj, dj, u) in enumerate(zip(a, b, c, d, cross))
+                    ]
+                )
+                if trial == a:
+                    # integer snapping collapsed the trial onto its target —
+                    # re-randomize one coordinate inside the box to keep the
+                    # generation from re-evaluating known points
+                    j = integers(dim)
+                    trial[j] = draws.uniform(lo[j], hi[j] + 1.0)
+                    trial = snap(trial)
+                trials.append(trial)
         return np.array(trials, dtype=float).reshape(n, dim)
 
     def select(

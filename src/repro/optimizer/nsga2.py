@@ -20,6 +20,7 @@ from repro.optimizer.gde3 import survivors
 from repro.optimizer.pareto import crowding, non_dominated, sort_fronts
 from repro.optimizer.problem import TuningProblem
 from repro.optimizer.rsgde3 import ConvergenceLog, OptimizerResult, _dedupe
+from repro.util.draws import Draws
 from repro.util.rng import derive_rng
 
 __all__ = ["NSGA2", "NSGA2Settings"]
@@ -84,33 +85,39 @@ class NSGA2:
                 crowd[i] = d
         return rank, crowd
 
-    def _tournament(self, rank, crowd, rng) -> int:
-        i, j = rng.integers(len(rank)), rng.integers(len(rank))
+    def _tournament(self, rank, crowd, draws: Draws) -> int:
+        i, j = draws.integers(len(rank)), draws.integers(len(rank))
         if rank[i] != rank[j]:
             return i if rank[i] < rank[j] else j
         return i if crowd[i] >= crowd[j] else j
 
     def _make_offspring(self, pop: list[Configuration], rng) -> np.ndarray:
+        """One generation of offspring.  The draws come from
+        :class:`~repro.util.draws.Draws` (the values of the direct
+        ``Generator`` calls); the SBX and mutation arithmetic stays in
+        NumPy, whose SIMD ``power`` may round differently from Python's
+        ``**``."""
         space = self.problem.space
         vecs = value_matrix(pop, space.names)
         full = space.full_boundary()
         rank, crowd = self._rank_and_crowd(pop)
         out = []
-        while len(out) < self.settings.population_size:
-            p1 = vecs[self._tournament(rank, crowd, rng)]
-            p2 = vecs[self._tournament(rank, crowd, rng)]
-            c1, c2 = self._sbx(p1, p2, full, rng)
-            out.append(self._mutate(c1, full, rng))
-            if len(out) < self.settings.population_size:
-                out.append(self._mutate(c2, full, rng))
+        with Draws(rng) as draws:
+            while len(out) < self.settings.population_size:
+                p1 = vecs[self._tournament(rank, crowd, draws)]
+                p2 = vecs[self._tournament(rank, crowd, draws)]
+                c1, c2 = self._sbx(p1, p2, draws)
+                out.append(self._mutate(c1, full, draws))
+                if len(out) < self.settings.population_size:
+                    out.append(self._mutate(c2, full, draws))
         # no draw happens between the snaps, so snap the stack in one call
         return full.snap_rows(np.stack(out))
 
-    def _sbx(self, p1, p2, full, rng):
-        if rng.random() > self.settings.crossover_prob:
+    def _sbx(self, p1, p2, draws: Draws):
+        if draws.random() > self.settings.crossover_prob:
             return p1.copy(), p2.copy()
         eta = self.settings.crossover_eta
-        u = rng.random(p1.shape)
+        u = np.array(draws.randoms(p1.shape[0]))
         beta = np.where(
             u <= 0.5,
             (2 * u) ** (1.0 / (eta + 1)),
@@ -120,12 +127,12 @@ class NSGA2:
         c2 = 0.5 * ((1 - beta) * p1 + (1 + beta) * p2)
         return c1, c2
 
-    def _mutate(self, v, full, rng):
+    def _mutate(self, v, full, draws: Draws):
         eta = self.settings.mutation_eta
         prob = 1.0 / max(1, v.shape[0])
         span = full.hi - full.lo
-        u = rng.random(v.shape)
-        do = rng.random(v.shape) < prob
+        u = np.array(draws.randoms(v.shape[0]))
+        do = np.array(draws.randoms(v.shape[0])) < prob
         delta = np.where(
             u < 0.5,
             (2 * u) ** (1.0 / (eta + 1)) - 1.0,

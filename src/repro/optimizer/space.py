@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.transform.skeleton import Parameter
+from repro.util.draws import Draws
 
 __all__ = ["ParameterSpace", "Boundary"]
 
@@ -47,18 +48,6 @@ class ParameterSpace:
         lo = np.array([p.span()[0] for p in self.parameters], dtype=float)
         hi = np.array([p.span()[1] for p in self.parameters], dtype=float)
         return Boundary(space=self, lo=lo, hi=hi)
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Uniform samples (count, dim) within the full space, snapped to
-        each parameter's domain (categorical parameters draw uniformly from
-        their choices)."""
-        cols = []
-        for p in self.parameters:
-            if p.is_categorical:
-                cols.append(rng.choice(np.array(p.choices), size=count))
-            else:
-                cols.append(rng.integers(p.lo, p.hi + 1, size=count))
-        return np.stack(cols, axis=1).astype(float)
 
     def clamp_vector(self, vec: np.ndarray) -> np.ndarray:
         """Snap a float vector onto valid integer parameter values."""
@@ -161,9 +150,13 @@ class Boundary:
         return out
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """*count* uniform points of the box, snapped: the values of
+        ``rng.uniform(lo, hi + 1, size=(count, dim))``, replayed from the
+        raw stream by :class:`~repro.util.draws.Draws`."""
         if count <= 0:
             return np.zeros((0, self.space.dim))
-        raw = rng.uniform(self.lo, self.hi + 1.0, size=(count, self.space.dim))
+        with Draws(rng) as draws:
+            raw = draws.uniform_rows(self.lo, self.hi + 1.0, count)
         return self.snap_rows(raw)
 
     def contains(self, vec: np.ndarray) -> bool:

@@ -16,6 +16,19 @@ times ``propose`` against it.  Call them with the object the method used
 to be bound to as the first argument, e.g. ``propose(gde3, population,
 boundary, rng)``.
 
+``propose_generator_draws`` and ``nsga2_make_offspring`` are
+:meth:`GDE3.propose` and NSGA-II's offspring as they were before their
+draws were replayed from the raw PCG64 stream by
+:class:`repro.util.draws.Draws`: the same code calling
+``Generator.choice``, ``integers``, ``random`` and ``uniform`` directly
+(``sample`` above still calls ``Generator.uniform`` for the box sample).
+``tests/test_draws.py`` asserts equal bytes and an equal final generator
+state against them, and ``benchmarks/test_perf_micro.py`` times
+``propose`` against the first.  ``space_sample`` is the retired
+``ParameterSpace.sample`` (integer and categorical columns drawn with
+``Generator.integers`` and ``Generator.choice``), which tests use to build
+random populations.
+
 ``select_pairs_scalar`` and ``non_dominated_mask_general_scalar`` are the
 pre-vectorization pairwise phase of :meth:`GDE3.select` and the per-row
 general-m non-dominated sweep; ``benchmarks/test_select_speedup.py`` and
@@ -59,6 +72,9 @@ __all__ = [
     "get_closest_to",
     "sample",
     "rough_set_boundary",
+    "propose_generator_draws",
+    "nsga2_make_offspring",
+    "space_sample",
     "non_dominated_sort",
     "crowding_distance",
     "truncate",
@@ -154,6 +170,120 @@ def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return np.zeros((0, self.space.dim))
     raw = rng.uniform(self.lo, self.hi + 1.0, size=(count, self.space.dim))
     return np.stack([get_closest_to(self, row) for row in raw], axis=0)
+
+
+def propose_generator_draws(
+    self,
+    population: list[Configuration],
+    boundary: Boundary,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Generate one trial vector per population member (Algorithm 1),
+    snapped into the boundary.  Kept separate from :meth:`select` so a
+    multi-region coordinator can evaluate the trials of several regions
+    with shared program executions.
+
+    Each member costs exactly its RNG draws — partners, forced index,
+    crossover uniforms and, when the trial collapses onto its target,
+    the jitter — in that order; the arithmetic runs on Python floats,
+    which for rows of 2–4 coordinates beats per-row NumPy calls."""
+    rows = value_matrix(population, self.problem.space.names).tolist()
+    n = len(rows)
+    dim = self.problem.space.dim
+    f, cr = self.settings.f, self.settings.cr
+    snap = boundary.snap
+    trials = []
+    for i, a in enumerate(rows):
+        # three distinct partners other than i: draw from the n - 1
+        # other members and skip over i
+        p, q, r = rng.choice(n - 1, size=3, replace=False).tolist()
+        b = rows[p + (p >= i)]
+        c = rows[q + (q >= i)]
+        d = rows[r + (r >= i)]
+        # binomial crossover of the donor b + F(c - d), one forced index
+        forced = int(rng.integers(dim))
+        cross = rng.random(dim).tolist()
+        trial = snap(
+            [
+                bj + f * (cj - dj) if u < cr or j == forced else aj
+                for j, (aj, bj, cj, dj, u) in enumerate(zip(a, b, c, d, cross))
+            ]
+        )
+        if trial == a:
+            # integer snapping collapsed the trial onto its target —
+            # re-randomize one coordinate inside the box to keep the
+            # generation from re-evaluating known points
+            j = int(rng.integers(dim))
+            trial[j] = rng.uniform(boundary.lo[j], boundary.hi[j] + 1.0)
+            trial = snap(trial)
+        trials.append(trial)
+    return np.array(trials, dtype=float).reshape(n, dim)
+
+
+def nsga2_make_offspring(self, pop: list[Configuration], rng) -> np.ndarray:
+    space = self.problem.space
+    vecs = value_matrix(pop, space.names)
+    full = space.full_boundary()
+    rank, crowd = self._rank_and_crowd(pop)
+    out = []
+    while len(out) < self.settings.population_size:
+        p1 = vecs[_nsga2_tournament(rank, crowd, rng)]
+        p2 = vecs[_nsga2_tournament(rank, crowd, rng)]
+        c1, c2 = _nsga2_sbx(self, p1, p2, full, rng)
+        out.append(_nsga2_mutate(self, c1, full, rng))
+        if len(out) < self.settings.population_size:
+            out.append(_nsga2_mutate(self, c2, full, rng))
+    # no draw happens between the snaps, so snap the stack in one call
+    return full.snap_rows(np.stack(out))
+
+
+def _nsga2_tournament(rank, crowd, rng) -> int:
+    i, j = rng.integers(len(rank)), rng.integers(len(rank))
+    if rank[i] != rank[j]:
+        return i if rank[i] < rank[j] else j
+    return i if crowd[i] >= crowd[j] else j
+
+
+def _nsga2_sbx(self, p1, p2, full, rng):
+    if rng.random() > self.settings.crossover_prob:
+        return p1.copy(), p2.copy()
+    eta = self.settings.crossover_eta
+    u = rng.random(p1.shape)
+    beta = np.where(
+        u <= 0.5,
+        (2 * u) ** (1.0 / (eta + 1)),
+        (1.0 / (2 * (1 - u))) ** (1.0 / (eta + 1)),
+    )
+    c1 = 0.5 * ((1 + beta) * p1 + (1 - beta) * p2)
+    c2 = 0.5 * ((1 - beta) * p1 + (1 + beta) * p2)
+    return c1, c2
+
+
+def _nsga2_mutate(self, v, full, rng):
+    eta = self.settings.mutation_eta
+    prob = 1.0 / max(1, v.shape[0])
+    span = full.hi - full.lo
+    u = rng.random(v.shape)
+    do = rng.random(v.shape) < prob
+    delta = np.where(
+        u < 0.5,
+        (2 * u) ** (1.0 / (eta + 1)) - 1.0,
+        1.0 - (2 * (1 - u)) ** (1.0 / (eta + 1)),
+    )
+    return np.where(do, v + delta * span, v)
+
+
+def space_sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Uniform samples (count, dim) within the full space, snapped to
+    each parameter's domain (categorical parameters draw uniformly from
+    their choices)."""
+    cols = []
+    for p in self.parameters:
+        if p.is_categorical:
+            cols.append(rng.choice(np.array(p.choices), size=count))
+        else:
+            cols.append(rng.integers(p.lo, p.hi + 1, size=count))
+    return np.stack(cols, axis=1).astype(float)
 
 
 def rough_set_boundary(

@@ -61,14 +61,15 @@ def _gde3(space: ParameterSpace) -> GDE3:
 
 def check_propose(gde3: GDE3, population, box: Boundary, seed: int) -> int:
     """Assert ``propose`` == the oracle (bits and generator state); return
-    how many jitter draws the new code made."""
-    new_rng = CountingRNG(np.random.default_rng(seed))
-    old_rng = np.random.default_rng(seed)
+    how many jitter draws the oracle made (the new code replays the same
+    draws from the raw stream, so it makes as many)."""
+    new_rng = np.random.default_rng(seed)
+    old_rng = CountingRNG(np.random.default_rng(seed))
     new = gde3.propose(population, box, new_rng)
     old = oracle.propose(gde3, population, box, old_rng)
     _same_bits(new, old)
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
-    return new_rng.uniform_calls
+    return old_rng.uniform_calls
 
 
 def check_sample(box: Boundary, seed: int, count: int = 40) -> None:
@@ -156,7 +157,7 @@ def _categorical_space() -> ParameterSpace:
 
 
 def _random_population(space: ParameterSpace, rng, n: int, dup_every: int = 0):
-    cols = space.sample(rng, n)
+    cols = oracle.space_sample(space, rng, n)
     if dup_every:
         cols[::dup_every] = cols[0]
     objs = rng.integers(1, 6, size=(n, 2)).astype(float)  # ties on purpose
@@ -245,7 +246,7 @@ def test_duplicate_population_fires_the_jitter_branch():
     mm_space = ParameterSpace(make_setup("mm", WESTMERE).skeleton().parameters)
     for space in (_categorical_space(), mm_space):
         full = space.full_boundary()
-        points = space.sample(np.random.default_rng(0), 2)
+        points = oracle.space_sample(space, np.random.default_rng(0), 2)
         pop = _population(space, np.repeat(points[:1], 30, axis=0), [(1.0, 1.0)] * 30)
         assert check_propose(_gde3(space), pop, full, seed=9) == 30
         pop = _population(space, np.tile(points, (15, 1)), [(1.0, 2.0), (2.0, 1.0)] * 15)

@@ -32,6 +32,7 @@ from repro.optimizer.rsgde3 import RSGDE3Settings
 from repro.transform import default_skeleton
 from repro.transform.skeleton import Parameter
 from repro.util.rng import derive_rng
+from tests.optimizer_oracle import space_sample
 
 
 def make_problem(seed=0, machine=WESTMERE, n=512, kernel="mm"):
@@ -57,7 +58,7 @@ class TestParameterSpace:
     def test_sample_within_domain(self):
         p = make_problem()
         rng = derive_rng(0)
-        samples = p.space.sample(rng, 50)
+        samples = space_sample(p.space, rng, 50)
         for row in samples:
             for val, param in zip(row, p.space.parameters):
                 lo, hi = param.span()

@@ -173,7 +173,7 @@ REF = np.array([12.0, 12.0])
 
 
 def _configs(rng, objs) -> list[Configuration]:
-    vecs = SPACE.sample(rng, len(objs))
+    vecs = oracle.space_sample(SPACE, rng, len(objs))
     return [
         Configuration.make(dict(zip(SPACE.names, map(int, v))), tuple(map(float, o)))
         for v, o in zip(vecs, objs)
