@@ -201,8 +201,9 @@ def test_perf_gde3_propose_draws(setup):
     against the same code calling ``Generator.choice``, ``integers``,
     ``random`` and ``uniform`` (the frozen copy in
     ``tests/optimizer_oracle.py``), at NP = 30 inside a rough-set box: the
-    same trials and generator state, and at least 1.8x faster.  Generators
-    are built before the clock starts, so only ``propose`` is timed."""
+    same trials and generator state, and at least 1.8x faster in the median
+    of 60 paired timings.  Generators are built before the clock starts, so
+    only ``propose`` is timed."""
     problem = setup.problem(seed=7)
     gde3 = GDE3(problem)
     full = problem.space.full_boundary()
@@ -222,19 +223,22 @@ def test_perf_gde3_propose_draws(setup):
     assert new.tobytes() == oracle(pop, box, old_rng).tobytes()
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
-    def per_call(propose, number=20):
+    def per_call(propose, number=10):
         rngs = iter([fresh() for _ in range(number)])
         return timeit.timeit(lambda: propose(pop, box, next(rngs)), number=number) / number
 
-    new_s = old_s = float("inf")
-    for _ in range(7):  # interleaved, so host drift hits both sides
-        new_s = min(new_s, per_call(gde3.propose))
-        old_s = min(old_s, per_call(oracle))
+    # each ratio times both sides back to back, so host load that lasts
+    # longer than a pair cancels; the median drops the pairs it split
+    new_s, old_s = [], []
+    for _ in range(60):
+        new_s.append(per_call(gde3.propose))
+        old_s.append(per_call(oracle))
+    ratio = statistics.median(o / n for o, n in zip(old_s, new_s))
     print(
-        f"\npropose NP=30, raw-stream draws: {new_s * 1e3:.3f} ms, "
-        f"Generator calls {old_s * 1e3:.3f} ms ({old_s / new_s:.2f}x)"
+        f"\npropose NP=30, raw-stream draws: {min(new_s) * 1e3:.3f} ms, "
+        f"Generator calls {min(old_s) * 1e3:.3f} ms (median ratio {ratio:.2f}x)"
     )
-    assert old_s / new_s >= 1.8
+    assert ratio >= 1.8
 
 
 def test_perf_evaluate_batch_bookkeeping(benchmark, setup):

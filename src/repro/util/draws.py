@@ -36,6 +36,7 @@ import numpy as np
 __all__ = ["Draws"]
 
 _MASK32 = 0xFFFFFFFF
+_BLOCK = 256  # raw values read per refill
 _TO_DOUBLE = 1.0 / 9007199254740992.0  # 2**-53
 
 
@@ -50,17 +51,17 @@ class Draws:
             cross = draws.randoms(dim)
 
     Between entering and leaving, nothing else may draw from *rng*.  Raw
-    values are read *block* at a time; each block is split once, as
-    arrays, into its 32-bit halves (low first) and its doubles, so most
-    draws are list lookups or slices.
+    values are read 256 at a time; each block is split once, as arrays,
+    into its 32-bit halves (low first) and its doubles, so most draws are
+    list lookups or slices.
     """
 
     __slots__ = (
         "_bg", "_saved", "_has32", "_u32", "_raw", "_halves", "_doubles",
-        "_pos", "_end", "_drawn", "_block",
+        "_pos", "_end", "_drawn",
     )
 
-    def __init__(self, rng: np.random.Generator, block: int = 256) -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         bg = rng.bit_generator
         if not isinstance(bg, np.random.PCG64):
             raise TypeError(f"Draws replays PCG64 streams, not {type(bg).__name__}")
@@ -72,7 +73,6 @@ class Draws:
         self._halves: list[int] = []
         self._doubles: list[float] = []
         self._pos = self._end = self._drawn = 0
-        self._block = block
 
     def __enter__(self) -> "Draws":
         return self
@@ -100,13 +100,13 @@ class Draws:
     # -- the raw stream --------------------------------------------------
 
     def _refill(self) -> None:
-        raw = self._bg.random_raw(self._block)
+        raw = self._bg.random_raw(_BLOCK)
         self._raw = raw
         # low half first on any host: view the little-endian bytes
         self._halves = raw.astype("<u8", copy=False).view("<u4").tolist()
         self._doubles = ((raw >> np.uint64(11)) * _TO_DOUBLE).tolist()
-        self._pos, self._end = 0, self._block
-        self._drawn += self._block
+        self._pos, self._end = 0, _BLOCK
+        self._drawn += _BLOCK
 
     def _take(self, count: int) -> np.ndarray:
         """The next *count* raw values as a uint64 array: the rest of the

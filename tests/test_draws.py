@@ -23,6 +23,7 @@ from repro.optimizer import GDE3, Boundary, Configuration, ParameterSpace
 from repro.optimizer.nsga2 import NSGA2
 from repro.optimizer.roughset import rough_set_boundary
 from repro.transform.skeleton import Parameter
+from repro.util.draws import _BLOCK as BLOCK
 from repro.util.draws import Draws
 from tests import optimizer_oracle as oracle
 from tests.test_optimizer_oracle import CountingRNG
@@ -50,13 +51,23 @@ def pair(seed: int, buffered: bool = False):
 # ------------------------------------------------------------ the transforms
 
 
+def skip_to_refill(draws: Draws, old: np.random.Generator, before: int) -> None:
+    """Draw doubles on both sides until *before* raw values are left in the
+    replay's first block, so that its refill falls inside the draws that
+    follow."""
+    draws.randoms(BLOCK - before)
+    old.random(BLOCK - before)
+
+
 def test_integers_match_including_rejection_and_full_range():
     """Lemire's bounded draw: a one-value range draws nothing, ranges near
-    2**32 reject often, and ``2**32`` itself is a plain 32-bit draw."""
+    2**32 reject often, and ``2**32`` itself is a plain 32-bit draw.  The
+    block refill falls at every point of the 45 draws."""
     bounds = [1, 2, 3, 7, 29, 1000, 3_000_000_000, 2**32 - 1, 2**32]
     for seed in range(40):
         new, old = pair(seed, buffered=seed % 2 == 1)
-        with Draws(new, block=3) as draws:
+        with Draws(new) as draws:
+            skip_to_refill(draws, old, seed % 20)  # 45 draws take >= 20 raw values
             got = [draws.integers(k) for k in bounds * 5]
         assert got == [int(old.integers(k)) for k in bounds * 5]
         assert_same_stream(new, old)
@@ -64,11 +75,13 @@ def test_integers_match_including_rejection_and_full_range():
 
 def test_choice3_matches_floyd_and_shuffle():
     """Every population 3–64 (3 draws one index fewer: its first Floyd
-    step has a single value), large ones, and ranges that reject."""
+    step has a single value), large ones, and ranges that reject; the
+    block refill falls at every point of the sequence."""
     sizes = [*range(3, 65), 10_000, 2**20, 3_000_000_000, 2**32 - 1]
-    for seed in range(25):
+    for seed in range(166):  # the sequence takes >= 165 raw values
         new, old = pair(seed, buffered=seed % 3 == 0)
-        with Draws(new, block=5) as draws:
+        with Draws(new) as draws:
+            skip_to_refill(draws, old, seed)
             got = [draws.choice3(n) for n in sizes]
         assert got == [old.choice(n, 3, replace=False).tolist() for n in sizes]
         assert_same_stream(new, old)
@@ -77,13 +90,14 @@ def test_choice3_matches_floyd_and_shuffle():
 
 
 def test_mixed_draws_across_block_refills():
-    """Every method interleaved, with blocks of 1–9 raw values so that the
-    stream is refilled many times and array draws start mid-block."""
+    """Every method interleaved, with the block refill at every point of
+    the sequence, so that each kind of draw meets it, array draws included
+    (they take the rest of the block plus fresh values)."""
     lo, hi = np.array([1.0, 0.5, -3.0]), np.array([64.0, 24.0, 7.0])
-    for seed in range(60):
-        block = 1 + seed % 9
+    for seed in range(110):  # the sequence takes >= 108 raw values
         new, old = pair(seed, buffered=seed % 2 == 0)
-        with Draws(new, block=block) as draws:
+        with Draws(new) as draws:
+            skip_to_refill(draws, old, seed)
             got = []
             for k in range(6):
                 got.append(draws.choice3(5 + k))

@@ -32,7 +32,6 @@ from repro.optimizer.rsgde3 import RSGDE3Settings
 from repro.transform import default_skeleton
 from repro.transform.skeleton import Parameter
 from repro.util.rng import derive_rng
-from tests.optimizer_oracle import space_sample
 
 
 def make_problem(seed=0, machine=WESTMERE, n=512, kernel="mm"):
@@ -58,11 +57,13 @@ class TestParameterSpace:
     def test_sample_within_domain(self):
         p = make_problem()
         rng = derive_rng(0)
-        samples = space_sample(p.space, rng, 50)
+        samples = p.space.full_boundary().sample(rng, 50)
+        assert samples.shape == (50, p.space.dim)
         for row in samples:
             for val, param in zip(row, p.space.parameters):
                 lo, hi = param.span()
                 assert lo <= val <= hi
+                assert val in param.choices if param.is_categorical else val == int(val)
 
     def test_cardinality(self):
         space = ParameterSpace((Parameter("a", 1, 10), Parameter("b", 1, 5, choices=(1, 3, 5))))
