@@ -2,8 +2,10 @@
 
 RS-GDE3 at the ``repro tune`` defaults (seed 0, run seed 0, default
 sizes, serial evaluation) for the five Table VI kernels on both machines,
-the jacobi-2d multi-region run, one NSGA-II run and the mm brute-force
-sweep on Westmere (the Fig. 9 reference front), compared with ``==``
+with each cell's untiled sequential baseline time, the tri-objective
+(time, resources, energy) mm run on Westmere, the jacobi-2d multi-region
+run, one NSGA-II run and the mm brute-force sweep on Westmere (the
+Fig. 9 reference front), compared with ``==``
 against ``tests/golden/results.json``.  A refactor of the optimizer loop,
 the evaluation engine or the cost model must leave every value unchanged;
 floats are pinned as ``float.hex`` and fronts and convergence traces as
@@ -16,6 +18,7 @@ Regenerate the file only for a change that is meant to move the science::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -69,8 +72,23 @@ def _pin(result, boundary: bool = True) -> dict:
     return pin
 
 
+@functools.lru_cache(maxsize=None)
+def _tuned(kernel: str, machine):
+    return TuningDriver(machine=machine).tune_kernel(kernel)
+
+
 def rsgde3_case(kernel: str, machine) -> dict:
-    return _pin(TuningDriver(machine=machine).tune_kernel(kernel).result)
+    return _pin(_tuned(kernel, machine).result)
+
+
+def baseline_case(kernel: str, machine) -> str:
+    """The untiled sequential time (the "-O3" row) of a Table VI cell."""
+    return float(_tuned(kernel, machine).baseline_time).hex()
+
+
+def energy_case() -> dict:
+    result = TuningDriver(machine=WESTMERE).tune_kernel("mm", with_energy=True).result
+    return _pin(result, boundary=False)
 
 
 def nsga2_case() -> dict:
@@ -115,6 +133,12 @@ def compute() -> dict:
             for m in MACHINES
             for k in EXPERIMENT_KERNELS
         },
+        "baseline_time": {
+            f"{k}/{m.name}": baseline_case(k, m)
+            for m in MACHINES
+            for k in EXPERIMENT_KERNELS
+        },
+        "energy": {"mm/Westmere": energy_case()},
         "nsga2": {"mm/Westmere": nsga2_case()},
         "brute_force": {"mm/Westmere": brute_force_case()},
         "multiregion": {"jacobi2d/Westmere": multiregion_case()},
@@ -130,6 +154,16 @@ def golden() -> dict:
 @pytest.mark.parametrize("kernel", EXPERIMENT_KERNELS)
 def test_rsgde3_table6_cell(golden, kernel, machine):
     assert rsgde3_case(kernel, machine) == golden["rsgde3"][f"{kernel}/{machine.name}"]
+
+
+@pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+@pytest.mark.parametrize("kernel", EXPERIMENT_KERNELS)
+def test_baseline_time(golden, kernel, machine):
+    assert baseline_case(kernel, machine) == golden["baseline_time"][f"{kernel}/{machine.name}"]
+
+
+def test_energy_mm(golden):
+    assert energy_case() == golden["energy"]["mm/Westmere"]
 
 
 def test_nsga2_mm(golden):
