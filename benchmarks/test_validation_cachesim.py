@@ -27,6 +27,7 @@ from repro.machine import CacheHierarchy
 from repro.machine.cache import AddressTraceRecorder
 from repro.machine.model import CacheLevel, MachineModel
 from repro.transform import replace_at_path, tile
+from tests.cost_oracle import ScalarCostModel
 
 N = 24
 TILE_SIZES = [2, 4, 6, 8, 12, 24]
@@ -66,7 +67,7 @@ def simulated_l1_bytes(tiles: dict[str, int] | None) -> int:
 def analytic_l1_bytes(tiles: dict[str, int] | None) -> float:
     k = get_kernel("mm")
     region = extract_regions(k.function)[0]
-    m = RegionCostModel(region, {"N": N}, TINY)
+    m = ScalarCostModel(RegionCostModel(region, {"N": N}, TINY))
     t = {v: (tiles or {}).get(v, N) for v in m.band}
     t = {v: min(max(1, x), N) for v, x in t.items()}
     trips = {v: math.ceil(N / t[v]) for v in m.band}

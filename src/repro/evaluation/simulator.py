@@ -5,28 +5,36 @@ with run-to-run measurement noise and the median-of-k protocol the paper
 uses (§V-B1).  Noise is *hash-derived*: each (configuration, repetition)
 pair maps through a keyed blake2b hash to a uniform variate, which the
 inverse normal CDF turns into a lognormal factor.  This makes measurements
-fully deterministic, independent of evaluation order, and identical between
-the scalar and the vectorized batch paths.
+fully deterministic and independent of evaluation order and of how a batch
+is split.
 
-The target also keeps the evaluation ledger: ``evaluations`` is the metric
+There is one measurement path: :meth:`SimulatedTarget.compute_keys`
+measures a batch of canonical keys purely, with one cost-model call for
+the whole batch, and the
+:class:`~repro.evaluation.parallel_eval.EvaluationEngine` runs it between
+its ledger lookup, disk-cache read, commit and disk-cache write.  Tuning
+problems reach it through the engine, for a single configuration too; the
+target itself never evaluates on a read
+(:meth:`~SimulatedTarget.cached_objectives` and
+:meth:`~SimulatedTarget.measurement` only read the ledger).
+
+The target keeps the evaluation ledger: ``evaluations`` is the metric
 ``E`` of the paper's Table VI ("the number of points evaluated for obtaining
 a solution set").  Results are memoized per configuration — re-querying a
 known configuration hits the cache, mirroring an auto-tuner that records
 its history.
 
-The ledger is **thread-safe**: measurement itself is pure (see
-:meth:`SimulatedTarget.compute_keys`) and all ledger mutation goes through
-the locked :meth:`SimulatedTarget.commit`, so concurrent evaluators —
-external callers as well as the
-:class:`~repro.evaluation.parallel_eval.EvaluationEngine` worker pool —
-can never lose ``E`` increments or double-count a configuration.
+The ledger is **thread-safe**: measurement itself is pure and all ledger
+mutation goes through the locked :meth:`SimulatedTarget.commit`, so
+concurrent evaluators — external callers as well as the engine's worker
+pool — can never lose ``E`` increments or double-count a configuration.
 
 Attaching a :class:`~repro.evaluation.disk_cache.MeasurementDiskCache`
-extends the memo across *process* runs: before computing, the target
-consults the on-disk shard keyed by its :meth:`fingerprint` (model,
-machine, seed, noise, protocol); disk hits are committed to the ledger
-like any other measurement, so ``E`` is identical between cold and warm
-caches.  Targets are picklable for the engine's process backend — the
+extends the memo across *process* runs: before computing, the engine
+consults the on-disk shard keyed by the target's :meth:`fingerprint`
+(model, machine, seed, noise, protocol); disk hits are committed to the
+ledger like any other measurement, so ``E`` is identical between cold and
+warm caches.  Targets are picklable for the engine's process backend — the
 pickled state carries only the pure measurement function (model + noise
 parameters), never the ledger, lock, or cache handle.
 """
@@ -44,8 +52,7 @@ from repro.evaluation.cost import RegionCostModel
 from repro.evaluation.measurements import Measurement, MeasurementProtocol
 from repro.evaluation.objectives import Objectives
 from repro.util.ndtri import ndtri
-from repro.util.rng import seed_hasher, spawn_seed
-from repro.util.stats import median
+from repro.util.rng import seed_hasher
 
 __all__ = ["SimulatedTarget"]
 
@@ -177,21 +184,11 @@ class SimulatedTarget:
 
     # -- noise ----------------------------------------------------------
 
-    def _noise_factors(self, key: tuple, reps: int) -> np.ndarray:
-        """Deterministic lognormal factors for each repetition of *key*."""
-        u = np.array(
-            [
-                (spawn_seed(self.seed, key, rep) + 0.5) / _U64
-                for rep in range(reps)
-            ]
-        )
-        return np.exp(self.noise * ndtri(u))
-
     def _noise_factor_matrix(self, keys: Sequence[tuple], reps: int) -> np.ndarray:
-        """(len(keys), reps) lognormal factors in one batch, bit-identical
-        to stacking :meth:`_noise_factors` per key (asserted by
-        ``tests/test_evaluation.py``): the inverse-CDF / exp transform runs
-        elementwise over :meth:`_noise_uniforms`."""
+        """(len(keys), reps) lognormal factors ``exp(noise · ndtri(u))`` of
+        one batch, elementwise over :meth:`_noise_uniforms` (the per-key,
+        per-repetition definition is restated in
+        ``tests/test_evaluation.py``)."""
         return np.exp(self.noise * ndtri(self._noise_uniforms(keys, reps)))
 
     def _noise_uniforms(self, keys: Sequence[tuple], reps: int) -> np.ndarray:
@@ -229,15 +226,23 @@ class SimulatedTarget:
         pipeline: because the noise is hash-derived per (key, repetition),
         the result of a key is independent of evaluation order and of how a
         batch is partitioned across workers, so any chunking of *keys* is
-        bit-identical to one bulk call (``time_batch`` is row-elementwise).
+        bit-identical to one bulk call (``time_batch`` and ``energy_batch``
+        are row-elementwise).  With ``measure_energy`` one ``energy_batch``
+        call gives the whole batch's times and energies.
         Callers are responsible for recording results via :meth:`commit`.
         """
         if not len(keys):
             return []
         matrix = np.array(keys, dtype=np.int64)
-        true_times = np.asarray(
-            self.model.time_batch(matrix[:, :-1], matrix[:, -1], collapsed=self.collapsed)
-        )
+        tiles, threads = matrix[:, :-1], matrix[:, -1]
+        if self.measure_energy:
+            true_times, true_energies = self.model.energy_batch(
+                tiles, threads, collapsed=self.collapsed
+            )
+            true_energies = true_energies.tolist()
+        else:
+            true_times = self.model.time_batch(tiles, threads, collapsed=self.collapsed)
+            true_energies = [None] * len(keys)
         reps = self.protocol.repetitions
         overhead = self.protocol.overhead_s
         if overhead > 0:
@@ -251,17 +256,13 @@ class SimulatedTarget:
         samples = true_times[:, None] * factors
         medians = np.median(samples, axis=1).tolist()
         out = []
-        for key, value, row, true_time in zip(
-            keys, medians, samples.tolist(), true_times.tolist()
+        for key, value, row, true_time, true_energy in zip(
+            keys, medians, samples.tolist(), true_times.tolist(), true_energies
         ):
             energy = None
-            if self.measure_energy:
+            if true_energy is not None:
                 # energy measurements share the run's jitter: scale the
                 # model energy by the same median noise factor as the time
-                tile_map = {v: int(x) for v, x in zip(self.band, key[:-1])}
-                true_energy = self.model.energy(
-                    tile_map, int(key[-1]), collapsed=self.collapsed
-                )
                 energy = true_energy * (value / true_time)
             out.append((
                 Objectives(time=value, threads=int(key[-1]), energy=energy),
@@ -294,70 +295,6 @@ class SimulatedTarget:
             self._measurements[key] = measurement
             return True
 
-    # -- single-configuration path ---------------------------------------
-
-    def evaluate(self, tile_sizes: dict[str, int], threads: int) -> Objectives:
-        """Measure a configuration (median of k noisy runs); memoized.
-
-        Safe to call from multiple threads: computation happens outside the
-        lock (it is pure and deterministic, so a racing double-compute
-        yields the same value) and :meth:`commit` arbitrates the ledger.
-        """
-        key = self.config_key(tile_sizes, threads)
-        hit = self.lookup(key)
-        if hit is not None:
-            return hit
-        disk = self.disk_fetch_many([key]).get(key)
-        if disk is not None:
-            self.commit(key, *disk)
-            return self.lookup(key)
-        if self.protocol.overhead_s > 0:
-            _time.sleep(self.protocol.overhead_s)
-
-        true_time = self.model.time(tile_sizes, threads, collapsed=self.collapsed)
-        factors = self._noise_factors(key, self.protocol.repetitions)
-        samples = tuple((true_time * factors).tolist())
-        measurement = Measurement(value=median(samples), samples=samples)
-        energy = None
-        if self.measure_energy:
-            # energy measurements share the run's jitter: scale the model
-            # energy by the same median noise factor as the time
-            true_energy = self.model.energy(tile_sizes, threads, collapsed=self.collapsed)
-            energy = true_energy * (measurement.value / true_time)
-        obj = Objectives(time=measurement.value, threads=int(threads), energy=energy)
-        self.commit(key, obj, measurement)
-        self.disk_store_many([(key, obj, measurement)])
-        return self.lookup(key)
-
-    # -- batch path -------------------------------------------------------
-
-    def evaluate_batch(
-        self, tiles: np.ndarray, threads: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized evaluation of B configurations.
-
-        :param tiles: int array (B, len(band)) in band order.
-        :param threads: int array (B,).
-        :returns: measured (median-of-k noisy) times, float array (B,).
-
-        Duplicates (within the batch or against the memo cache) are
-        deduplicated before computation, so every configuration is counted
-        in the ledger exactly once across both paths; results agree
-        bit-for-bit with :meth:`evaluate`.
-        """
-        keys = self.keys_of(tiles, threads)
-        pending = dict.fromkeys(k for k in keys if self.lookup(k) is None)
-        disk = self.disk_fetch_many(list(pending))
-        for key, hit in disk.items():
-            self.commit(key, *hit)
-        to_compute = [key for key in pending if key not in disk]
-        computed = []
-        for key, result in zip(to_compute, self.compute_keys(to_compute)):
-            self.commit(key, *result)
-            computed.append((key, *result))
-        self.disk_store_many(computed)
-        return np.array([self.lookup(key).time for key in keys])
-
     def cached_objectives(self, tile_sizes: dict[str, int], threads: int) -> Objectives:
         """The full Objectives record of an evaluated configuration."""
         key = self.config_key(tile_sizes, threads)
@@ -373,8 +310,14 @@ class SimulatedTarget:
         return self.model.time(tile_sizes, threads, collapsed=self.collapsed)
 
     def measurement(self, tile_sizes: dict[str, int], threads: int) -> Measurement:
-        self.evaluate(tile_sizes, threads)
-        return self._measurements[self.config_key(tile_sizes, threads)]
+        """The raw samples of an evaluated configuration (a ledger read,
+        like :meth:`cached_objectives`: it never evaluates)."""
+        key = self.config_key(tile_sizes, threads)
+        with self._lock:
+            hit = self._measurements.get(key)
+        if hit is None:
+            raise KeyError(f"configuration {key} has not been evaluated")
+        return hit
 
     def reset_ledger(self) -> None:
         """Clear the evaluation count and cache (fresh experiment run)."""

@@ -113,10 +113,9 @@ class TuningProblem:
         return tiles, threads
 
     def evaluate(self, values: dict[str, int]) -> Configuration:
-        tiles, threads = self.split_values(values)
-        obj = self.target.evaluate(tiles, threads)
-        vec = obj.vector3() if self.tri_objective else obj.vector()
-        return Configuration.make(values, vec)
+        """One configuration, given a value for every parameter: a B = 1
+        :meth:`evaluate_batch`."""
+        return self.evaluate_batch(np.array([[values[n] for n in self.space.names]]))[0]
 
     @cached_property
     def _columns(self) -> tuple:

@@ -90,10 +90,9 @@ class SkeletonChoiceProblem:
         return self.sub_problems[0].target
 
     def evaluate(self, values: dict[str, int]) -> Configuration:
-        idx = int(values.get("skeleton", 0))
-        sub = self.sub_problems[idx]
-        cfg = sub.evaluate({k: v for k, v in values.items() if k != "skeleton"})
-        return Configuration.make(values, cfg.objectives)
+        """One configuration, given a value for every parameter: a B = 1
+        :meth:`evaluate_batch`."""
+        return self.evaluate_batch(np.array([[values[n] for n in self.space.names]]))[0]
 
     def evaluate_batch(self, vectors: np.ndarray) -> list[Configuration]:
         vectors = np.asarray(vectors)

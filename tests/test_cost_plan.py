@@ -23,6 +23,7 @@ from repro.evaluation.cost import RegionCostModel
 from repro.evaluation.simulator import SimulatedTarget
 from repro.frontend.kernels import get_kernel
 from repro.machine.model import BARCELONA, LAPTOP, SERVER2S, WESTMERE
+from tests.cost_oracle import ScalarCostModel
 from tests.cost_oracle import time_batch as oracle_time_batch
 
 MACHINES = (WESTMERE, BARCELONA, LAPTOP, SERVER2S)
@@ -114,9 +115,10 @@ def test_plan_matches_oracle_beyond_2_to_the_53():
     # the scalar traffic of the innermost unit really is beyond exact range
     t = {v: 1 for v in model.band}
     trips = {v: N for v in model.band}
-    units = model._unit_spans(t)
+    scalar = ScalarCostModel(model)
+    units = scalar._unit_spans(t)
     n = len(model.band)
-    assert model._unit_traffic(units[n], n, t, trips, 64) > 2**53
+    assert scalar._unit_traffic(units[n], n, t, trips, 64) > 2**53
     for threads in (np.ones(5, dtype=np.int64), np.full(5, 12), np.arange(1, 6)):
         _assert_same(model, tiles, threads, "mm N=2^20")
     rng = np.random.default_rng(11)

@@ -37,6 +37,12 @@ def as_keys(target, configs):
     return [target.config_key(tiles, threads) for tiles, threads in configs]
 
 
+def measure(target, tiles, threads):
+    """One configuration through the evaluation engine (a B = 1 batch)."""
+    key = target.config_key(tiles, threads)
+    return EvaluationEngine(target).evaluate_batch([key]).objectives[0]
+
+
 def _configs(target, n=60, seed=1):
     rng = np.random.default_rng(seed)
     return [
@@ -98,32 +104,31 @@ class TestRoundTrip:
         plain = _target(mm_model)
         ref = EvaluationEngine(plain).evaluate_batch(as_keys(plain, configs))
 
-        _target(mm_model, tmp_path).evaluate_batch(
-            np.array(
-                [[t[v] for v in plain.band] for t, _ in configs], dtype=np.int64
-            ),
-            np.array([thr for _, thr in configs], dtype=np.int64),
-        )
+        cold = _target(mm_model, tmp_path)
+        EvaluationEngine(cold).evaluate_batch(as_keys(cold, configs))
         warm = _target(mm_model, tmp_path)
         got = EvaluationEngine(warm, max_workers=2).evaluate_batch(
             as_keys(warm, configs)
         )
         assert got.objectives == ref.objectives
 
-    def test_scalar_evaluate_uses_disk(self, mm_model, tmp_path):
+    def test_single_configuration_uses_disk(self, mm_model, tmp_path):
         t1 = _target(mm_model, tmp_path)
-        obj1 = t1.evaluate({"i": 64, "j": 64, "k": 8}, 4)
+        obj1 = measure(t1, {"i": 64, "j": 64, "k": 8}, 4)
         t2 = _target(mm_model, tmp_path)
-        obj2 = t2.evaluate({"i": 64, "j": 64, "k": 8}, 4)
+        obj2 = measure(t2, {"i": 64, "j": 64, "k": 8}, 4)
         assert obj1 == obj2
         assert t2.disk_cache.hits == 1
         assert t2.evaluations == 1
 
     def test_samples_round_trip_exactly(self, mm_model, tmp_path):
         t1 = _target(mm_model, tmp_path)
+        measure(t1, {"i": 50, "j": 50, "k": 50}, 8)
         m1 = t1.measurement({"i": 50, "j": 50, "k": 50}, 8)
         t2 = _target(mm_model, tmp_path)
+        measure(t2, {"i": 50, "j": 50, "k": 50}, 8)
         m2 = t2.measurement({"i": 50, "j": 50, "k": 50}, 8)
+        assert t2.disk_cache.hits == 1
         assert m1 == m2  # value and every sample, bit-identical
 
 
@@ -144,24 +149,24 @@ class TestKeying:
         import json
 
         target = _target(mm_model, tmp_path, schema=2)
-        target.evaluate({"i": 32, "j": 32, "k": 32}, 4)
+        measure(target, {"i": 32, "j": 32, "k": 32}, 4)
         (shard,) = tmp_path.glob("*.jsonl")
         header = json.loads(shard.read_text().splitlines()[0])
         assert header["schema"] == 2
 
     def test_seed_separates_shards(self, mm_model, tmp_path):
         t1 = _target(mm_model, tmp_path, seed=7)
-        t1.evaluate({"i": 32, "j": 32, "k": 32}, 4)
+        measure(t1, {"i": 32, "j": 32, "k": 32}, 4)
         t2 = _target(mm_model, tmp_path, seed=8)
-        t2.evaluate({"i": 32, "j": 32, "k": 32}, 4)
+        measure(t2, {"i": 32, "j": 32, "k": 32}, 4)
         assert t2.disk_cache.hits == 0  # different noise seed, new shard
 
     def test_noise_and_energy_separate_shards(self, mm_model, tmp_path):
         base = _target(mm_model, tmp_path)
-        base.evaluate({"i": 32, "j": 32, "k": 32}, 4)
+        measure(base, {"i": 32, "j": 32, "k": 32}, 4)
         for kw in ({"noise": 0.05}, {"measure_energy": True}):
             other = _target(mm_model, tmp_path, **kw)
-            other.evaluate({"i": 32, "j": 32, "k": 32}, 4)
+            measure(other, {"i": 32, "j": 32, "k": 32}, 4)
             assert other.disk_cache.hits == 0, kw
 
     def test_machine_separates_fingerprints(self, mm_model):
@@ -187,14 +192,14 @@ class TestKeying:
 class TestRobustness:
     def test_corrupt_lines_are_skipped(self, mm_model, tmp_path):
         t1 = _target(mm_model, tmp_path)
-        t1.evaluate({"i": 32, "j": 32, "k": 32}, 4)
-        t1.evaluate({"i": 64, "j": 64, "k": 64}, 8)
+        measure(t1, {"i": 32, "j": 32, "k": 32}, 4)
+        measure(t1, {"i": 64, "j": 64, "k": 64}, 8)
         (shard_path,) = list(tmp_path.glob("*.jsonl"))
         with open(shard_path, "a", encoding="utf-8") as fh:
             fh.write("{truncated\n")
             fh.write('{"k": "not-a-list", "v": 1.0, "s": []}\n')
         t2 = _target(mm_model, tmp_path)
-        assert t2.evaluate({"i": 32, "j": 32, "k": 32}, 4) == t1.lookup(
+        assert measure(t2, {"i": 32, "j": 32, "k": 32}, 4) == t1.lookup(
             t1.config_key({"i": 32, "j": 32, "k": 32}, 4)
         )
         assert t2.disk_cache.hits == 1
@@ -209,7 +214,7 @@ class TestRobustness:
         def item(threads):
             tiles = {"i": 32, "j": 32, "k": 32}
             key = t.config_key(tiles, threads)
-            return key, t.evaluate(tiles, threads), t.measurement(tiles, threads)
+            return key, measure(t, tiles, threads), t.measurement(tiles, threads)
 
         first, second = item(4), item(8)
         MeasurementDiskCache(tmp_path).store_many(fp, [first])
@@ -224,23 +229,23 @@ class TestRobustness:
 
     def test_missing_directory_is_fine(self, mm_model, tmp_path):
         t = _target(mm_model, tmp_path / "does" / "not" / "exist" / "yet")
-        t.evaluate({"i": 32, "j": 32, "k": 32}, 4)
+        measure(t, {"i": 32, "j": 32, "k": 32}, 4)
         assert t.disk_cache.stores == 1
 
     def test_store_is_idempotent(self, mm_model, tmp_path):
         cache = MeasurementDiskCache(tmp_path)
         t = SimulatedTarget(mm_model, seed=7, disk_cache=cache)
-        t.evaluate({"i": 32, "j": 32, "k": 32}, 4)
+        measure(t, {"i": 32, "j": 32, "k": 32}, 4)
         key = t.config_key({"i": 32, "j": 32, "k": 32}, 4)
         item = (key, t.lookup(key), t.measurement({"i": 32, "j": 32, "k": 32}, 4))
         assert t.disk_store_many([item]) == 0  # already present
 
     def test_energy_round_trips(self, mm_model, tmp_path):
         t1 = _target(mm_model, tmp_path, measure_energy=True)
-        obj1 = t1.evaluate({"i": 48, "j": 48, "k": 48}, 8)
+        obj1 = measure(t1, {"i": 48, "j": 48, "k": 48}, 8)
         assert obj1.energy is not None
         t2 = _target(mm_model, tmp_path, measure_energy=True)
-        obj2 = t2.evaluate({"i": 48, "j": 48, "k": 48}, 8)
+        obj2 = measure(t2, {"i": 48, "j": 48, "k": 48}, 8)
         assert obj2 == obj1 and obj2.energy == obj1.energy
 
 
@@ -251,7 +256,7 @@ class TestConcurrency:
         import threading
 
         target = _target(mm_model, tmp_path)
-        target.evaluate({"i": 32, "j": 32, "k": 32}, 4)  # one stored key
+        measure(target, {"i": 32, "j": 32, "k": 32}, 4)  # one stored key
         cache, fp = target.disk_cache, target.fingerprint()
         hit_key = target.config_key({"i": 32, "j": 32, "k": 32}, 4)
         cache.hits = cache.misses = 0
@@ -360,7 +365,7 @@ class TestPickling:
         import pickle
 
         t = _target(mm_model, tmp_path)
-        t.evaluate({"i": 32, "j": 32, "k": 32}, 4)
+        measure(t, {"i": 32, "j": 32, "k": 32}, 4)
         clone = pickle.loads(pickle.dumps(t))
         assert clone.evaluations == 0
         assert clone.disk_cache is None

@@ -9,7 +9,7 @@ import pytest
 from repro.analysis import extract_regions
 from repro.backend.meta import VersionMeta
 from repro.driver import TuningDriver
-from repro.evaluation import RegionCostModel, SimulatedTarget
+from repro.evaluation import EvaluationEngine, RegionCostModel, SimulatedTarget
 from repro.frontend import get_kernel
 from repro.machine import BARCELONA, WESTMERE
 from repro.optimizer import (
@@ -87,7 +87,8 @@ class TestExtremeNoise:
         region = extract_regions(k.function)[0]
         model = RegionCostModel(region, {"N": 300}, WESTMERE)
         target = SimulatedTarget(model, seed=0, noise=0.0)
-        obj = target.evaluate({"i": 16, "j": 16, "k": 16}, 4)
+        key = target.config_key({"i": 16, "j": 16, "k": 16}, 4)
+        (obj,) = EvaluationEngine(target).evaluate_batch([key]).objectives
         assert obj.time == pytest.approx(model.time({"i": 16, "j": 16, "k": 16}, 4))
 
 
@@ -147,13 +148,17 @@ class TestMinimalTables:
 class TestLedgerConsistency:
     def test_batch_then_single_consistent(self):
         """A config first measured in a batch returns the identical value
-        when re-queried through the scalar path."""
+        when re-queried as a single configuration, without a second
+        evaluation."""
         k = get_kernel("mm")
         region = extract_regions(k.function)[0]
-        model = RegionCostModel(region, {"N": 200}, WESTMERE)
-        target = SimulatedTarget(model, seed=12)
-        tiles = np.array([[16, 32, 8]])
-        batch_time = target.evaluate_batch(tiles, np.array([4]))[0]
-        single = target.evaluate({"i": 16, "j": 32, "k": 8}, 4)
-        assert single.time == batch_time
-        assert target.evaluations == 1
+        sk = default_skeleton(region, {"N": 200}, 8)
+        model = RegionCostModel(region, {"N": 200}, WESTMERE,
+                                parallel_spec=sk.parallel_spec())
+        problem = TuningProblem.from_skeleton(sk, SimulatedTarget(model, seed=12))
+        values = {"tile_i": 16, "tile_j": 32, "tile_k": 8, "threads": 4}
+        batch = problem.evaluate_batch(np.array([[values[n] for n in problem.space.names]]))
+        single = problem.evaluate(values)
+        assert single.objectives == batch[0].objectives
+        assert problem.target.cached_objectives({"i": 16, "j": 32, "k": 8}, 4).time == single.time
+        assert problem.evaluations == 1

@@ -161,9 +161,10 @@ class TestConcurrencyStress:
             assert target.evaluations == len(seen)
 
     def test_target_ledger_thread_safe_for_external_callers(self, mm_model):
-        """The satellite bug: concurrent target.evaluate used to lose
-        ``evaluations += 1`` increments and double-count via the
-        check-then-set cache."""
+        """Concurrent single-configuration evaluations by independent
+        callers (one engine each, one shared target) must neither lose
+        ``evaluations += 1`` increments nor double-count a configuration
+        via a check-then-set cache."""
         target = fresh_target(mm_model, seed=3)
         configs = [({"i": 16 * (i % 8 + 1), "j": 64, "k": 8}, 10) for i in range(64)]
         unique = len({target.config_key(t, thr) for t, thr in configs})
@@ -172,8 +173,9 @@ class TestConcurrencyStress:
 
         def worker(chunk):
             barrier.wait()
+            engine = EvaluationEngine(target)
             for tiles, thr in chunk:
-                target.evaluate(tiles, thr)
+                engine.evaluate_batch([target.config_key(tiles, thr)])
 
         threads = [
             threading.Thread(target=worker, args=(configs[i::16],))
