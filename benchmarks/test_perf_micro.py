@@ -5,7 +5,9 @@ pytest-benchmark's statistics to track the framework's own performance:
 the cost model (one configuration, and batches at brute-force and at
 tuning sizes, the latter against the frozen oracle in
 ``tests/cost_oracle.py``), configuration measurement through the engine,
-the noise factors of a tuning batch (against SciPy's ``ndtri`` where it
+``compute_keys`` on a tuning batch and disk-shard load and write (against
+the frozen measurement path in ``tests/measurement_oracle.py``), the
+noise factors of a tuning batch (against SciPy's ``ndtri`` where it
 is installed), one GDE3 generation, GDE3 trial
 construction (against both its per-row NumPy form and its
 ``Generator``-call form), the bookkeeping of one evaluated generation and
@@ -18,6 +20,7 @@ the throughput floors the experiment harness relies on.
 
 from __future__ import annotations
 
+import json
 import statistics
 import timeit
 
@@ -26,6 +29,8 @@ import pytest
 
 from repro.backend.meta import VersionMeta
 from repro.evaluation import EvaluationEngine
+from repro.evaluation.disk_cache import SCHEMA_VERSION, _record_line, _Shard
+from repro.evaluation.measurements import row_measurement, row_objectives
 from repro.experiments import make_setup
 from repro.machine import WESTMERE
 from repro.optimizer import GDE3, hypervolume, rough_set_boundary
@@ -35,6 +40,8 @@ from repro.runtime import Version, VersionTable, compile_policy, policy_by_name
 from repro.util.ndtri import ndtri
 from repro.util.rng import derive_rng
 from tests.cost_oracle import time_batch as oracle_time_batch
+from tests.measurement_oracle import ShardLoader
+from tests.measurement_oracle import compute_keys as oracle_compute_keys
 from tests.optimizer_oracle import evaluate_batch as oracle_evaluate_batch
 from tests.optimizer_oracle import propose as oracle_propose
 from tests.optimizer_oracle import propose_generator_draws as oracle_propose_draws
@@ -110,6 +117,100 @@ def test_perf_measured_evaluation(benchmark, setup):
 
     obj = benchmark(measure_fresh)
     assert obj.time > 0
+
+
+def _interleaved_ratio(new, old, number, rounds=7):
+    """(new s, old s, old/new) per call: medians of *rounds* interleaved
+    timings, so host drift hits both sides."""
+    new_s, old_s = [], []
+    for _ in range(rounds):
+        new_s.append(timeit.timeit(new, number=number) / number)
+        old_s.append(timeit.timeit(old, number=number) / number)
+    new_s, old_s = statistics.median(new_s), statistics.median(old_s)
+    return new_s, old_s, old_s / new_s
+
+
+def test_perf_compute_keys_tuning_size(benchmark, setup):
+    """``compute_keys`` on one tuning batch (28 mm/Westmere keys x 5
+    repetitions): rows that convert to exactly the frozen oracle's
+    ``(Objectives, Measurement)`` pairs (``tests/measurement_oracle.py``:
+    per-key records, ``np.median``, the plan's per-stream and per-level
+    loops), and at least 1.1x faster than it.  Both sides hash the same
+    noise, which bounds the ratio: it read 1.18-1.72, median 1.43, over 5
+    runs of this test on a 2-core container (host probe 2.7-2.9 ms)."""
+    problem = setup.problem(seed=7)
+    target = problem.target
+    _, keys = problem.decode(problem.space.full_boundary().sample(derive_rng(28), 28))
+    assert len(set(keys)) == 28
+
+    rows = benchmark(lambda: target.compute_keys(keys))
+    records = [(row_objectives(k, r), row_measurement(r)) for k, r in zip(keys, rows)]
+    assert records == oracle_compute_keys(target, keys)
+
+    new_s, old_s, ratio = _interleaved_ratio(
+        lambda: target.compute_keys(keys), lambda: oracle_compute_keys(target, keys), 100, 9
+    )
+    print(
+        f"\ncompute_keys B=28: {new_s * 1e6:.0f} us, "
+        f"oracle {old_s * 1e6:.0f} us ({ratio:.2f}x)"
+    )
+    assert ratio >= 1.1
+
+
+def test_perf_disk_shard_io(benchmark, setup, tmp_path):
+    """A shard of about 1,000 mm/Westmere records: loading it is one bulk
+    ``json.loads`` into rows, the same records as the frozen line-by-line
+    loader and at least 1.6x faster than it (2.03-2.46x, median 2.07, over
+    5 runs); its lines are ``json.dumps``' bytes, formatted at least as
+    fast (1.25-1.30x, median 1.27).  Prints the absolute load and store
+    times per record."""
+    problem = setup.problem(seed=7)
+    target = problem.target
+    _, keys = problem.decode(problem.space.full_boundary().sample(derive_rng(3), 1000))
+    keys = list(dict.fromkeys(keys))
+    items = list(zip(keys, target.compute_keys(keys)))
+    assert len(items) > 900
+
+    def store():
+        path = tmp_path / f"store-{next(counter)}.jsonl"
+        _Shard(path, "fp", SCHEMA_VERSION).put_many(items)
+        return path
+
+    def load():
+        shard = _Shard(path, "fp", SCHEMA_VERSION)
+        len(shard)
+        return shard
+
+    counter = iter(range(10**6))
+    path = store()
+    shard = benchmark(load)
+    want = ShardLoader(path, "fp").load()
+    assert {k: (row_objectives(k, r), row_measurement(r)) for k, r in shard._records.items()} == want
+    assert len(want) == len(items)
+
+    load_s, old_load_s, load_ratio = _interleaved_ratio(
+        load, lambda: ShardLoader(path, "fp").load(), 5
+    )
+
+    def dumps():
+        return [
+            json.dumps({"k": list(k), "v": r[0], "s": list(r[1]), "e": r[2]}) for k, r in items
+        ]
+
+    def formatted():
+        return [_record_line(k, r) for k, r in items]
+
+    assert formatted() == dumps()
+    _, _, format_ratio = _interleaved_ratio(formatted, dumps, 5)
+    store_s = min(timeit.repeat(store, number=1, repeat=5))
+    n = len(items)
+    print(
+        f"\nshard of {n}: load {load_s / n * 1e6:.2f} us/record, oracle "
+        f"{old_load_s / n * 1e6:.2f} ({load_ratio:.2f}x); store "
+        f"{store_s / n * 1e6:.2f} us/record; format vs json.dumps {format_ratio:.2f}x"
+    )
+    assert load_ratio >= 1.6
+    assert format_ratio >= 1.0
 
 
 def test_perf_noise_factor_matrix(benchmark, setup):

@@ -32,12 +32,6 @@ class VersionMeta:
     values: tuple[tuple[str, int], ...] = field(default=())
     energy: float | None = None
 
-    @property
-    def efficiency_proxy(self) -> float:
-        """time/resources = 1/threads — a metadata-only efficiency ordering
-        (true efficiency additionally needs the sequential reference)."""
-        return self.time / self.resources if self.resources else 1.0
-
     def objective(self, weights: tuple[float, float]) -> float:
         """Weighted-sum score Σ w_c f_c(v) used by the runtime's default
         selection policy (paper §IV)."""

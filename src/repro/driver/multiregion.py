@@ -206,7 +206,7 @@ class MultiRegionTuner:
                         idx = int(batch.region)
                         st = states[idx]
                         st.tell(st.problem.configurations(
-                            in_flight.pop(idx), batch.objectives
+                            in_flight.pop(idx), batch.keys, batch.rows
                         ))
                     # bounded lag: a region may run ahead of the slowest
                     # unfinished region by at most max_lag generations

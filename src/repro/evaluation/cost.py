@@ -41,7 +41,6 @@ oracle in ``tests/cost_oracle.py``.  Measurement noise is layered on top by
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +50,7 @@ from repro.analysis.polyhedral import AccessFunction, access_functions
 from repro.analysis.regions import TunableRegion
 from repro.machine.model import MachineModel
 from repro.machine.topology import place_threads
+from repro.util.rng import content_hash
 
 __all__ = ["RegionCostModel", "Stream"]
 
@@ -86,22 +86,33 @@ def _footprint(extents: np.ndarray, line_elems: np.ndarray, line_size: int) -> n
 @dataclass(frozen=True, eq=False)
 class _CostPlan:
     """Configuration-independent terms of :meth:`RegionCostModel.time_batch`
-    for S streams of rank <= R over n band vars, as float64 (every value is
-    an exact integer): ``base`` (R, S, 1, 1) ``1 + const_span`` (ranks are
+    for S streams of rank <= R, n band vars and units s = 0..n, as float64
+    holding exact integers: ``base`` (R, S, 1, 1) ``1 + const_span`` (ranks
     front-padded with unit extents), ``coeff`` (R·S, n) each band var's
-    ``|coeff|``, ``weight`` (S, 1, 1), and ``merged`` (S, n+1) the index,
-    into unit s's outer loops (tile loops, then point loops), of the
-    innermost one stream j depends on (0 if none), whose span its footprint
-    absorbs with ``merged_coeff`` (R, S, n+1, 1).  ``by_line`` maps each
-    line size (cache lines, page) to (line_elems (S, 1, 1), compulsory
-    traffic, whole-problem working set)."""
+    ``|coeff|``, ``ext`` (n,) the extents, ``fixed`` (n, n+1, 1) whether
+    unit s fixes var i.  ``merged`` (S, n+1) indexes, into unit s's outer
+    loops (tile loops, then point loops), the innermost one stream j
+    depends on (0 if none), ``span_index`` its span and ``merged_cap`` its
+    extent.  Footprints come in pairs (R, 2, S, n+1, B), the unit's own
+    extents and then with that span absorbed (``merged_coeff``: 0, then its
+    ``|coeff|``), summed over streams with ``weight`` × ``prefix[fetch_rows]``
+    (2, S, n+1, B): 1 for the working set, write weight × refetches for the
+    traffic.  ``by_line`` maps each line size (cache lines, page) to
+    (line_elems (S, 1, 1), compulsory traffic, whole-problem working set);
+    ``fetch_bw`` (levels, 1) holds the fill bandwidths."""
 
     base: np.ndarray
     coeff: np.ndarray
-    weight: np.ndarray
+    ext: np.ndarray
+    fixed: np.ndarray
     merged: np.ndarray
+    span_index: tuple[np.ndarray, np.ndarray]
+    merged_cap: np.ndarray
     merged_coeff: np.ndarray
+    weight: np.ndarray
+    fetch_rows: np.ndarray
     by_line: dict[int, tuple[np.ndarray, float, float]]
+    fetch_bw: np.ndarray
 
 
 class RegionCostModel:
@@ -224,7 +235,7 @@ class RegionCostModel:
         merged = np.maximum(depth, 0)
         weight = np.array([2.0 if st.has_write else 1.0 for st in streams]).reshape(S, 1, 1)
         coeff_flat = coeff.reshape(R * S, n)
-        ext = np.array([self.extent[v] for v in band])
+        ext = np.array([self.extent[v] for v in band], dtype=np.int64)
         whole = base + (coeff_flat @ (ext - 1)).reshape(R, S, 1, 1)
         by_line = {}
         for L in {lv.line_size for lv in machine.levels} | {machine.page_size}:
@@ -235,22 +246,29 @@ class RegionCostModel:
                 comp += w * fp
                 ws += fp
             by_line[L] = line_elems, float(comp), float(ws)
-        merged_coeff = np.where(depth >= 0, coeff[:, np.arange(S)[:, None], merged % n], 0)
-        return _CostPlan(base, coeff_flat, weight, merged, merged_coeff[..., None], by_line)
+        merged_pos = merged % n
+        merged_coeff = np.where(depth >= 0, coeff[:, np.arange(S)[:, None], merged_pos], 0)
+        return _CostPlan(
+            base=base, coeff=coeff_flat, ext=ext,
+            fixed=np.tri(n + 1, n, -1, dtype=bool).T[..., None],
+            merged=merged, span_index=(merged_pos, np.arange(n + 1)),
+            merged_cap=ext[merged_pos][..., None],
+            merged_coeff=np.stack([np.zeros_like(merged_coeff), merged_coeff], axis=1)[..., None],
+            weight=np.stack([np.ones_like(weight), weight]),
+            fetch_rows=np.stack([np.zeros_like(merged), merged]),
+            by_line=by_line,
+            fetch_bw=np.array([[level.fetch_bw] for level in machine.levels], dtype=float),
+        )
 
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
     #
-    # One implementation for B configurations at once, over the
-    # :class:`_CostPlan` built (and never mutated) in ``__init__``.  It is
-    # bit-identical to both oracles in ``tests/cost_oracle.py``: the scalar
-    # per-configuration formulation (time and energy,
-    # ``tests/test_evaluation.py``) and the per-stream, per-level batch
-    # (``tests/test_cost_plan.py``).  Extents are exact integers, and float
-    # operations keep the oracles' order — outer counts' prefix product,
-    # ``(weight × fetches) × bytes``, in-order sums over streams — because
-    # ``fetches × footprint`` can exceed 2^53.
+    # Bit-identical to the oracles in ``tests/cost_oracle.py`` (scalar and
+    # per-stream): extents are exact integers, and float operations keep
+    # the oracles' order — outer counts' prefix product, ``(weight ×
+    # fetches) × bytes``, in-order sums — as ``fetches × footprint`` can
+    # exceed 2^53.
 
     def time_batch(
         self,
@@ -347,9 +365,9 @@ class RegionCostModel:
         if threads.shape != (B,):
             raise ValueError("threads must have shape (B,)")
 
-        ext = np.array([self.extent[v] for v in band], dtype=np.int64)
-        t = np.clip(tiles, 1, ext[None, :])
-        trips = -(-ext[None, :] // t)  # ceil div, (B, n)
+        ext = plan.ext
+        t = np.minimum(np.maximum(tiles, 1), ext)
+        trips = -(-ext // t)  # ceil div, (B, n)
 
         # thread placement (vectorized over the few distinct thread counts)
         cps = machine.cores_per_socket
@@ -366,7 +384,7 @@ class RegionCostModel:
         invocations = np.ones(B)
         if kind == "collapse":
             depth = max(1, min(int(arg or 1), n))
-            par_iters = np.prod(trips[:, :depth], axis=1)
+            par_iters = np.multiply.reduce(trips[:, :depth], axis=1)
         elif kind == "tile":
             par_iters = trips[:, band.index(str(arg))]
         elif kind == "point":
@@ -383,60 +401,59 @@ class RegionCostModel:
 
         # spans per unit (n, n_units, B): unit s fixes the first s band vars
         n_units = n + 1
-        spans = np.where(np.tri(n_units, n, -1, dtype=bool).T[..., None], 1, t.T[:, None])
+        spans = np.where(plan.fixed, 1, t.T[:, None])
         R, S = plan.base.shape[:2]
         unit_ext = plan.base + (plan.coeff @ (spans - 1).reshape(n, -1)).reshape(R, S, n_units, B)
         # outer-loop counts (tile loops, then point loops) and their prefix
         # products: unit s refetches stream j prefix[merged[j, s]] times and
         # its footprint absorbs loop merged[j, s]'s span
         counts = np.concatenate([trips.T, t.T])
-        prefix = np.ones((2 * n + 1, B))
-        for k in range(2 * n):
-            prefix[k + 1] = prefix[k] * counts[k]
-        merged_pos = plan.merged % n
-        span_at = spans[merged_pos, np.arange(n_units)]
-        grown = np.minimum(ext[merged_pos][..., None], counts[plan.merged] * span_at) - span_at
-        merged_ext = unit_ext + plan.merged_coeff * grown
-        weighted_fetches = plan.weight * prefix[plan.merged]
-        per_line: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        prefix = np.multiply.accumulate(np.concatenate([np.ones((1, B)), counts]), axis=0)
+        span_at = spans[plan.span_index]
+        grown = np.minimum(plan.merged_cap, counts[plan.merged] * span_at) - span_at
+        extents = unit_ext[:, None] + plan.merged_coeff * grown  # (R, 2, S, n_units, B)
+        factors = plan.weight * prefix[plan.fetch_rows]  # (2, S, n_units, B)
+        columns = np.arange(B)
+        per_line: dict[int, np.ndarray] = {}
 
         def level_traffic_for(capacity, cap_whole: float, line_size: int) -> np.ndarray:
             line_elems, comp, ws_whole = plan.by_line[line_size]
             if ws_whole <= cap_whole:
                 return np.full(B, comp)
             if line_size not in per_line:  # (working set, traffic) per unit
-                fp = _footprint(unit_ext, line_elems, line_size)
-                fp_merged = _footprint(merged_ext, line_elems, line_size)
-                ws, traffic = np.zeros((n_units, B)), np.zeros((n_units, B))
-                for j in range(len(fp)):
-                    ws += fp[j]
-                    traffic += weighted_fetches[j] * fp_merged[j]
-                per_line[line_size] = ws, traffic
+                # streams summed in order: n_units >= 2 keeps the stream
+                # axis outside reduce's inner loop, so it never sums pairwise
+                fp = _footprint(extents, line_elems, line_size)
+                per_line[line_size] = np.add.reduce(factors * fp, axis=1)
             ws, traffic = per_line[line_size]
             # smallest s whose working set fits; fallback: last unit
             fits = ws <= capacity
-            s_star = np.where(fits.any(axis=0), fits.argmax(axis=0), n_units - 1)
-            return np.maximum(traffic[s_star, np.arange(B)], comp)
+            fits[-1] = True
+            return np.maximum(traffic[fits.argmax(axis=0), columns], comp)
 
-        level_traffic = []
-        for level in machine.levels:
-            cap_unit = level.size / max_per_socket if level.shared else float(level.size)
-            traffic = level_traffic_for(cap_unit, float(level.size), level.line_size)
-            level_traffic.append(
-                np.minimum(traffic, level_traffic[-1]) if level_traffic else traffic
-            )
+        # each level moves at most what the level above it does
+        level_traffic = np.minimum.accumulate(
+            [
+                level_traffic_for(
+                    level.size / max_per_socket if level.shared else float(level.size),
+                    float(level.size),
+                    level.line_size,
+                )
+                for level in machine.levels
+            ],
+            axis=0,
+        )
 
         freq = machine.freq_hz
         flops = self.flops_per_iteration * self.total_iterations
         compute_t = flops * share / (machine.flops_per_cycle * freq)
 
-        # loop overhead: entries of all 2n loops, iterations of the outer 2n-1
-        entries = np.ones(B)
-        iters = np.zeros(B)
-        for k in range(2 * n):
-            entries = entries + prefix[k]
-            if k:
-                iters = iters + prefix[k]
+        # loop overhead: entries of all 2n loops, 1 + prefix[0] + ... +
+        # prefix[2n-1], and iterations of the outer 2n-1, prefix[1] + ... +
+        # prefix[2n-1], each summed left to right (a reduce would sum
+        # pairwise once B = 1 leaves it one axis)
+        entries = np.add.accumulate(np.concatenate([prefix[:1], prefix[: 2 * n]]))[-1]
+        iters = np.add.accumulate(prefix[1 : 2 * n])[-1]
         overhead_t = (
             iters * machine.loop_overhead_cycles + entries * machine.loop_entry_cycles
         ) * share / freq
@@ -448,20 +465,16 @@ class RegionCostModel:
             tlb_traffic / machine.page_size * machine.tlb_miss_cycles * share / freq
         )
 
-        mem_times = [
-            traffic * share / level.fetch_bw
-            for level, traffic in zip(machine.levels, level_traffic)
-        ]
         dram_traffic = level_traffic[-1]
-        mem_times.append(dram_traffic * share / machine.dram_bw_per_core)
-        mem_times.append(
-            dram_traffic * share * max_per_socket / machine.dram_bw_per_socket
+        mem_t = np.maximum(
+            np.maximum.reduce(level_traffic * share / plan.fetch_bw, axis=0),
+            np.maximum(
+                dram_traffic * share / machine.dram_bw_per_core,
+                dram_traffic * share * max_per_socket / machine.dram_bw_per_socket,
+            ),
         )
 
         work_t = compute_t + overhead_t
-        mem_t = mem_times[0]
-        for mt in mem_times[1:]:
-            mem_t = np.maximum(mem_t, mt)
         busy = np.maximum(work_t, mem_t) + machine.mem_overlap_residual * np.minimum(
             work_t, mem_t
         )
@@ -491,33 +504,22 @@ class RegionCostModel:
         a persistent measurement cache across processes.  Every repr used
         is deterministic — ``Stream.depends`` (a frozenset, whose repr
         order follows hash randomization) is sorted explicitly."""
-        h = hashlib.blake2b(digest_size=16)
-
-        def feed(part: object) -> None:
-            h.update(repr(part).encode())
-            h.update(b"\x00")
-
-        feed(self.machine)
-        feed(sorted(self.bindings.items()))
-        feed(self.band)
-        feed(sorted(self.extent.items()))
-        feed(self.flops_per_iteration)
-        feed(self.sweep_factor)
-        feed(self.total_iterations)
-        feed(self.parallel_spec)
-        feed(self._elem_size)
-        for stream in self.streams:
-            feed(
-                (
-                    stream.array,
-                    stream.coeff_dims,
-                    stream.const_span,
-                    tuple(sorted(stream.depends)),
-                    stream.has_write,
-                    stream.elem_size,
-                )
-            )
-        return h.hexdigest()
+        return content_hash(
+            self.machine,
+            sorted(self.bindings.items()),
+            self.band,
+            sorted(self.extent.items()),
+            self.flops_per_iteration,
+            self.sweep_factor,
+            self.total_iterations,
+            self.parallel_spec,
+            self._elem_size,
+            *(
+                (st.array, st.coeff_dims, st.const_span, tuple(sorted(st.depends)),
+                 st.has_write, st.elem_size)
+                for st in self.streams
+            ),
+        )
 
     # ------------------------------------------------------------------
     # convenience

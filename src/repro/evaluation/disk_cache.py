@@ -7,8 +7,9 @@ SimulatedTarget` cannot help there.  :class:`MeasurementDiskCache` is the
 on-disk half: a directory of JSONL shards, one per **target fingerprint**
 (a content hash over the region's cost-model signature, the machine, the
 noise seed/level, the measurement protocol and the cache schema version),
-each shard mapping canonical configuration keys to their measured
-(:class:`Objectives`, :class:`Measurement`) pairs.
+each shard mapping canonical configuration keys to their measured rows
+(``(time, samples, energy)``, served as (:class:`Objectives`,
+:class:`Measurement`) pairs by :meth:`MeasurementDiskCache.fetch_many`).
 
 Design points:
 
@@ -36,14 +37,14 @@ Design points:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
 from pathlib import Path
 
-from repro.evaluation.measurements import Measurement
+from repro.evaluation.measurements import Measurement, Row, row_measurement, row_objectives
 from repro.evaluation.objectives import Objectives
+from repro.util.rng import content_hash
 
 __all__ = ["MeasurementDiskCache", "DEFAULT_CACHE_DIR", "SCHEMA_VERSION"]
 
@@ -54,16 +55,55 @@ SCHEMA_VERSION = 1
 DEFAULT_CACHE_DIR = "~/.cache/repro"
 
 
-def _fingerprint(*parts: object) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        h.update(repr(part).encode())
-        h.update(b"\x00")
-    return h.hexdigest()
+_float = float.__repr__
+
+
+def _record_line(key: tuple, row: Row) -> str:
+    """``json.dumps({"k": list(key), "v": time, "s": samples, "e": energy})``
+    byte for byte, formatted directly for int keys and finite floats (JSON
+    writes both with their ``repr``); anything else goes through
+    ``json.dumps`` itself."""
+    time, samples, energy = row
+    try:
+        line = '{"k": [%s], "v": %s, "s": [%s], "e": %s}' % (
+            ", ".join(map(int.__repr__, key)),
+            _float(time),
+            ", ".join(map(_float, samples)),
+            "null" if energy is None else _float(energy),
+        )
+        if "inf" not in line and "nan" not in line:
+            return line
+    except TypeError:
+        pass
+    return json.dumps({"k": list(key), "v": time, "s": list(samples), "e": energy})
+
+
+def _parse_line(line: bytes):
+    """One line's JSON value, or None for a torn or corrupt line."""
+    try:
+        return json.loads(line)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None
+
+
+def _parse_lines(lines: list[bytes]) -> list:
+    """The JSON value of every line: one ``json.loads`` over the lines
+    joined into an array, or line by line when that parse fails or does
+    not give exactly one value per line (a corrupt, torn or empty line).
+    The writer puts one complete value on each line and a torn line only
+    ever opens brackets, so a bulk parse with one value per line is the
+    line-by-line parse."""
+    try:
+        values = json.loads(b"[" + b",".join(lines) + b"]")
+    except ValueError:  # JSONDecodeError, UnicodeDecodeError
+        values = None
+    if values is None or len(values) != len(lines):
+        values = list(map(_parse_line, lines))
+    return values
 
 
 class _Shard:
-    """One fingerprint's key → (Objectives, Measurement) store.
+    """One fingerprint's key → row store.
 
     The in-memory records mirror the file up to ``_offset`` (the end of the
     last complete line parsed).  Before a lookup, the shard compares the
@@ -77,15 +117,16 @@ class _Shard:
         self.path = path
         self.fingerprint = fingerprint
         self.schema_version = schema_version
-        self._records: dict[tuple, tuple[Objectives, Measurement]] = {}
+        self._records: dict[tuple, Row] = {}
         self._offset = 0  # bytes parsed: the end of the last complete line
         self._size = 0  # the file's size when this process last read or wrote it
         self._foreign = False  # the header names another fingerprint
+        self._dir_made = False  # the shard's directory exists (first write)
         self._lock = threading.Lock()
 
     # -- load -----------------------------------------------------------
 
-    def _refresh(self) -> dict[tuple, tuple[Objectives, Measurement]]:
+    def _refresh(self) -> dict[tuple, Row]:
         """The records, first catching up with whatever was appended to the
         file since this process last read or wrote it."""
         try:
@@ -109,41 +150,35 @@ class _Shard:
         data = fh.read(self._size - self._offset)
         complete = data.rfind(b"\n") + 1  # a torn last line waits for its end
         self._offset += complete
-        if self._foreign:
+        if self._foreign or not complete:
             return
-        for line in data[:complete].splitlines():
-            try:
-                d = json.loads(line)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                continue  # torn/corrupt line: skip, don't poison
+        records = self._records
+        for d in _parse_lines(data[:complete].splitlines()):
             if not isinstance(d, dict):
-                continue
+                continue  # torn/corrupt line: skip, don't poison
             if "schema" in d:
                 if d.get("fingerprint") != self.fingerprint:
                     self._foreign = True  # foreign header: treat as empty
-                    self._records.clear()
+                    records.clear()
                     return
                 continue
             try:
-                key = tuple(int(v) for v in d["k"])
-                samples = tuple(float(s) for s in d["s"])
+                key = tuple(map(int, d["k"]))
                 energy = d.get("e")
-                obj = Objectives(
-                    time=float(d["v"]),
-                    threads=key[-1],
-                    energy=None if energy is None else float(energy),
+                row = (
+                    float(d["v"]),
+                    list(map(float, d["s"])),
+                    None if energy is None else float(energy),
                 )
-                self._records[key] = (
-                    obj,
-                    Measurement(value=float(d["v"]), samples=samples),
-                )
-            except (KeyError, TypeError, ValueError, IndexError):
+            except (KeyError, TypeError, ValueError):
                 continue
+            if key:  # an empty key names no configuration
+                records[key] = row
 
     # -- queries --------------------------------------------------------
 
-    def get_many(self, keys) -> dict[tuple, tuple[Objectives, Measurement]]:
-        """The stored entries among *keys*, in *keys* order."""
+    def get_many(self, keys) -> dict[tuple, Row]:
+        """The stored rows among *keys*, in *keys* order."""
         with self._lock:
             records = self._refresh()
             return {key: records[key] for key in keys if key in records}
@@ -154,40 +189,26 @@ class _Shard:
 
     # -- commits --------------------------------------------------------
 
-    def put_many(
-        self, items: list[tuple[tuple, Objectives, Measurement]]
-    ) -> int:
-        """Append *items* (skipping keys already present, including keys
-        another process appended meanwhile); returns the number of new
-        entries written."""
+    def put_many(self, items: list[tuple[tuple, Row]]) -> int:
+        """Append ``(key, row)`` *items* (skipping keys already present,
+        including keys another process appended meanwhile); returns the
+        number of new entries written."""
         if not items:
             return 0
         # loaded on the first write, so runs without a cache never map it
         import fcntl
 
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if not self._dir_made:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._dir_made = True
             with open(self.path, "a+b") as fh:
                 fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
                 self._read_tail(fh)
-                fresh = [
-                    (key, obj, meas)
-                    for key, obj, meas in items
-                    if key not in self._records
-                ]
+                fresh = [(key, row) for key, row in items if key not in self._records]
                 if not fresh:
                     return 0
-                lines = [
-                    json.dumps(
-                        {
-                            "k": list(key),
-                            "v": meas.value,
-                            "s": list(meas.samples),
-                            "e": obj.energy,
-                        }
-                    )
-                    for key, obj, meas in fresh
-                ]
+                lines = [_record_line(key, row) for key, row in fresh]
                 if self._size == 0:
                     header = {"schema": self.schema_version, "fingerprint": self.fingerprint}
                     lines.insert(0, json.dumps(header))
@@ -198,8 +219,7 @@ class _Shard:
                 fh.write(("\n".join(lines) + "\n").encode("utf-8"))
                 fh.flush()
                 self._size = self._offset = fh.tell()
-            for key, obj, meas in fresh:
-                self._records[key] = (obj, meas)
+            self._records.update(fresh)
             return len(fresh)
 
 
@@ -230,7 +250,7 @@ class MeasurementDiskCache:
         with self._lock:
             shard = self._shards.get(target_fingerprint)
             if shard is None:
-                fp = _fingerprint(
+                fp = content_hash(
                     "repro-measurement-cache", self.schema_version, target_fingerprint
                 )
                 shard = _Shard(self.root / f"{fp}.jsonl", fp, self.schema_version)
@@ -239,10 +259,8 @@ class MeasurementDiskCache:
 
     # -- target-facing API ----------------------------------------------
 
-    def fetch_many(
-        self, target_fingerprint: str, keys
-    ) -> dict[tuple, tuple[Objectives, Measurement]]:
-        """The cached entries among *keys* (in *keys* order): one shard
+    def fetch_rows(self, target_fingerprint: str, keys) -> dict[tuple, Row]:
+        """The cached rows among *keys* (in *keys* order): one shard
         lookup, one freshness check and one counter update per call."""
         hits = self.shard_for(target_fingerprint).get_many(keys)
         with self._lock:
@@ -250,16 +268,23 @@ class MeasurementDiskCache:
             self.misses += len(keys) - len(hits)
         return hits
 
+    def fetch_many(
+        self, target_fingerprint: str, keys
+    ) -> dict[tuple, tuple[Objectives, Measurement]]:
+        """:meth:`fetch_rows` as ``(Objectives, Measurement)`` records."""
+        return {
+            key: (row_objectives(key, row), row_measurement(row))
+            for key, row in self.fetch_rows(target_fingerprint, keys).items()
+        }
+
     def fetch(
         self, target_fingerprint: str, key: tuple
     ) -> tuple[Objectives, Measurement] | None:
         return self.fetch_many(target_fingerprint, [key]).get(key)
 
-    def store_many(
-        self,
-        target_fingerprint: str,
-        items: list[tuple[tuple, Objectives, Measurement]],
-    ) -> int:
+    def store_many(self, target_fingerprint: str, items: list[tuple[tuple, Row]]) -> int:
+        """Append the ``(key, row)`` *items* the shard lacks; returns how
+        many were written."""
         written = self.shard_for(target_fingerprint).put_many(items)
         with self._lock:
             self.stores += written

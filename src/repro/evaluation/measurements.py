@@ -8,11 +8,28 @@ median aggregation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.evaluation.objectives import Objectives
 from repro.util.stats import median
 
-__all__ = ["Measurement", "MeasurementProtocol"]
+__all__ = ["Measurement", "MeasurementProtocol", "Row", "row_measurement", "row_objectives"]
+
+#: One measured configuration as the engine, the evaluation ledger and the
+#: disk cache share it, never mutated: ``(median time, samples, energy or
+#: None)``, threads being the canonical key's last entry.  The read APIs
+#: return :func:`row_objectives` and :func:`row_measurement` records.
+Row = tuple[float, list[float], "float | None"]
+
+
+def row_objectives(key: tuple, row: Row) -> Objectives:
+    """The :class:`Objectives` of canonical *key* measured as *row*."""
+    return Objectives(time=row[0], threads=key[-1], energy=row[2])
+
+
+def row_measurement(row: Row) -> "Measurement":
+    """The :class:`Measurement` (median and samples) of *row*."""
+    return Measurement(value=row[0], samples=tuple(row[1]))
 
 
 @dataclass(frozen=True)

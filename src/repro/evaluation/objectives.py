@@ -34,22 +34,6 @@ class Objectives:
         """CPU-seconds consumed: ``threads × time``."""
         return self.threads * self.time
 
-    def vector(self) -> tuple[float, float]:
-        """Minimization vector (time, resources) handed to the optimizer."""
-        return (self.time, self.resources)
-
-    def vector3(self) -> tuple[float, float, float]:
-        """Tri-objective minimization vector (time, resources, energy)."""
-        if self.energy is None:
-            raise ValueError("energy was not measured for this configuration")
-        return (self.time, self.resources, self.energy)
-
-    def speedup(self, t_seq: float) -> float:
-        return speedup(self.time, t_seq)
-
-    def efficiency(self, t_seq: float) -> float:
-        return efficiency(self.time, self.threads, t_seq)
-
 
 def speedup(t_parallel: float, t_seq: float) -> float:
     """``s(x) = t_s / t_p(x)`` with ``t_s`` the fastest sequential version."""

@@ -18,14 +18,12 @@ the configurations of one generation and it runs a three-stage pipeline —
    backend is ``"process"``, the target declares per-configuration
    latency (``protocol.overhead_s > 0``, the compile-and-run wait of a
    real evaluation), or a ``timeout_s`` or ``fault_policy`` is set (only
-   a pool can abandon a hung attempt).  On the simulated target with none
-   of these, a pool buys only thread hand-offs around GIL-bound NumPy work
-   and splits each batch's fixed per-call costs.  Pooled keys are sharded
+   a pool can abandon a hung attempt).  Pooled keys are sharded
    into ``ceil(B/workers)``-sized chunks, one vectorized call per worker;
-   workers are *pure*: they produce ``key → (Objectives, Measurement)``
-   results without touching the evaluation ledger;
-3. **commit** — the engine commits results serially, in batch order,
-   through the target's locked single-writer ``commit``.  Because
+   workers are *pure*: they produce ``key → row`` results (``(time,
+   samples, energy)``) without touching the evaluation ledger;
+3. **commit** — the engine commits each batch's rows in batch order, under
+   one lock, through the target's single-writer ``commit_many``.  Because
    measurement noise is hash-derived per key, results are bit-identical
    for any worker count or chunking, and the ``E`` metric (paper Table VI)
    stays exact.
@@ -55,7 +53,9 @@ fingerprints ⇒ one computation serves every region, counted as
 ``shared_hits``; each consuming region still commits to its own ledger, so
 per-region ``E`` is exactly what separate evaluation would have produced),
 and commit deterministically in per-batch order as soon as each batch's
-results drain.  The cross-region scheduler in
+results drain.  The coordinator thread owns all session state (workers only
+run the pure ``compute_keys``), so results are bit-identical for any worker
+count, chunk size or completion order.  The cross-region scheduler in
 :mod:`repro.driver.multiregion` is the consumer.
 
 ``BatchEvaluator`` remains as a backwards-compatible alias.
@@ -70,7 +70,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
-from repro.evaluation.measurements import Measurement
+from repro.evaluation.measurements import Row, row_objectives
 from repro.evaluation.objectives import Objectives
 from repro.evaluation.simulator import SimulatedTarget
 from repro.obs import DISABLED, Observability
@@ -211,14 +211,40 @@ class EngineStats:
 #: the field names of :class:`EngineStats`, read once
 _STATS_FIELDS = tuple(f.name for f in fields(EngineStats))
 
+#: (metric, help, :class:`EngineStats` field) of the per-batch counters
+_ENGINE_COUNTERS = (
+    ("repro_engine_batches_total", "evaluation batches processed", "batches"),
+    ("repro_engine_configs_total", "configurations submitted", "configs"),
+    ("repro_engine_dispatched_total", "unique configurations computed", "dispatched"),
+    ("repro_engine_cache_hits_total", "configurations served from the memo cache",
+     "cache_hits"),
+    ("repro_engine_deduped_total", "in-batch duplicate configurations", "deduped"),
+    ("repro_engine_disk_hits_total", "configurations served from the persistent disk cache",
+     "disk_hits"),
+    ("repro_engine_shared_hits_total", "configurations served by a sibling region's computation",
+     "shared_hits"),
+    ("repro_engine_retries_total", "retry attempts after pooled failures", "retried"),
+    ("repro_engine_timeouts_total", "pooled attempts abandoned on timeout", "timeouts"),
+    ("repro_engine_failed_total", "configurations rescued serially", "failed"),
+    ("repro_engine_serial_fallbacks_total", "batches run serially after degradation",
+     "serial_fallbacks"),
+)
+
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Objectives for one batch, in input order."""
+    """One batch's measurements: the submitted *keys* and their *rows*, in
+    input order."""
 
-    objectives: tuple[Objectives, ...]
+    keys: list[tuple]
+    rows: tuple[Row, ...]
     new_evaluations: int
     stats: EngineStats | None = None
+
+    @property
+    def objectives(self) -> tuple[Objectives, ...]:
+        """The rows as :class:`Objectives`, in input order."""
+        return tuple(map(row_objectives, self.keys, self.rows))
 
 
 @dataclass
@@ -226,9 +252,9 @@ class FusedBatch:
     """One region's in-flight batch inside a fused evaluation session.
 
     Returned by :meth:`EvaluationEngine.fused_submit`; once
-    :meth:`EvaluationEngine.fused_wait` hands it back, :attr:`objectives`
-    holds the results in submission order and :attr:`stats` the batch's
-    accounting.
+    :meth:`EvaluationEngine.fused_wait` hands it back, :attr:`rows` holds
+    the results in submission order (:attr:`objectives` as records) and
+    :attr:`stats` the batch's accounting.
 
     :param region: caller-chosen label (trace events carry it).
     :param fp: the target's measurement fingerprint — the cross-region
@@ -252,15 +278,20 @@ class FusedBatch:
     compute: list[tuple]
     stats: EngineStats
     t0: float
-    objectives: tuple[Objectives, ...] | None = None
+    rows: tuple[Row, ...] | None = None
     done: bool = False
+
+    @property
+    def objectives(self) -> tuple[Objectives, ...] | None:
+        """The rows as :class:`Objectives` once the batch is done."""
+        return None if self.rows is None else tuple(map(row_objectives, self.keys, self.rows))
 
 
 class EvaluationEngine:
     """Parallel, fault-tolerant batch evaluator over a target platform.
 
-    :param target: the (simulated) platform; must provide ``lookup_many``,
-        pure ``compute_keys`` and single-writer ``commit``.
+    :param target: the (simulated) platform; must provide ``lookup_rows``,
+        pure ``compute_keys`` and single-writer ``commit_many``.
     :param max_workers: the widest pool the engine may use; ``"auto"`` →
         :func:`auto_workers`.  1 (the default) always evaluates inline.
         Above 1, a batch still runs inline unless the pool rule (module
@@ -397,7 +428,7 @@ class EvaluationEngine:
                 else:
                     self._compute_parallel(compute, results, batch)
             self._commit(self.target, order, compute, results, batch, known)
-            objectives = tuple(map(known.__getitem__, keys))
+            rows = tuple(map(known.__getitem__, keys))
             batch.wall_time_s = time.perf_counter() - t0
             if self.obs.tracer.enabled:
                 span.set(**batch.as_dict())
@@ -405,7 +436,8 @@ class EvaluationEngine:
         self._observe_batch(batch)
         self.stats.merge(batch)
         return BatchResult(
-            objectives=objectives,
+            keys=keys,
+            rows=rows,
             new_evaluations=batch.new_evaluations,
             stats=batch,
         )
@@ -425,7 +457,7 @@ class EvaluationEngine:
         unique ledger misses in batch order, the ledger's hits, the
         disk-served results and the cold keys left to compute
         (``dispatched``)."""
-        known = target.lookup_many(keys)
+        known = target.lookup_rows(keys)
         pending: dict[tuple, None] = {}
         for key in keys:
             if key in pending:
@@ -451,57 +483,23 @@ class EvaluationEngine:
         return order, known, disk, compute
 
     def _commit(self, target, order, compute, results, stats, known) -> None:
-        """Single-writer commit in batch order — the only ledger mutation,
-        also recorded in *known*, the batch's ledger hits — then persist the
-        keys this batch computed itself."""
-        for key in order:
-            obj, measurement = results[key]
-            known[key] = obj
-            if target.commit(key, obj, measurement):
-                stats.new_evaluations += 1
+        """Single-writer commit of the batch's rows in batch order, under
+        one lock — the only ledger mutation, also recorded in *known*, the
+        batch's ledger hits — then persist the keys this batch computed
+        itself."""
+        fresh = {key: results[key] for key in order}
+        known.update(fresh)
+        stats.new_evaluations += target.commit_many(fresh)
         if compute and target.has_disk_cache:
-            target.disk_store_many([(key, *results[key]) for key in compute])
+            target.disk_store_many([(key, results[key]) for key in compute])
 
     def _observe_batch(self, batch: EngineStats) -> None:
         """Fold one batch's accounting into the metrics registry."""
         m = self.obs.metrics
         if not m.enabled:
             return
-        m.counter(
-            "repro_engine_batches_total", "evaluation batches processed"
-        ).inc()
-        m.counter(
-            "repro_engine_configs_total", "configurations submitted"
-        ).inc(batch.configs)
-        m.counter(
-            "repro_engine_dispatched_total", "unique configurations computed"
-        ).inc(batch.dispatched)
-        m.counter(
-            "repro_engine_cache_hits_total", "configurations served from the memo cache"
-        ).inc(batch.cache_hits)
-        m.counter(
-            "repro_engine_deduped_total", "in-batch duplicate configurations"
-        ).inc(batch.deduped)
-        m.counter(
-            "repro_engine_disk_hits_total",
-            "configurations served from the persistent disk cache",
-        ).inc(batch.disk_hits)
-        m.counter(
-            "repro_engine_shared_hits_total",
-            "configurations served by a sibling region's computation",
-        ).inc(batch.shared_hits)
-        m.counter(
-            "repro_engine_retries_total", "retry attempts after pooled failures"
-        ).inc(batch.retried)
-        m.counter(
-            "repro_engine_timeouts_total", "pooled attempts abandoned on timeout"
-        ).inc(batch.timeouts)
-        m.counter(
-            "repro_engine_failed_total", "configurations rescued serially"
-        ).inc(batch.failed)
-        m.counter(
-            "repro_engine_serial_fallbacks_total", "batches run serially after degradation"
-        ).inc(batch.serial_fallbacks)
+        for name, help_text, attr in _ENGINE_COUNTERS:
+            m.counter(name, help_text).inc(getattr(batch, attr))
         m.gauge(
             "repro_engine_degraded", "1 while the engine is in permanent serial mode"
         ).set(int(self._degraded))
@@ -623,7 +621,7 @@ class EvaluationEngine:
 
     def _compute_chunk(
         self, keys: tuple[tuple, ...], attempt: int, target: SimulatedTarget
-    ) -> list[tuple[Objectives, Measurement]]:
+    ) -> list[Row]:
         """Pure chunk computation (worker body): one vectorized
         ``compute_keys`` call per chunk; a fault on any key fails the whole
         chunk (its keys are retried together, then rescued per key)."""
@@ -634,7 +632,7 @@ class EvaluationEngine:
 
     def _rescue(
         self, key: tuple, batch: EngineStats, first_attempt: int, target
-    ) -> tuple[Objectives, Measurement]:
+    ) -> Row:
         """Serial per-key computation with bounded retries; the last line
         of defence — raises :class:`EvaluationError` if even this fails."""
         last_error: Exception | None = None
@@ -652,18 +650,6 @@ class EvaluationEngine:
         ) from last_error
 
     # -- fused multi-target session (cross-region scheduling) --------------
-    #
-    # Several regions' batches — each against its own target — share the
-    # pool rule and, when pooled, one persistent pool.  Dedup happens at
-    # three levels: within the batch (deduped), against the batch's own
-    # ledger (cache_hits), and across the whole session by target
-    # fingerprint (shared_hits: a key another region computed, fetched from
-    # disk, or still has in flight).  The coordinator thread owns all
-    # session state — workers only ever run the pure compute_keys, so no
-    # locking beyond the targets' commit locks is needed.  Commits are per
-    # batch, in batch order, as soon as a batch's results have drained;
-    # results are therefore bit-identical for any worker count, chunk size,
-    # or completion interleaving.
 
     @property
     def fused_active(self) -> bool:
@@ -775,7 +761,7 @@ class EvaluationEngine:
         self._commit(
             batch.target, batch.order, batch.compute, results, batch.stats, batch.known
         )
-        batch.objectives = tuple(map(batch.known.__getitem__, batch.keys))
+        batch.rows = tuple(map(batch.known.__getitem__, batch.keys))
         batch.stats.wall_time_s = time.perf_counter() - batch.t0
         batch.done = True
         self.obs.tracer.event(
@@ -794,9 +780,7 @@ class EvaluationEngine:
         self.stats.merge(batch.stats)
 
 
-def _proc_compute(
-    target: SimulatedTarget, keys: tuple[tuple, ...]
-) -> list[tuple[Objectives, Measurement]]:
+def _proc_compute(target: SimulatedTarget, keys: tuple[tuple, ...]) -> list[Row]:
     """Process-backend worker body.  Each chunk ships its own target — the
     pickle carries only the pure measurement state (model + noise
     parameters), no ledger — so one pool serves every target of a fused

@@ -1,58 +1,47 @@
 """The simulated target platform: configuration → measured objectives.
 
 Combines the deterministic :class:`~repro.evaluation.cost.RegionCostModel`
-with run-to-run measurement noise and the median-of-k protocol the paper
-uses (§V-B1).  Noise is *hash-derived*: each (configuration, repetition)
-pair maps through a keyed blake2b hash to a uniform variate, which the
-inverse normal CDF turns into a lognormal factor.  This makes measurements
-fully deterministic and independent of evaluation order and of how a batch
-is split.
+with run-to-run noise and the paper's median-of-k protocol (§V-B1).  Noise
+is *hash-derived*: each (configuration, repetition) pair maps through a
+keyed blake2b hash to a uniform variate, which the inverse normal CDF turns
+into a lognormal factor, so a measurement is independent of evaluation
+order and of how a batch is split.
 
-There is one measurement path: :meth:`SimulatedTarget.compute_keys`
-measures a batch of canonical keys purely, with one cost-model call for
-the whole batch, and the
+:meth:`SimulatedTarget.compute_keys` is the one measurement path: it
+measures a batch of canonical keys purely, with one cost-model call, into
+plain rows (:data:`~repro.evaluation.measurements.Row`), and the
 :class:`~repro.evaluation.parallel_eval.EvaluationEngine` runs it between
-its ledger lookup, disk-cache read, commit and disk-cache write.  Tuning
-problems reach it through the engine, for a single configuration too; the
-target itself never evaluates on a read
-(:meth:`~SimulatedTarget.cached_objectives` and
-:meth:`~SimulatedTarget.measurement` only read the ledger).
-
-The target keeps the evaluation ledger: ``evaluations`` is the metric
-``E`` of the paper's Table VI ("the number of points evaluated for obtaining
-a solution set").  Results are memoized per configuration — re-querying a
-known configuration hits the cache, mirroring an auto-tuner that records
-its history.
-
-The ledger is **thread-safe**: measurement itself is pure and all ledger
-mutation goes through the locked :meth:`SimulatedTarget.commit`, so
-concurrent evaluators — external callers as well as the engine's worker
-pool — can never lose ``E`` increments or double-count a configuration.
-
-Attaching a :class:`~repro.evaluation.disk_cache.MeasurementDiskCache`
-extends the memo across *process* runs: before computing, the engine
-consults the on-disk shard keyed by the target's :meth:`fingerprint`
-(model, machine, seed, noise, protocol); disk hits are committed to the
-ledger like any other measurement, so ``E`` is identical between cold and
-warm caches.  Targets are picklable for the engine's process backend — the
-pickled state carries only the pure measurement function (model + noise
-parameters), never the ledger, lock, or cache handle.
+its ledger lookup, disk-cache read, commit and disk-cache write, for a
+single configuration too.  The target keeps the evaluation ledger, whose
+``evaluations`` is the paper's ``E`` (Table VI: "the number of points
+evaluated for obtaining a solution set").  All ledger mutation goes through
+the locked :meth:`~SimulatedTarget.commit_many`, so concurrent evaluators
+never lose or double-count an evaluation.  The read APIs
+(:meth:`~SimulatedTarget.lookup`, :meth:`~SimulatedTarget.cached_objectives`,
+:meth:`~SimulatedTarget.measurement`) never evaluate, and are the only
+places that build :class:`Objectives` and :class:`Measurement` records from
+rows.  A :class:`~repro.evaluation.disk_cache.MeasurementDiskCache`, keyed
+by the target's :meth:`~SimulatedTarget.fingerprint`, extends the memo
+across processes; disk hits commit like any other measurement, so ``E`` is
+the same cold or warm.  Pickled targets (the process backend) carry only
+the pure measurement state, never the ledger, lock or cache handle.
 """
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import threading
 import time as _time
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from repro.evaluation.cost import RegionCostModel
-from repro.evaluation.measurements import Measurement, MeasurementProtocol
+from repro.evaluation.measurements import Measurement, MeasurementProtocol, Row
+from repro.evaluation.measurements import row_measurement, row_objectives
 from repro.evaluation.objectives import Objectives
 from repro.util.ndtri import ndtri
-from repro.util.rng import seed_hasher
+from repro.util.rng import content_hash, seed_hasher
 
 __all__ = ["SimulatedTarget"]
 
@@ -91,8 +80,7 @@ class SimulatedTarget:
         self.measure_energy = bool(measure_energy)
         self.disk_cache = disk_cache
         self.evaluations = 0
-        self._cache: dict[tuple, Objectives] = {}
-        self._measurements: dict[tuple, Measurement] = {}
+        self._rows: dict[tuple, Row] = {}
         self._fingerprint: str | None = None
         self._lock = threading.Lock()
         self._extent = np.array([model.extent[v] for v in model.band], dtype=np.int64)
@@ -107,8 +95,7 @@ class SimulatedTarget:
         del state["_lock"]
         state["disk_cache"] = None
         state["evaluations"] = 0
-        state["_cache"] = {}
-        state["_measurements"] = {}
+        state["_rows"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -146,8 +133,7 @@ class SimulatedTarget:
         measurements for every canonical key, which is what licenses the
         persistent disk cache to serve them across processes."""
         if self._fingerprint is None:
-            h = hashlib.blake2b(digest_size=16)
-            for part in (
+            self._fingerprint = content_hash(
                 "simulated-target",
                 self.model.fingerprint(),
                 self.seed,
@@ -155,10 +141,7 @@ class SimulatedTarget:
                 self.protocol,
                 self.collapsed,
                 self.measure_energy,
-            ):
-                h.update(repr(part).encode())
-                h.update(b"\x00")
-            self._fingerprint = h.hexdigest()
+            )
         return self._fingerprint
 
     # -- persistent cache --------------------------------------------------
@@ -167,17 +150,16 @@ class SimulatedTarget:
     def has_disk_cache(self) -> bool:
         return self.disk_cache is not None
 
-    def disk_fetch_many(self, keys: Sequence[tuple]) -> dict:
-        """``key → (Objectives, Measurement)`` for those *keys* the
-        persistent cache holds (one shard read for the whole batch)."""
+    def disk_fetch_many(self, keys: Sequence[tuple]) -> dict[tuple, Row]:
+        """``key → row`` for those *keys* the persistent cache holds (one
+        shard read for the whole batch)."""
         if self.disk_cache is None or not keys:
             return {}
-        return self.disk_cache.fetch_many(self.fingerprint(), keys)
+        return self.disk_cache.fetch_rows(self.fingerprint(), keys)
 
-    def disk_store_many(
-        self, items: list[tuple[tuple, Objectives, Measurement]]
-    ) -> int:
-        """Persist freshly computed measurements; returns entries written."""
+    def disk_store_many(self, items: list[tuple[tuple, Row]]) -> int:
+        """Persist freshly computed ``(key, row)`` measurements; returns
+        entries written."""
         if self.disk_cache is None or not items:
             return 0
         return self.disk_cache.store_many(self.fingerprint(), items)
@@ -217,10 +199,9 @@ class SimulatedTarget:
 
     # -- pure computation (no ledger mutation) ----------------------------
 
-    def compute_keys(
-        self, keys: Sequence[tuple]
-    ) -> list[tuple[Objectives, Measurement]]:
-        """Measure canonical keys **purely** — the ledger is not touched.
+    def compute_keys(self, keys: Sequence[tuple]) -> list[Row]:
+        """Measure canonical keys **purely** — the ledger is not touched —
+        into one row ``(time, samples, energy)`` per key.
 
         This is the worker half of the engine's dedup → dispatch → commit
         pipeline: because the noise is hash-derived per (key, repetition),
@@ -229,7 +210,7 @@ class SimulatedTarget:
         bit-identical to one bulk call (``time_batch`` and ``energy_batch``
         are row-elementwise).  With ``measure_energy`` one ``energy_batch``
         call gives the whole batch's times and energies.
-        Callers are responsible for recording results via :meth:`commit`.
+        Callers are responsible for recording results via :meth:`commit_many`.
         """
         if not len(keys):
             return []
@@ -239,69 +220,67 @@ class SimulatedTarget:
             true_times, true_energies = self.model.energy_batch(
                 tiles, threads, collapsed=self.collapsed
             )
-            true_energies = true_energies.tolist()
         else:
             true_times = self.model.time_batch(tiles, threads, collapsed=self.collapsed)
-            true_energies = [None] * len(keys)
         reps = self.protocol.repetitions
         overhead = self.protocol.overhead_s
         if overhead > 0:
             # the simulated pipeline latency is per configuration no matter
             # how the batch is chunked
             _time.sleep(overhead * len(keys))
-        # one hash-derived factor matrix + one median sweep for the whole
-        # chunk: the per-key loop below only assembles result objects, from
-        # Python floats (``tolist``), as the disk cache serves them
-        factors = self._noise_factor_matrix(keys, reps)
-        samples = true_times[:, None] * factors
-        medians = np.median(samples, axis=1).tolist()
-        out = []
-        for key, value, row, true_time, true_energy in zip(
-            keys, medians, samples.tolist(), true_times.tolist(), true_energies
-        ):
-            energy = None
-            if true_energy is not None:
-                # energy measurements share the run's jitter: scale the
-                # model energy by the same median noise factor as the time
-                energy = true_energy * (value / true_time)
-            out.append((
-                Objectives(time=value, threads=int(key[-1]), energy=energy),
-                Measurement(value=value, samples=tuple(row)),
-            ))
-        return out
+        # one hash-derived factor matrix and one median sweep for the whole
+        # chunk; for odd k the middle of the sorted samples is np.median's
+        # value bit for bit
+        samples = true_times[:, None] * self._noise_factor_matrix(keys, reps)
+        if reps % 2:
+            medians = np.sort(samples, axis=1)[:, reps // 2]
+        else:
+            medians = np.median(samples, axis=1)
+        energies = itertools.repeat(None)
+        if self.measure_energy:
+            # energy measurements share the run's jitter: scale the model
+            # energy by the same median noise factor as the time
+            energies = (true_energies * (medians / true_times)).tolist()
+        return list(zip(medians.tolist(), samples.tolist(), energies))
 
     # -- the single-writer ledger ------------------------------------------
 
     def lookup(self, key: tuple) -> Objectives | None:
         """Memoized result of a canonical key, or None."""
-        with self._lock:
-            return self._cache.get(key)
+        row = self.lookup_rows([key]).get(key)
+        return None if row is None else row_objectives(key, row)
 
-    def lookup_many(self, keys: Sequence[tuple]) -> dict[tuple, Objectives]:
-        """Memoized results of those *keys* the ledger holds (one lock)."""
+    def lookup_rows(self, keys: Sequence[tuple]) -> dict[tuple, Row]:
+        """The ledger's rows of those *keys* it holds (one lock)."""
         with self._lock:
-            cache = self._cache
-            return {key: cache[key] for key in keys if key in cache}
+            rows = self._rows
+            return {key: rows[key] for key in keys if key in rows}
 
-    def commit(self, key: tuple, obj: Objectives, measurement: Measurement) -> bool:
-        """Record a computed measurement in the ledger; returns whether the
-        key was new (and therefore counted towards ``E``).  Atomic: a key
-        can never be counted twice, and no increment is ever lost."""
+    def commit_many(self, rows: Mapping[tuple, Row]) -> int:
+        """Record computed measurements in the ledger under one lock;
+        returns how many keys were new (and therefore counted towards
+        ``E``).  Atomic: a key can never be counted twice, and no increment
+        is ever lost."""
         with self._lock:
-            if key in self._cache:
-                return False
-            self.evaluations += 1
-            self._cache[key] = obj
-            self._measurements[key] = measurement
-            return True
+            ledger = self._rows
+            before = len(ledger)
+            for key, row in rows.items():
+                ledger.setdefault(key, row)
+            new = len(ledger) - before
+            self.evaluations += new
+            return new
+
+    def _evaluated(self, tile_sizes: dict[str, int], threads: int) -> tuple[tuple, Row]:
+        """(key, row) of an evaluated configuration; KeyError otherwise."""
+        key = self.config_key(tile_sizes, threads)
+        row = self.lookup_rows([key]).get(key)
+        if row is None:
+            raise KeyError(f"configuration {key} has not been evaluated")
+        return key, row
 
     def cached_objectives(self, tile_sizes: dict[str, int], threads: int) -> Objectives:
         """The full Objectives record of an evaluated configuration."""
-        key = self.config_key(tile_sizes, threads)
-        hit = self.lookup(key)
-        if hit is None:
-            raise KeyError(f"configuration {key} has not been evaluated")
-        return hit
+        return row_objectives(*self._evaluated(tile_sizes, threads))
 
     # -- introspection ----------------------------------------------------
 
@@ -312,16 +291,10 @@ class SimulatedTarget:
     def measurement(self, tile_sizes: dict[str, int], threads: int) -> Measurement:
         """The raw samples of an evaluated configuration (a ledger read,
         like :meth:`cached_objectives`: it never evaluates)."""
-        key = self.config_key(tile_sizes, threads)
-        with self._lock:
-            hit = self._measurements.get(key)
-        if hit is None:
-            raise KeyError(f"configuration {key} has not been evaluated")
-        return hit
+        return row_measurement(self._evaluated(tile_sizes, threads)[1])
 
     def reset_ledger(self) -> None:
         """Clear the evaluation count and cache (fresh experiment run)."""
         with self._lock:
             self.evaluations = 0
-            self._cache.clear()
-            self._measurements.clear()
+            self._rows.clear()

@@ -13,6 +13,7 @@ keeps analysis results valid for the trees they were computed on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from typing import Any
 
 from repro.ir.types import ArrayType, ScalarType
@@ -41,14 +42,21 @@ __all__ = [
 _BINOPS = {"+", "-", "*", "/", "%", "//"}
 
 
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A node class's dataclass field names, in declaration order (read
+    once per class)."""
+    return tuple(f_.name for f_ in fields(cls))
+
+
 @dataclass(frozen=True)
 class Node:
     """Base class: uniform child access for the visitor framework."""
 
     def children(self) -> tuple["Node", ...]:
         out: list[Node] = []
-        for f_ in fields(self):
-            val = getattr(self, f_.name)
+        for name in _field_names(type(self)):
+            val = getattr(self, name)
             if isinstance(val, Node):
                 out.append(val)
             elif isinstance(val, tuple):
@@ -59,12 +67,12 @@ class Node:
         """Rebuild this node with its Node-valued fields replaced in order."""
         it = iter(new_children)
         updates: dict[str, Any] = {}
-        for f_ in fields(self):
-            val = getattr(self, f_.name)
+        for name in _field_names(type(self)):
+            val = getattr(self, name)
             if isinstance(val, Node):
-                updates[f_.name] = next(it)
+                updates[name] = next(it)
             elif isinstance(val, tuple) and any(isinstance(v, Node) for v in val):
-                updates[f_.name] = tuple(
+                updates[name] = tuple(
                     next(it) if isinstance(v, Node) else v for v in val
                 )
         return replace(self, **updates)

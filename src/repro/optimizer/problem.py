@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.evaluation.objectives import Objectives
+from repro.evaluation.measurements import Row
 from repro.evaluation.parallel_eval import EvaluationEngine
 from repro.evaluation.simulator import SimulatedTarget
 from repro.obs import DISABLED, Observability
@@ -152,14 +152,20 @@ class TuningProblem:
         threads = np.ones(len(ints), np.int64) if thread_col is None else ints[:, thread_col]
         return ints[:, order].tolist(), self.target.keys_of(tiles, threads)
 
-    def configurations(self, values: list[list[int]], objectives) -> list[Configuration]:
-        """Pair :meth:`decode`'s value rows with their measured objectives
-        — the back half of :meth:`evaluate_batch`."""
+    def configurations(
+        self, values: list[list[int]], keys: list[tuple], rows: list[Row]
+    ) -> list[Configuration]:
+        """Pair :meth:`decode`'s value rows with the objective vectors of
+        their keys' measured rows — ``(time, threads × time)``, plus the
+        energy when tri-objective — the back half of :meth:`evaluate_batch`."""
         names = self._columns[-1]
-        vector = Objectives.vector3 if self.tri_objective else Objectives.vector
+        if self.tri_objective:
+            vectors = [(t, key[-1] * t, e) for key, (t, _, e) in zip(keys, rows)]
+        else:
+            vectors = [(t, key[-1] * t) for key, (t, _, _) in zip(keys, rows)]
         return [
-            Configuration(tuple(zip(names, row)), vector(obj))
-            for row, obj in zip(values, objectives)
+            Configuration(tuple(zip(names, vals)), vector)
+            for vals, vector in zip(values, vectors)
         ]
 
     def evaluate_batch(self, vectors: np.ndarray) -> list[Configuration]:
@@ -169,4 +175,4 @@ class TuningProblem:
         """
         values, keys = self.decode(vectors)
         result = self.evaluation_engine.evaluate_batch(keys)
-        return self.configurations(values, result.objectives)
+        return self.configurations(values, keys, result.rows)

@@ -14,7 +14,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["spawn_seed", "seed_hasher", "spawn_seed_from", "derive_rng"]
+__all__ = ["spawn_seed", "seed_hasher", "spawn_seed_from", "derive_rng", "content_hash"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -26,12 +26,7 @@ def spawn_seed(parent: int, *keys: object) -> int:
     blake2b rather than ``hash()``).  Distinct key tuples give independent
     64-bit seeds.
     """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(int(parent) & _MASK64).encode())
-    for key in keys:
-        h.update(b"\x00")
-        h.update(repr(key).encode())
-    return int.from_bytes(h.digest(), "little")
+    return int.from_bytes(seed_hasher(parent, *keys).digest(), "little")
 
 
 def seed_hasher(parent: int, *keys: object) -> "hashlib.blake2b":
@@ -62,6 +57,17 @@ def spawn_seed_from(prefix: "hashlib.blake2b", *keys: object) -> int:
         h.update(b"\x00")
         h.update(repr(key).encode())
     return int.from_bytes(h.digest(), "little")
+
+
+def content_hash(*parts: object) -> str:
+    """Hex blake2b-128 digest of each part's ``repr``, each followed by a NUL
+    byte: the content fingerprint of cost models, targets and disk-cache
+    shards (every repr fed to it must be deterministic)."""
+    h = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        h.update(repr(part).encode())
+        h.update(b"\x00")
+    return h.hexdigest()
 
 
 def derive_rng(parent: int | np.random.Generator | None, *keys: object) -> np.random.Generator:

@@ -546,7 +546,7 @@ def make_configurations(self, values_list, objectives) -> list[Configuration]:
     """Pair decoded value dicts with their measured objectives."""
     out = []
     for values, obj in zip(values_list, objectives):
-        vec = obj.vector3() if self.tri_objective else obj.vector()
+        vec = (obj.time, obj.resources) + ((obj.energy,) if self.tri_objective else ())
         out.append(Configuration.make(values, vec))
     return out
 

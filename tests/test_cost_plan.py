@@ -21,6 +21,7 @@ import pytest
 from repro.analysis.regions import extract_regions
 from repro.evaluation.cost import RegionCostModel
 from repro.evaluation.simulator import SimulatedTarget
+from repro.frontend import parse_function
 from repro.frontend.kernels import get_kernel
 from repro.machine.model import BARCELONA, LAPTOP, SERVER2S, WESTMERE
 from tests.cost_oracle import ScalarCostModel
@@ -124,6 +125,28 @@ def test_plan_matches_oracle_beyond_2_to_the_53():
     rng = np.random.default_rng(11)
     tiles = np.exp(rng.uniform(0, math.log(N), size=(64, 3))).astype(np.int64)
     _assert_same(model, tiles, rng.integers(1, 13, size=64), "mm N=2^20 random")
+
+
+#: a parsed one-loop band (n = 1): the loop-overhead sums run over a
+#: single prefix row, an edge no Table VI kernel reaches
+SAXPY = """
+void saxpy(int N, double a, double x[N], double y[N]) {
+    for (int i = 0; i < N; i++)
+        y[i] = a * x[i] + y[i];
+}
+"""
+
+
+@pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+def test_plan_matches_oracle_on_a_one_loop_band(machine):
+    (region,) = extract_regions(parse_function(SAXPY))
+    assert region.domain.vars == ("i",)
+    rng = np.random.default_rng(31)
+    for N in (1000, 10**6):
+        for spec in _specs(region.domain.vars):
+            model = RegionCostModel(region, {"N": N}, machine, parallel_spec=spec)
+            for tiles, threads in _batches(model, rng):
+                _assert_same(model, tiles, threads, f"saxpy N={N}/{machine.name}/{spec}")
 
 
 def test_fingerprints_unchanged():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from repro.evaluation import (
     EvaluationEngine,
     MeasurementDiskCache,
     SimulatedTarget,
+    disk_cache,
 )
-from repro.evaluation.measurements import Measurement
+from repro.evaluation.disk_cache import SCHEMA_VERSION, _record_line, _Shard
+from repro.evaluation.measurements import Measurement, row_measurement, row_objectives
 from repro.evaluation.objectives import Objectives
 from repro.experiments.setups import make_setup
 from repro.machine.model import BARCELONA, WESTMERE
@@ -212,11 +216,13 @@ class TestRobustness:
         fp = t.fingerprint()
 
         def item(threads):
+            """(key, row) to store, and the (Objectives, Measurement) served."""
             tiles = {"i": 32, "j": 32, "k": 32}
             key = t.config_key(tiles, threads)
-            return key, measure(t, tiles, threads), t.measurement(tiles, threads)
+            obj, meas = measure(t, tiles, threads), t.measurement(tiles, threads)
+            return (key, t.lookup_rows([key])[key]), (obj, meas)
 
-        first, second = item(4), item(8)
+        (first, first_served), (second, second_served) = item(4), item(8)
         MeasurementDiskCache(tmp_path).store_many(fp, [first])
         (shard_path,) = list(tmp_path.glob("*.jsonl"))
         with open(shard_path, "a", encoding="utf-8") as fh:
@@ -224,8 +230,8 @@ class TestRobustness:
 
         assert MeasurementDiskCache(tmp_path).store_many(fp, [second]) == 1
         fresh = MeasurementDiskCache(tmp_path)
-        assert fresh.fetch(fp, first[0]) == first[1:]
-        assert fresh.fetch(fp, second[0]) == second[1:]
+        assert fresh.fetch(fp, first[0]) == first_served
+        assert fresh.fetch(fp, second[0]) == second_served
 
     def test_missing_directory_is_fine(self, mm_model, tmp_path):
         t = _target(mm_model, tmp_path / "does" / "not" / "exist" / "yet")
@@ -237,7 +243,7 @@ class TestRobustness:
         t = SimulatedTarget(mm_model, seed=7, disk_cache=cache)
         measure(t, {"i": 32, "j": 32, "k": 32}, 4)
         key = t.config_key({"i": 32, "j": 32, "k": 32}, 4)
-        item = (key, t.lookup(key), t.measurement({"i": 32, "j": 32, "k": 32}, 4))
+        item = (key, t.lookup_rows([key])[key])
         assert t.disk_store_many([item]) == 0  # already present
 
     def test_energy_round_trips(self, mm_model, tmp_path):
@@ -283,10 +289,16 @@ class TestConcurrency:
 
 
 def _record(writer: int, i: int):
-    """A synthetic stored measurement; 64 samples make each line long."""
-    samples = tuple(writer * 1000.0 + i + r / 8 for r in range(64))
-    obj = Objectives(time=samples[0], threads=1)
-    return (writer, i, 1, 1), obj, Measurement(value=samples[0], samples=samples)
+    """A synthetic stored measurement ``(key, row)``; 64 samples make each
+    line long."""
+    samples = [writer * 1000.0 + i + r / 8 for r in range(64)]
+    return (writer, i, 1, 1), (samples[0], samples, None)
+
+
+def _served(writer: int, i: int):
+    """The (Objectives, Measurement) ``fetch_many`` serves for ``_record``."""
+    _, (value, samples, _) = _record(writer, i)
+    return Objectives(time=value, threads=1), Measurement(value=value, samples=tuple(samples))
 
 
 def _append_records(root, fp, writer, n, per_call, start=None):
@@ -336,10 +348,7 @@ class TestProcesses:
         fresh = MeasurementDiskCache(tmp_path)
         keys = [(w, i, 1, 1) for w in (1, 2) for i in range(n)]
         hits = fresh.fetch_many(self.FP, keys)
-        assert hits == {
-            key: (obj, meas)
-            for key, obj, meas in (_record(w, i) for w in (1, 2) for i in range(n))
-        }
+        assert hits == {(w, i, 1, 1): _served(w, i) for w in (1, 2) for i in range(n)}
 
     def test_reader_sees_a_foreign_append_without_reopening(self, tmp_path):
         import multiprocessing
@@ -354,7 +363,7 @@ class TestProcesses:
         self._run(ctx, (tmp_path, self.FP, 9, 10, 5))
         hits = reader.fetch_many(self.FP, foreign + [key for key, *_ in own])
         assert len(hits) == 13
-        assert hits[(9, 4, 1, 1)] == _record(9, 4)[1:]
+        assert hits[(9, 4, 1, 1)] == _served(9, 4)
         assert reader.hits == 13 and reader.misses == 10
         # the foreign records also count as present for the next append
         assert reader.store_many(self.FP, [_record(9, 0), _record(0, 5)]) == 1
@@ -373,3 +382,146 @@ class TestPickling:
         # the pure measurement function survives intact
         key = t.config_key({"i": 32, "j": 32, "k": 32}, 4)
         assert clone.compute_keys([key]) == t.compute_keys([key])
+
+
+class TestShardFormat:
+    """The shard writes each record with a direct formatter and loads a
+    tail with one bulk ``json.loads``; both must match what the shard did
+    line by line: ``json.dumps`` on write, and the frozen line-by-line
+    loader (``tests/measurement_oracle.py``) on every kind of damage."""
+
+    FP = "format-target"
+
+    @staticmethod
+    def _items(n=300, seed=1):
+        """Random (key, row) records plus extreme floats, energy None and
+        float alike."""
+        rng = np.random.default_rng(seed)
+        items = []
+        for i in range(n):
+            key = tuple(int(x) for x in rng.integers(1, 5000, 3)) + (int(rng.integers(1, 80)),)
+            samples = np.exp(rng.normal(-6, 6, 5)).tolist()
+            energy = None if i % 2 else float(np.exp(rng.normal(0, 8)))
+            items.append((key, (sorted(samples)[2], samples, energy)))
+        items.append(((1, 2, 3, 4), (5e-324, [5e-324, 1e308, 1e-07], None)))
+        items.append(((5, 6, 7, 8), (1e308, [1e308, 5e-324, 1e16], 5e-324)))
+        items.append(((9, 10, 11, 12), (0.1, [0.1], 1e308)))
+        return items
+
+    @staticmethod
+    def _dumps(key, row):
+        return json.dumps({"k": list(key), "v": row[0], "s": list(row[1]), "e": row[2]})
+
+    def test_lines_equal_json_dumps(self):
+        for key, row in self._items():
+            assert _record_line(key, row) == self._dumps(key, row)
+        # what JSON spells differently from repr goes through json.dumps
+        odd = [
+            ((1, 2), (float("inf"), [float("nan"), -float("inf")], None)),
+            ((3, 4), (1.5, [1, 2.0], 7)),
+            ((5, 6), (np.float64(0.1), [np.float64(0.2)], np.float64(0.3))),
+        ]
+        for key, row in odd:
+            assert _record_line(key, row) == self._dumps(key, row)
+
+    def test_written_shard_is_json_dumps_lines(self, tmp_path):
+        items = self._items()
+        cache = MeasurementDiskCache(tmp_path)
+        assert cache.store_many(self.FP, items[:100]) == 100
+        assert cache.store_many(self.FP, items[100:]) == len(items) - 100
+        (path,) = tmp_path.glob("*.jsonl")
+        shard = cache.shard_for(self.FP)
+        header = json.dumps({"schema": SCHEMA_VERSION, "fingerprint": shard.fingerprint})
+        want = "\n".join([header] + [self._dumps(key, row) for key, row in items]) + "\n"
+        assert path.read_bytes() == want.encode()
+
+    def test_directory_is_made_once(self, tmp_path, monkeypatch):
+        import pathlib
+
+        made = []
+        mkdir = pathlib.Path.mkdir
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "mkdir", counting)
+        cache = MeasurementDiskCache(tmp_path / "sub")
+        items = self._items(30)
+        for start in range(0, 30, 10):
+            cache.store_many(self.FP, items[start : start + 10])
+        assert made == [tmp_path / "sub"]
+
+    # -- load: the bulk parse against the line-by-line oracle ---------------
+
+    def _shard(self, tmp_path, lines, tail=b""):
+        """A shard file of *lines* (bytes, each newline-terminated) and an
+        unterminated *tail*; returns (path, fingerprint)."""
+        fp = "shard-fingerprint"
+        header = json.dumps({"schema": SCHEMA_VERSION, "fingerprint": fp}).encode()
+        path = tmp_path / "shard.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in [header, *lines]) + tail)
+        return path, fp
+
+    @staticmethod
+    def _load(path, fp):
+        shard = _Shard(path, fp, SCHEMA_VERSION)
+        len(shard)  # parses the file
+        return {
+            key: (row_objectives(key, row), row_measurement(row))
+            for key, row in shard._records.items()
+        }
+
+    def _damaged(self):
+        good = [self._dumps(key, row).encode() for key, row in self._items(40, seed=2)]
+        foreign = json.dumps({"schema": SCHEMA_VERSION, "fingerprint": "other"}).encode()
+        return {
+            "clean": (good, b""),
+            "corrupt middle line": (good[:10] + [b'{"k": [1, 2, 3'] + good[10:], b""),
+            "non-dict line": (good[:10] + [b"[1, 2]"] + good[10:], b""),
+            "two records glued": (good[:10] + [good[10] + good[11]] + good[12:], b""),
+            "two values on one line": (good[:10] + [good[10] + b", " + good[11]] + good[12:], b""),
+            "empty line": (good[:10] + [b""] + good[10:], b""),
+            "foreign header": (good[:10] + [foreign] + good[10:], b""),
+            "torn tail": (good, b'{"k": [7, 7, 7, 7], "v": 0.1, "s": [0.'),
+            "bad fields": (
+                good[:10]
+                + [
+                    b'{"k": "not-a-list", "v": 1.0, "s": []}',
+                    b'{"k": [], "v": 1.0, "s": [1.0]}',
+                    b'{"k": [1, 2, 3, 4], "v": "x", "s": [1.0]}',
+                    b'{"k": [1, 2, 3, 5], "v": 1.0, "s": [1.0], "e": [2]}',
+                    b'{"v": 1.0, "s": [1.0]}',
+                    '{"k": [1, 2, 3, 6], "v": 1.0, "s": [1.0], "e": "\u00e9"}'.encode(),
+                ]
+                + good[10:],
+                b"",
+            ),
+            "not utf-8": (good[:10] + [b"\xff\xfe not utf-8"] + good[10:], b""),
+        }
+
+    def test_loader_matches_line_by_line_oracle(self, tmp_path):
+        from tests.measurement_oracle import ShardLoader
+
+        for name, (lines, tail) in self._damaged().items():
+            path, fp = self._shard(tmp_path, lines, tail)
+            want = ShardLoader(path, fp).load()
+            assert self._load(path, fp) == want, name
+            if name != "foreign header":
+                assert len(want) >= 38, name
+
+    def test_bulk_parse_falls_back_only_on_damage(self, tmp_path, monkeypatch):
+        """A clean tail is one ``json.loads``; a damaged one is parsed line
+        by line."""
+        calls = []
+        parse_line = disk_cache._parse_line
+        monkeypatch.setattr(
+            disk_cache, "_parse_line", lambda line: calls.append(line) or parse_line(line)
+        )
+        for name, (lines, tail) in self._damaged().items():
+            calls.clear()
+            path, fp = self._shard(tmp_path, lines, tail)
+            self._load(path, fp)
+            fell_back = name not in ("clean", "torn tail", "non-dict line",
+                                     "foreign header", "bad fields")
+            assert bool(calls) == fell_back, name

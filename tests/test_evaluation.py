@@ -23,12 +23,13 @@ from repro.evaluation import (
     resource_usage,
     speedup,
 )
+from repro.evaluation.measurements import row_measurement, row_objectives
 from repro.experiments import make_setup
-from repro.frontend import get_kernel
+from repro.frontend import get_kernel, parse_function
 from repro.ir.interp import run_function
 from repro.machine import BARCELONA, WESTMERE, CacheHierarchy, CacheSim
 from repro.machine.cache import AddressTraceRecorder
-from repro.machine.model import CacheLevel, MachineModel
+from repro.machine.model import LAPTOP, SERVER2S, CacheLevel, MachineModel
 from repro.transform import replace_at_path, tile
 from repro.util.ndtri import ndtri
 from repro.util.rng import spawn_seed
@@ -37,6 +38,12 @@ from tests.cost_oracle import ScalarCostModel
 
 ORACLE_MACHINES = (WESTMERE, BARCELONA)
 ORACLE_KERNELS = ("mm", "dsyrk", "jacobi2d", "stencil3d", "nbody")
+SAXPY = """
+void saxpy(int N, double a, double x[N], double y[N]) {
+    for (int i = 0; i < N; i++)
+        y[i] = a * x[i] + y[i];
+}
+"""
 
 
 def as_keys(target, configs):
@@ -69,8 +76,7 @@ def reference_measurement(target, key):
 class TestObjectives:
     def test_vector(self):
         o = Objectives(time=2.0, threads=4)
-        assert o.vector() == (2.0, 8.0)
-        assert o.resources == 8.0
+        assert (o.time, o.resources) == (2.0, 8.0)
 
     def test_speedup_efficiency(self):
         assert speedup(0.5, 2.0) == 4.0
@@ -315,6 +321,26 @@ class TestBatchEqualsScalar:
                 assert m.energy(tiles, threads) == oracle.energy(tiles, threads)
             assert m.baseline_time() == oracle.baseline_time()
 
+    @pytest.mark.parametrize("machine", [WESTMERE, BARCELONA, LAPTOP, SERVER2S], ids=lambda m: m.name)
+    def test_one_loop_band(self, machine):
+        """A parsed one-loop source (n = 1) under every parallel spec:
+        batch, B = 1 and scalar oracle agree exactly, loop overhead
+        included (without its iteration term the model would read
+        0.003772 s instead of 0.003897 s at N = 10^6, tile 1, 1 thread)."""
+        (region,) = extract_regions(parse_function(SAXPY))
+        rng = np.random.default_rng(23)
+        specs = [None, ("collapse", 1), ("collapse", 2), ("none", None), ("tile", "i"), ("point", "i")]
+        for N in (1000, 10**6):
+            for spec in specs:
+                m = RegionCostModel(region, {"N": N}, machine, parallel_spec=spec)
+                oracle = ScalarCostModel(m)
+                tiles = np.concatenate([[[1], [N]], rng.integers(1, N + 1, (22, 1))])
+                threads = rng.integers(1, machine.total_cores + 1, 24)
+                times, energies = m.energy_batch(tiles, threads)
+                for (tile,), thr, t, e in zip(tiles.tolist(), threads.tolist(), times, energies):
+                    assert t == oracle.time({"i": tile}, thr) == m.time({"i": tile}, thr)
+                    assert e == oracle.energy({"i": tile}, thr)
+
     def test_single_configuration_rejects_unplaceable_threads(self, mm_model):
         for threads in (0, WESTMERE.total_cores + 1):
             with pytest.raises(ValueError):
@@ -497,9 +523,11 @@ class TestVectorizedNoise:
     def test_compute_keys_matches_reference(self, mm_model):
         tgt = SimulatedTarget(mm_model, seed=13)
         keys = [(32, 64, 8, 10), (16, 128, 4, 20), (64, 8, 16, 40)]
-        for key, (obj, meas) in zip(keys, tgt.compute_keys(keys)):
-            assert meas == reference_measurement(tgt, key)
-            assert obj.time == meas.value and obj.threads == key[-1]
+        for key, row in zip(keys, tgt.compute_keys(keys)):
+            value, samples, energy = row
+            assert row_measurement(row) == reference_measurement(tgt, key)
+            assert value == median(samples) and energy is None
+            assert row_objectives(key, row) == Objectives(time=value, threads=key[-1])
 
     def test_compute_keys_energy_matches_reference(self):
         """With ``measure_energy`` the batch's energies are the scalar
@@ -511,11 +539,12 @@ class TestVectorizedNoise:
             oracle = ScalarCostModel(model)
             rows = problem.space.full_boundary().sample(np.random.default_rng(2), 12)
             _, keys = problem.decode(rows)
-            for key, (obj, meas) in zip(keys, tgt.compute_keys(keys)):
+            for key, row in zip(keys, tgt.compute_keys(keys)):
+                meas = row_measurement(row)
                 assert meas == reference_measurement(tgt, key)
                 tiles = dict(zip(tgt.band, key[:-1]))
                 true_energy = oracle.energy(tiles, key[-1])
-                assert obj.energy == true_energy * (meas.value / oracle.time(tiles, key[-1]))
+                assert row[2] == true_energy * (meas.value / oracle.time(tiles, key[-1]))
 
     def test_noise_uniforms_match_spawn_seed_at_scale(self, mm_target):
         """The batched digest → uniform conversion equals the per-key
