@@ -5,13 +5,16 @@ measurements dominate tuning time (compile + run per configuration).  The
 simulated target models that with ``MeasurementProtocol.overhead_s`` — a
 fixed wall-clock cost slept per measured configuration (the sleep releases
 the GIL, like a real subprocess compile/run would).  This benchmark checks
-the engine actually converts worker threads into wall-time savings, and
-that the parallel results stay bit-identical to the serial ones while it
-does so.
+the engine actually converts worker threads into wall-time savings on a
+single-target ``evaluate_batch`` (a one-batch session on the engine's
+pool), and that the parallel results stay bit-identical to the serial ones
+while it does so: at least 2x at 5 ms per configuration (one pair) and at
+least 3x at 3 ms (median of 5 pairs), with 8 workers.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.evaluation.parallel_eval import EvaluationEngine
@@ -24,6 +27,8 @@ from conftest import print_banner
 
 #: per-configuration measurement cost; 5 ms ≈ a (very fast) compile+run
 OVERHEAD_S = 0.005
+#: the lighter per-configuration cost of the 3x gate
+LIGHT_OVERHEAD_S = 0.003
 WORKERS = 8
 N_CONFIGS = 64
 
@@ -44,36 +49,56 @@ def _keys(target: SimulatedTarget, n: int) -> list[tuple]:
     ]
 
 
-def _timed_batch(workers: int) -> tuple[float, list[float], int]:
-    target = _target(OVERHEAD_S)
+def _timed_batch(workers: int, overhead: float) -> tuple[float, list[float], int]:
+    target = _target(overhead)
     engine = EvaluationEngine(target, max_workers=workers)
     keys = _keys(target, N_CONFIGS)
     t0 = time.perf_counter()
     result = engine.evaluate_batch(keys)
     wall = time.perf_counter() - t0
+    engine.close()
     return wall, [o.time for o in result.objectives], target.evaluations
 
 
-def test_engine_speedup_with_measurement_overhead():
-    serial_wall, serial_objs, serial_e = _timed_batch(1)
-    parallel_wall, parallel_objs, parallel_e = _timed_batch(WORKERS)
-    speedup = serial_wall / parallel_wall
+def _speedup(overhead: float, pairs: int = 1) -> float:
+    """Median over *pairs* of the serial / 8-worker wall-time ratio; the
+    pairs alternate which of the two runs first."""
+    ratios = []
+    for i in range(pairs):
+        runs = {}
+        for workers in (1, WORKERS) if i % 2 == 0 else (WORKERS, 1):
+            runs[workers] = _timed_batch(workers, overhead)
+        serial_wall, serial_objs, serial_e = runs[1]
+        parallel_wall, parallel_objs, parallel_e = runs[WORKERS]
+        # correctness first: parallelism must not change a single bit or E
+        assert parallel_objs == serial_objs
+        assert parallel_e == serial_e == N_CONFIGS
+        ratios.append(serial_wall / parallel_wall)
+    speedup = statistics.median(ratios)
 
     print_banner(
         f"Evaluation-engine speedup ({N_CONFIGS} configs x "
-        f"{OVERHEAD_S * 1000:.0f} ms measurement overhead)"
+        f"{overhead * 1000:.0f} ms measurement overhead)"
     )
-    print(f"serial (1 worker):    {serial_wall:6.3f} s")
-    print(f"pooled ({WORKERS} workers):   {parallel_wall:6.3f} s")
-    print(f"speedup:              {speedup:6.2f} x")
+    print(f"serial (1 worker):    {serial_wall:6.3f} s (last pair)")
+    print(f"pooled ({WORKERS} workers):   {parallel_wall:6.3f} s (last pair)")
+    print(f"speedup:              {speedup:6.2f} x (median of {pairs} pairs)")
+    return speedup
 
-    # correctness first: parallelism must not change a single bit or E
-    assert parallel_objs == serial_objs
-    assert parallel_e == serial_e == N_CONFIGS
 
+def test_engine_speedup_with_measurement_overhead():
+    speedup = _speedup(OVERHEAD_S)
     # the measurement overhead floor is ~N*overhead serial vs ~N/W pooled;
     # demand at least 2x at 8 workers (plenty of slack for CI jitter)
     assert speedup >= 2.0, f"expected >= 2x speedup at {WORKERS} workers, got {speedup:.2f}x"
+
+
+def test_engine_speedup_at_3ms_per_config():
+    speedup = _speedup(LIGHT_OVERHEAD_S, pairs=5)
+    # a lighter wait leaves relatively more to the engine's own bookkeeping;
+    # 8 workers must still cut the wall time at least 3x (median of 5
+    # alternating pairs: a shared host spreads one pair's ratio widely)
+    assert speedup >= 3.0, f"expected >= 3x speedup at {WORKERS} workers, got {speedup:.2f}x"
 
 
 def test_engine_overhead_negligible_without_protocol_cost():

@@ -32,9 +32,11 @@ from conftest import print_banner
 _SETTINGS = RSGDE3Settings(gde3=GDE3Settings(population_size=16), max_generations=8)
 
 #: generous upper bounds on metric updates per touchpoint (the engine does
-#: ~10 counter/gauge/histogram operations per batch span, emit_generation 4
-#: per event; rounding both up keeps the bound conservative)
+#: ~10 counter/histogram operations per ``engine.batch`` event,
+#: emit_generation 4 per event; rounding both up keeps the bound
+#: conservative)
 _METRIC_OPS_PER_SPAN = 16
+_METRIC_OPS_PER_BATCH = 16
 _METRIC_OPS_PER_EVENT = 8
 
 
@@ -61,8 +63,11 @@ def test_disabled_observability_under_2_percent(benchmark):
     assert traced.convergence == result.convergence  # same workload
     records = obs.tracer.records()
     n_spans = sum(1 for r in records if r["type"] == "span")
-    n_events = sum(1 for r in records if r["type"] == "event")
-    assert n_spans > 0 and n_events > 0
+    n_batches = sum(
+        1 for r in records if r["type"] == "event" and r["name"] == "engine.batch"
+    )
+    n_events = sum(1 for r in records if r["type"] == "event") - n_batches
+    assert n_spans > 0 and n_batches > 0 and n_events > 0
 
     # disabled-path primitive costs
     tracer = NullTracer()
@@ -85,12 +90,16 @@ def test_disabled_observability_under_2_percent(benchmark):
     )
 
     overhead = n_spans * (span_cost + _METRIC_OPS_PER_SPAN * metric_cost)
+    overhead += n_batches * (event_cost + _METRIC_OPS_PER_BATCH * metric_cost)
     overhead += n_events * (event_cost + _METRIC_OPS_PER_EVENT * metric_cost)
     share = overhead / wall
 
     print_banner("Observability overhead (tracing disabled)")
     print(f"tuning wall (obs disabled):  {wall * 1e3:9.3f} ms")
-    print(f"touchpoints:                 {n_spans} spans, {n_events} events")
+    print(
+        f"touchpoints:                 {n_spans} spans, {n_batches} engine "
+        f"batches, {n_events} other events"
+    )
     print(
         f"primitive costs:             span={span_cost * 1e9:.0f}ns "
         f"event={event_cost * 1e9:.0f}ns metric_op={metric_cost * 1e9:.0f}ns"

@@ -371,17 +371,22 @@ class TuningDriver:
         with obs.tracer.span(
             "driver.optimize", kernel=fn.name, optimizer=optimizer
         ):
-            if optimizer == "rsgde3":
-                result = RSGDE3(problem, self.settings).run(seed=run_seed)
-            elif optimizer == "nsga2":
-                result = NSGA2(problem).run(seed=run_seed)
-            elif optimizer == "random":
-                budget = self.settings.gde3.population_size * 25
-                result = random_search(problem, budget=budget, seed=run_seed)
-            else:
-                raise KeyError(
-                    f"unknown optimizer {optimizer!r} (rsgde3 | nsga2 | random)"
-                )
+            try:
+                if optimizer == "rsgde3":
+                    result = RSGDE3(problem, self.settings).run(seed=run_seed)
+                elif optimizer == "nsga2":
+                    result = NSGA2(problem).run(seed=run_seed)
+                elif optimizer == "random":
+                    budget = self.settings.gde3.population_size * 25
+                    result = random_search(problem, budget=budget, seed=run_seed)
+                else:
+                    raise KeyError(
+                        f"unknown optimizer {optimizer!r} (rsgde3 | nsga2 | random)"
+                    )
+            finally:
+                # the tune is done evaluating: release the engine's worker
+                # pool (its stats stay readable on the TunedKernel)
+                problem.engine.close()
 
         with obs.tracer.span("driver.finalize", kernel=fn.name):
             target = problem.target

@@ -28,7 +28,6 @@ _EXPORTS = {
     "Measurement": "measurements",
     "MeasurementProtocol": "measurements",
     "SimulatedTarget": "simulator",
-    "BatchEvaluator": "parallel_eval",
     "BatchResult": "parallel_eval",
     "EngineStats": "parallel_eval",
     "EvaluationEngine": "parallel_eval",

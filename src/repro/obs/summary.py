@@ -4,8 +4,8 @@ Reads a JSONL trace written by :meth:`repro.obs.tracer.Tracer.write_jsonl`
 and renders the three views the paper's analysis needs: where the wall
 time went (phase breakdown over the span tree), how the optimizer
 converged (the V-vs-E trajectory from ``optimizer.generation`` events),
-and what the evaluation engine / runtime did (``engine.batch`` span
-accounting, ``runtime.selection`` decisions).
+and what the evaluation engine / runtime did (per-region accounting from
+the ``engine.batch`` events, ``runtime.selection`` decisions).
 
 Malformed input raises :class:`~repro.obs.tracer.TraceError` with the
 offending line number — the CLI turns that into a clean one-line error
@@ -120,57 +120,39 @@ def _convergence_table(records: list[dict]) -> str | None:
 
 
 def _engine_table(records: list[dict]) -> str | None:
-    batches = _spans(records, "engine.batch")
-    if not batches:
+    """Evaluation accounting per region, from the ``engine.batch`` event the
+    engine emits as it commits each batch (``-``: batches evaluated through
+    ``evaluate_batch``, which carry no region label)."""
+    events = _events(records, "engine.batch")
+    if not events:
         return None
     keys = (
         "configs",
         "dispatched",
         "cache_hits",
         "deduped",
-        "new_evaluations",
+        "disk_hits",
+        "shared_hits",
         "retried",
-        "timeouts",
         "failed",
     )
-    totals = {k: 0 for k in keys}
-    wall = 0.0
-    for s in batches:
-        a = s.get("attrs", {})
-        for k in keys:
-            totals[k] += int(a.get(k, 0))
-        wall += s.get("duration", 0.0)
-    t = Table(
-        ["batches", *keys, "wall [s]"],
-        title="Evaluation-engine accounting",
-    )
-    t.add_row([len(batches), *[totals[k] for k in keys], wall])
-    return t.render()
-
-
-def _scheduler_table(records: list[dict]) -> str | None:
-    """Per-region accounting of a fused cross-region session, from the
-    ``scheduler.batch`` events the engine emits at each batch commit."""
-    events = _events(records, "scheduler.batch")
-    if not events:
-        return None
-    keys = ("configs", "dispatched", "cache_hits", "deduped", "shared_hits")
     by_region: dict[str, dict] = {}
     for e in events:
         a = e.get("attrs", {})
         row = by_region.setdefault(
-            str(a.get("region", "?")), {"batches": 0, **{k: 0 for k in keys}}
+            str(a.get("region") or "-"), {"batches": 0, "wall": 0.0, **{k: 0 for k in keys}}
         )
         row["batches"] += 1
+        row["wall"] += float(a.get("wall_time_s", 0.0))
         for k in keys:
             row[k] += int(a.get(k, 0))
     t = Table(
-        ["region", "batches", *keys],
-        title="Cross-region scheduler",
+        ["region", "batches", *keys, "wall [s]"],
+        title="Evaluation-engine accounting",
     )
     for region in sorted(by_region):
         row = by_region[region]
-        t.add_row([region, row["batches"], *[row[k] for k in keys]])
+        t.add_row([region, row["batches"], *[row[k] for k in keys], row["wall"]])
     return t.render()
 
 
@@ -212,7 +194,6 @@ def summarize_trace(records: list[dict]) -> str:
         _phase_table(records),
         _convergence_table(records),
         _engine_table(records),
-        _scheduler_table(records),
         _selection_table(records),
     ):
         if section is not None:

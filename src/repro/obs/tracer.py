@@ -5,10 +5,10 @@ A :class:`Tracer` records two kinds of telemetry:
 * **spans** — timed scopes opened with ``tracer.span(name, **attrs)`` as a
   context manager.  Spans nest: the span opened most recently on the same
   thread becomes the parent, so a trace reconstructs the call tree
-  (driver phase → optimizer run → engine batch).
+  (driver phase → optimizer run).
 * **events** — instantaneous records (``tracer.event(name, **attrs)``)
-  attached to the currently open span, e.g. one per optimizer generation
-  or runtime selection decision.
+  attached to the currently open span, e.g. one per optimizer generation,
+  committed evaluation batch or runtime selection decision.
 
 Records accumulate in memory and are written with :meth:`Tracer.write_jsonl`
 — one JSON object per line, led by a ``meta`` header.  Timestamps come from

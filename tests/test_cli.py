@@ -16,6 +16,17 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+def engine_rows(text):
+    """The ``repro trace`` engine table as ``{region: {column: number}}``."""
+    lines = text.split("Evaluation-engine accounting\n")[1].split("\n\n")[0].splitlines()
+    header = [c.strip() for c in lines[0].split("|")]
+    rows = {}
+    for line in lines[2:]:
+        cells = [c.strip() for c in line.split("|")]
+        rows[cells[0]] = {h: float(c) for h, c in zip(header[1:], cells[1:])}
+    return rows
+
+
 class TestInfoCommands:
     def test_kernels(self):
         code, text = run_cli("kernels")
@@ -169,7 +180,7 @@ class TestObservabilityCLI:
         event_names = {r["name"] for r in records if r["type"] == "event"}
         # the three acceptance event/span families, all in one trace
         assert "optimizer.run" in span_names
-        assert "engine.batch" in span_names
+        assert "engine.batch" in event_names
         assert "optimizer.generation" in event_names
         assert "runtime.selection" in event_names
         assert {"driver.analyze", "driver.optimize", "driver.finalize"} <= span_names
@@ -184,6 +195,25 @@ class TestObservabilityCLI:
         assert "Convergence trajectory" in text
         assert "Evaluation-engine accounting" in text
         assert "Runtime selection decisions" in text
+        rows = engine_rows(text)
+        assert set(rows) == {"-"}  # evaluate_batch carries no region label
+        assert rows["-"]["configs"] > 0 and rows["-"]["disk_hits"] == 0
+
+    def test_warm_cache_trace_shows_disk_hits(self, tmp_path):
+        cache = tmp_path / "cache"
+        run_cli("tune", "mm", "--size", "N=200", "--cache-dir", str(cache))
+        trace_path = tmp_path / "warm.jsonl"
+        run_cli(
+            "tune", "mm", "--size", "N=200", "--cache-dir", str(cache),
+            "--trace", str(trace_path),
+        )
+        code, text = run_cli("trace", str(trace_path))
+        assert code == 0
+        row = engine_rows(text)["-"]
+        assert row["disk_hits"] > 0 and row["dispatched"] == 0
+        assert row["configs"] == (
+            row["cache_hits"] + row["deduped"] + row["disk_hits"] + row["shared_hits"]
+        )
 
     def test_tune_metrics_prints_exposition(self):
         code, text = run_cli("tune", "mm", "--size", "N=200", "--metrics")
@@ -299,8 +329,15 @@ class TestMultiRegionCLI:
         assert code == 0
         code, text = run_cli("trace", str(trace))
         assert code == 0
-        assert "Cross-region scheduler" in text
-        assert "shared_hits" in text
+        # one engine table, one row per region
+        assert "Cross-region scheduler" not in text
+        rows = engine_rows(text)
+        assert set(rows) == {"0", "1"}
+        for row in rows.values():
+            assert row["configs"] == (
+                row["dispatched"] + row["cache_hits"] + row["deduped"]
+                + row["disk_hits"] + row["shared_hits"]
+            )
 
     def test_pipeline_requires_multiregion(self):
         with pytest.raises(SystemExit):

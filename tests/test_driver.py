@@ -131,3 +131,22 @@ class TestSession:
         session = TuningSession()
         session.tune("mm", WESTMERE, seed=0)
         assert session.results_for("mm", "Barcelona", "rsgde3") == []
+
+
+class TestEngineLifetime:
+    def test_tune_releases_process_pool(self):
+        """A tune closes its engine: the process backend's workers exit
+        once it returns, and the engine's accounting stays readable."""
+        import multiprocessing
+        import time
+
+        driver = TuningDriver(
+            machine=WESTMERE, seed=1, settings=FAST_SETTINGS, workers=2, backend="process"
+        )
+        for _ in range(2):
+            tuned = driver.tune_kernel("mm", sizes={"N": 300})
+            assert tuned.engine_stats.dispatched > 0
+            deadline = time.monotonic() + 10.0
+            while multiprocessing.active_children() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert multiprocessing.active_children() == []

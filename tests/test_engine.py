@@ -1,6 +1,9 @@
-"""Tests for the parallel evaluation engine: dedup → dispatch → commit
-correctness under concurrency, fault tolerance (retry / timeout / serial
-degradation), ledger thread-safety, and the optimizer routing.
+"""Tests for the parallel evaluation engine: classify → compute → commit
+correctness under concurrency, for ``evaluate_batch`` (a one-batch session)
+and the fused multi-target session alike; the one failure policy (a failed
+``compute_keys`` call, inline or pooled, rescued per key in the caller's
+thread, then ``EvaluationError``); the pool rule; ledger thread-safety; and
+the optimizer routing.
 
 All seeds are fixed so the concurrency assertions are deterministic: the
 simulated target derives measurement noise from (key, repetition) hashes,
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.evaluation.parallel_eval import (
-    BatchEvaluator,
+    RESCUE_ATTEMPTS,
     EngineStats,
     EvaluationEngine,
     EvaluationError,
@@ -189,112 +192,70 @@ class TestConcurrencyStress:
 
 
 class TestFaultTolerance:
+    """The one failure policy.  The fault tests that need the pool give the
+    target per-configuration latency (``LATENCY``), so the pool rule holds."""
+
     def test_transient_fault_is_retried(self, mm_model):
-        target = fresh_target(mm_model)
+        """A failed pooled call is retried per key in the caller's thread."""
+        target = fresh_target(mm_model, protocol=LATENCY)
         policy = FlakyFaultPolicy(fail_attempts=1)
-        engine = EvaluationEngine(
-            target, max_workers=4, retries=2, backoff_s=0.0, fault_policy=policy
-        )
+        engine = EvaluationEngine(target, max_workers=4, fault_policy=policy)
         res = engine.evaluate_batch(
             as_keys(engine.target, some_configs(6, duplicate_every=0))
         )
+        engine.close()
         assert res.new_evaluations == 6
-        assert engine.stats.retried >= 6
-        assert engine.stats.failed == 0
-        assert not engine.degraded
+        assert engine.stats.failed == 6
+        assert engine.stats.retried == 0  # every first rescue attempt passed
+        assert sorted(a for _, a, serial in policy.calls if serial) == [2] * 6
 
     def test_retried_results_bit_identical(self, mm_model):
-        clean_target = fresh_target(mm_model, seed=2)
-        flaky_target = fresh_target(mm_model, seed=2)
+        clean_target = fresh_target(mm_model, seed=2, protocol=LATENCY)
+        flaky_target = fresh_target(mm_model, seed=2, protocol=LATENCY)
         clean = EvaluationEngine(clean_target)
         flaky = EvaluationEngine(
             flaky_target,
             max_workers=4,
-            retries=3,
-            backoff_s=0.0,
             fault_policy=FlakyFaultPolicy(fail_attempts=2),
         )
         configs = some_configs(8, duplicate_every=0)
         a = clean.evaluate_batch(as_keys(clean.target, configs))
         b = flaky.evaluate_batch(as_keys(flaky.target, configs))
+        flaky.close()
         assert [o.time for o in a.objectives] == [o.time for o in b.objectives]
         assert clean_target.evaluations == flaky_target.evaluations
 
-    def test_timeout_triggers_retry(self, mm_model):
-        target = fresh_target(mm_model)
-        policy = FlakyFaultPolicy(slow_attempts=1, delay_s=0.5)
-        engine = EvaluationEngine(
-            target,
-            max_workers=2,
-            timeout_s=0.05,
-            retries=2,
-            backoff_s=0.0,
-            fault_policy=policy,
-        )
-        res = engine.evaluate_batch(
-            as_keys(engine.target, some_configs(2, duplicate_every=0))
-        )
-        assert res.new_evaluations == 2
-        assert engine.stats.timeouts >= 1
-
     def test_persistent_pool_failure_rescued_serially(self, mm_model):
-        target = fresh_target(mm_model)
+        target = fresh_target(mm_model, protocol=LATENCY)
         policy = FlakyFaultPolicy(fail_attempts=99)  # pool always fails
-        engine = EvaluationEngine(
-            target,
-            max_workers=4,
-            retries=1,
-            backoff_s=0.0,
-            degrade_after=2,
-            fault_policy=policy,
-        )
-        res = engine.evaluate_batch(
-            as_keys(engine.target, some_configs(5, duplicate_every=0))
-        )
-        assert res.new_evaluations == 5  # serial rescue computed them all
-        assert engine.stats.failed == 5
-        assert not engine.degraded  # one strike so far
-
-    def test_degrades_to_serial_after_repeated_failure(self, mm_model):
-        target = fresh_target(mm_model)
-        policy = FlakyFaultPolicy(fail_attempts=99)
-        engine = EvaluationEngine(
-            target,
-            max_workers=4,
-            retries=1,
-            backoff_s=0.0,
-            degrade_after=2,
-            fault_policy=policy,
-        )
-        engine.evaluate_batch(
-            as_keys(engine.target, some_configs(4, duplicate_every=0))
-        )
-        engine.evaluate_batch(
-            as_keys(engine.target, some_configs(8, duplicate_every=0)[4:])
-        )
-        assert engine.degraded
-        # degraded batches run serially (fault policy spares serial mode)
-        res = engine.evaluate_batch(
-            as_keys(engine.target, [({"i": 100, "j": 100, "k": 100}, 20)])
-        )
-        assert res.stats.serial_fallbacks == 1
-        assert res.new_evaluations == 1
-        engine.reset_faults()
-        assert not engine.degraded
+        engine = EvaluationEngine(target, max_workers=4, fault_policy=policy)
+        later = [({"i": 200 + 8 * i, "j": 64, "k": 8}, 20) for i in range(4)]
+        for configs in (some_configs(5, duplicate_every=0), later):
+            res = engine.evaluate_batch(as_keys(engine.target, configs))
+            assert res.new_evaluations == len(configs)  # rescue computed them all
+            assert res.stats.failed == len(configs)
+        engine.close()
 
     def test_terminal_failure_raises(self, mm_model):
-        target = fresh_target(mm_model)
+        target = fresh_target(mm_model, protocol=LATENCY)
         policy = FlakyFaultPolicy(fail_attempts=99, fail_serial=True)
-        engine = EvaluationEngine(
-            target, max_workers=2, retries=1, backoff_s=0.0, fault_policy=policy
-        )
+        engine = EvaluationEngine(target, max_workers=2, fault_policy=policy)
+        keys = as_keys(engine.target, some_configs(3, duplicate_every=0))
         with pytest.raises(EvaluationError):
-            engine.evaluate_batch(
-                as_keys(engine.target, some_configs(3, duplicate_every=0))
-            )
+            engine.evaluate_batch(keys)
+        # the first key got the call's attempt, then every rescue attempt
+        attempts = [a for key, a, _ in policy.calls if key == keys[0]]
+        assert attempts == list(range(1, 2 + RESCUE_ATTEMPTS))
+        assert RESCUE_ATTEMPTS == 3
+        # the failure dropped the session: nothing stays in flight, so the
+        # same keys evaluate once the fault clears
+        assert not engine.fused_active and not engine._inflight
+        policy.fail_attempts, policy.fail_serial = 0, False
+        assert engine.evaluate_batch(keys).new_evaluations == 3
+        engine.close()
 
     def test_serial_engine_with_fault_policy(self, mm_model):
-        """workers=1 engines run the same retry machinery inline."""
+        """workers=1 engines run the same failure policy inline."""
         target = fresh_target(mm_model)
         policy = FlakyFaultPolicy(fail_attempts=99)  # serial attempts pass
         engine = EvaluationEngine(target, max_workers=1, fault_policy=policy)
@@ -302,6 +263,7 @@ class TestFaultTolerance:
             as_keys(engine.target, some_configs(3, duplicate_every=0))
         )
         assert res.new_evaluations == 3
+        assert res.stats.failed == 3
 
 
 class TestEngineConfig:
@@ -314,8 +276,12 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EvaluationEngine(fresh_target(mm_model), max_workers=0)
 
-    def test_batch_evaluator_alias(self, mm_model):
-        assert BatchEvaluator is EvaluationEngine
+    def test_engine_parameters(self):
+        import inspect
+
+        assert list(inspect.signature(EvaluationEngine).parameters) == [
+            "target", "max_workers", "fault_policy", "obs", "backend", "chunk_size",
+        ]
 
     def test_stats_merge(self):
         a = EngineStats(batches=1, configs=3, dispatched=2, cache_hits=1)
@@ -395,9 +361,9 @@ class TestEngineStatsUnit:
     def test_as_dict_lists_every_field(self):
         from dataclasses import fields
 
-        d = EngineStats(batches=1, timeouts=2, serial_fallbacks=3).as_dict()
+        d = EngineStats(batches=1, retried=2, failed=3).as_dict()
         assert set(d) == {f.name for f in fields(EngineStats)}
-        assert (d["batches"], d["timeouts"], d["serial_fallbacks"]) == (1, 2, 3)
+        assert (d["batches"], d["retried"], d["failed"]) == (1, 2, 3)
 
     def test_summary_renders_key_counters(self):
         s = EngineStats(
@@ -449,24 +415,23 @@ class TestChunkedDispatch:
     @pytest.mark.parametrize("workers", [2, 8])
     @pytest.mark.parametrize("chunk_size", [None, 1, 3])
     def test_fault_parity_under_chunking(self, mm_model, workers, chunk_size):
-        """A failed chunk retries whole, then rescues per key — the result
-        must still match the clean serial run exactly."""
+        """A failed pooled chunk is rescued per key — the result must still
+        match the clean serial run exactly."""
         configs = self._configs(24)
-        ref, ref_target = self._reference(mm_model, configs)
-        target = fresh_target(mm_model, seed=21)
+        ref, ref_target = self._reference(mm_model, configs, LATENCY)
+        target = fresh_target(mm_model, seed=21, protocol=LATENCY)
         engine = EvaluationEngine(
             target,
             max_workers=workers,
             chunk_size=chunk_size,
-            retries=2,
-            backoff_s=0.0,
             fault_policy=FlakyFaultPolicy(fail_attempts=1),
         )
         res = engine.evaluate_batch(as_keys(engine.target, configs))
+        engine.close()
         assert res.objectives == ref.objectives
         assert target.evaluations == ref_target.evaluations
-        assert engine.stats.retried > 0
-        assert engine.stats.failed == 0
+        assert engine.stats.failed == engine.stats.dispatched > 0
+        assert engine.stats.retried == 0
 
     def test_chunk_sizes_cover_batch_exactly(self, mm_model):
         engine = EvaluationEngine(fresh_target(mm_model), max_workers=4)
@@ -477,31 +442,6 @@ class TestChunkedDispatch:
         assert max(len(c) for c in chunks) == 3  # ceil(10/4)
         engine.chunk_size = 4
         assert [len(c) for c in engine._chunks(keys)] == [4, 4, 2]
-
-    def test_single_deadline_for_stragglers(self, mm_model):
-        """n hung workers cost one timeout budget per attempt, not n
-        sequential ones: 6 configs sleeping 2 s each must clear the batch
-        (via timeout → retry → serial rescue) well before any sleep ends."""
-        target = fresh_target(mm_model)
-        engine = EvaluationEngine(
-            target,
-            max_workers=2,
-            chunk_size=1,
-            timeout_s=0.1,
-            retries=1,
-            backoff_s=0.0,
-            fault_policy=FlakyFaultPolicy(slow_attempts=2, delay_s=2.0),
-        )
-        import time as _time
-
-        t0 = _time.perf_counter()
-        res = engine.evaluate_batch(
-            as_keys(engine.target, some_configs(6, duplicate_every=0))
-        )
-        elapsed = _time.perf_counter() - t0
-        assert res.new_evaluations == 6
-        assert elapsed < 2.0  # never waited out a sleeping worker
-        assert engine.stats.timeouts >= 6
 
     def test_invalid_chunk_size_rejected(self, mm_model):
         with pytest.raises(ValueError):
@@ -534,14 +474,14 @@ class TestProcessBackend:
             assert res.objectives == ref.objectives
             assert target.evaluations == ref_target.evaluations
             # the pool is cached across batches
-            pool = engine._process_pool
+            pool = engine._pool
             assert pool is not None
             # all memo hits, pool untouched
             engine.evaluate_batch(as_keys(engine.target, configs))
-            assert engine._process_pool is pool
+            assert engine._pool is pool
         finally:
             engine.close()
-        assert engine._process_pool is None
+        assert engine._pool is None
 
     def test_fault_policy_incompatible(self, mm_model):
         with pytest.raises(ValueError):
@@ -555,7 +495,7 @@ class TestProcessBackend:
 class TestEngineObservability:
     """evaluate_batch reports into the injected Observability handle."""
 
-    def test_batch_span_carries_accounting(self, mm_model):
+    def test_batch_event_carries_accounting(self, mm_model):
         from repro.obs import FakeClock, Observability
 
         obs = Observability.tracing(clock=FakeClock(tick=1e-3))
@@ -563,12 +503,13 @@ class TestEngineObservability:
         res = engine.evaluate_batch(
             as_keys(engine.target, some_configs(9, duplicate_every=3))
         )
-        (span,) = [r for r in obs.tracer.records() if r["type"] == "span"]
-        assert span["name"] == "engine.batch"
-        assert span["attrs"]["configs"] == 9
-        assert span["attrs"]["dispatched"] == res.stats.dispatched
-        assert span["attrs"]["deduped"] == res.stats.deduped
-        assert span["duration"] > 0
+        (event,) = obs.tracer.records()
+        assert (event["type"], event["name"]) == ("event", "engine.batch")
+        assert event["attrs"] == {"region": "", **res.stats.as_dict()}
+        assert event["attrs"]["configs"] == 9
+        assert event["attrs"]["dispatched"] == res.stats.dispatched == 6
+        assert event["attrs"]["deduped"] == res.stats.deduped == 3
+        assert event["attrs"]["wall_time_s"] > 0
 
     def test_metrics_accumulate_across_batches(self, mm_model):
         from repro.obs import Observability
@@ -614,10 +555,7 @@ class TestEngineObservability:
             "repro_engine_disk_hits_total": stats.disk_hits,
             "repro_engine_shared_hits_total": stats.shared_hits,
             "repro_engine_retries_total": stats.retried,
-            "repro_engine_timeouts_total": stats.timeouts,
             "repro_engine_failed_total": stats.failed,
-            "repro_engine_serial_fallbacks_total": stats.serial_fallbacks,
-            "repro_engine_degraded": 0,
             "repro_engine_batch_seconds": {"sum": stats.wall_time_s, "count": 1},
         }
         assert obs.metrics.as_dict() == expected
@@ -694,21 +632,22 @@ class TestFusedSession:
             a = fresh_target(mm_model, protocol=protocol)
             b = fresh_target(mm_model, protocol=protocol)
             assert a.fingerprint() == b.fingerprint()
-            session = {(a.fingerprint(), a.config_key(*c)) for c in configs}
+            fp = a.fingerprint()
+            session = {a.config_key(*c) for c in configs}
             engine = EvaluationEngine(a, max_workers=4)
             ba = engine.fused_submit(a, as_keys(a, configs), region="a")
             # only fused_wait moves results out of flight, so b's batch is
             # classified against a's keys exactly as submit left them: still
             # in flight on the pool, or already computed inline
             if protocol is None:
-                assert engine._fused_results.keys() == session
-                assert not engine._fused_inflight
+                assert engine._results[fp].keys() == session
+                assert not engine._inflight[fp]
             else:
-                assert engine._fused_inflight == session
-                assert not engine._fused_results
+                assert engine._inflight[fp] == session
+                assert not engine._results[fp]
             bb = engine.fused_submit(b, as_keys(b, configs), region="b")
             self.drain(engine)
-            assert not engine._fused_inflight
+            assert not engine._inflight[fp]
             engine.close()
             assert ba.objectives == bb.objectives
             assert ba.stats.dispatched == 10 and ba.stats.shared_hits == 0
@@ -742,16 +681,14 @@ class TestFusedSession:
         assert later.stats.dispatched == 0
 
     def test_failed_chunk_rescued_serially(self, mm_model):
-        target = fresh_target(mm_model)
+        target = fresh_target(mm_model, protocol=LATENCY)
         policy = FlakyFaultPolicy(fail_attempts=1)
-        ref_target = fresh_target(mm_model)
+        ref_target = fresh_target(mm_model, protocol=LATENCY)
         ref = EvaluationEngine(ref_target).evaluate_batch(
             as_keys(ref_target, some_configs(8))
         )
 
-        engine = EvaluationEngine(
-            target, max_workers=4, fault_policy=policy, backoff_s=0.0
-        )
+        engine = EvaluationEngine(target, max_workers=4, fault_policy=policy)
         batch = engine.fused_submit(
             target, as_keys(target, some_configs(8)), region="r"
         )
@@ -778,14 +715,30 @@ class TestFusedSession:
         for batch, ref in zip(batches, refs):
             assert batch.objectives == ref.objectives
 
+    def test_evaluate_batch_is_a_one_batch_session(self, mm_model):
+        """evaluate_batch drains only its own batch: a pending fused batch
+        stays pending for fused_wait, and once nothing is pending the
+        session keeps no results."""
+        a = fresh_target(mm_model, protocol=LATENCY)
+        b = fresh_target(mm_model, seed=1, protocol=LATENCY)
+        engine = EvaluationEngine(b, max_workers=2)
+        fused = engine.fused_submit(a, as_keys(a, some_configs(6)), region="a")
+        res = engine.evaluate_batch(as_keys(b, some_configs(6)))
+        assert res.done and not fused.done and engine.fused_active
+        assert self.drain(engine) == [fused]
+        assert engine._results  # a fused session shares across generations
+        engine.evaluate_batch(as_keys(b, some_configs(8)))
+        assert not engine._results and not engine._inflight
+        engine.close()
+
     def test_fused_reset_clears_state(self, mm_model):
         target = fresh_target(mm_model)
         engine = EvaluationEngine(target, max_workers=2)
         engine.fused_submit(target, as_keys(target, some_configs(5)), region="r")
         self.drain(engine)
-        assert engine._fused_results
+        assert engine._results
         engine.fused_reset()
-        assert not engine._fused_results and not engine.fused_active
+        assert not engine._results and not engine.fused_active
         engine.close()
 
     def test_scheduler_batch_events_and_metrics(self, mm_model):
@@ -802,7 +755,7 @@ class TestFusedSession:
         events = [
             r
             for r in obs.tracer.records()
-            if r["type"] == "event" and r["name"] == "scheduler.batch"
+            if r["type"] == "event" and r["name"] == "engine.batch"
         ]
         assert len(events) == 1
         attrs = events[0]["attrs"]
@@ -825,10 +778,10 @@ class RecordingTarget(SimulatedTarget):
 
 
 class TestPoolRule:
-    """A pool is used only when it can overlap waits: a process backend,
-    per-configuration latency on the target, or a timeout / fault policy.
-    Otherwise every computation runs on the caller's thread, one
-    ``compute_keys`` call per batch.  Objectives are bit-identical either
+    """A pool is used only when it can overlap waits: a process backend or
+    per-configuration latency on the target.  Otherwise every computation
+    runs on the caller's thread, one ``compute_keys`` call per batch (a
+    fault policy does not change that).  Objectives are bit-identical either
     way."""
 
     @pytest.fixture(autouse=True)
@@ -850,8 +803,8 @@ class TestPoolRule:
         return [
             ({}, None, False),
             ({}, LATENCY, True),
-            ({"fault_policy": FlakyFaultPolicy()}, None, True),
-            ({"timeout_s": 30.0}, None, True),
+            ({"fault_policy": FlakyFaultPolicy()}, None, False),
+            ({"fault_policy": FlakyFaultPolicy()}, LATENCY, True),
         ]
 
     @pytest.mark.parametrize("workers", [2, 8])
@@ -923,7 +876,7 @@ class TestPoolRule:
             return original(self, keys)
 
         monkeypatch.setattr(SimulatedTarget, "compute_keys", fail_bulk)
-        engine = EvaluationEngine(target, max_workers=4, backoff_s=0.0)
+        engine = EvaluationEngine(target, max_workers=4)
         res = engine.evaluate_batch(as_keys(engine.target, configs))
         monkeypatch.undo()
         assert res.stats.failed == 6

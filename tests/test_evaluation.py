@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import extract_regions
 from repro.evaluation import (
-    BatchEvaluator,
     EvaluationEngine,
     Measurement,
     MeasurementProtocol,
@@ -492,16 +491,16 @@ class TestSimulatedTarget:
         assert mm_target.evaluations == 0
 
 
-class TestBatchEvaluator:
+class TestEvaluateBatch:
     def test_preserves_order(self, mm_target):
-        be = BatchEvaluator(mm_target)
+        be = EvaluationEngine(mm_target)
         configs = [({"i": 32, "j": 64, "k": 8}, t) for t in (1, 10, 40)]
         res = be.evaluate_batch(as_keys(be.target, configs))
         assert [o.threads for o in res.objectives] == [1, 10, 40]
         assert res.new_evaluations == 3
 
     def test_thread_pool_path(self, mm_target):
-        be = BatchEvaluator(mm_target, max_workers=4)
+        be = EvaluationEngine(mm_target, max_workers=4)
         configs = [({"i": 16 * t, "j": 64, "k": 8}, 10) for t in range(1, 9)]
         res = be.evaluate_batch(as_keys(be.target, configs))
         assert len(res.objectives) == 8

@@ -284,11 +284,17 @@ class TestTraceSummary:
     def _trace_file(self, tmp_path):
         tracer = Tracer(clock=FakeClock(tick=0.25))
         with tracer.span("driver.optimize", kernel="mm"):
-            with tracer.span("engine.batch") as batch:
-                batch.set(
-                    configs=10, dispatched=8, cache_hits=2, deduped=0,
-                    new_evaluations=8, retried=0, timeouts=0, failed=0,
+            with tracer.span("optimizer.run"):
+                tracer.event(
+                    "engine.batch", region="", configs=10, dispatched=8,
+                    cache_hits=2, deduped=0, disk_hits=0, shared_hits=0,
+                    new_evaluations=8, retried=0, failed=0, wall_time_s=0.5,
                 )
+                for region, disk in (("1", 4), ("0", 0), ("1", 2)):
+                    tracer.event(
+                        "engine.batch", region=region, configs=6, dispatched=6 - disk,
+                        disk_hits=disk, retried=1, failed=1, wall_time_s=0.25,
+                    )
             tracer.event(
                 "optimizer.generation",
                 algorithm="rsgde3", generation=0, evaluations=10,
@@ -305,7 +311,7 @@ class TestTraceSummary:
 
     def test_summary_sections(self, tmp_path):
         text = trace_summary_for_path(self._trace_file(tmp_path))
-        assert "trace: 2 spans, 2 events" in text
+        assert "trace: 2 spans, 6 events" in text
         assert "kernel=mm" in text and "command=tune" in text
         assert "Phase breakdown" in text and "driver.optimize" in text
         assert "Convergence trajectory" in text and "9.5e-05" in text
@@ -315,12 +321,28 @@ class TestTraceSummary:
     def test_phase_breakdown_only_counts_roots(self, tmp_path):
         records = load_trace(self._trace_file(tmp_path))
         text = summarize_trace(records)
-        # engine.batch is nested under driver.optimize, so the only phase
+        # optimizer.run is nested under driver.optimize, so the only phase
         # line is the root span at 100%
         phase_block = text.split("Phase breakdown")[1].split("Convergence")[0]
         assert "driver.optimize" in phase_block
-        assert "engine.batch" not in phase_block
+        assert "optimizer.run" not in phase_block
         assert "100.0%" in phase_block
+
+    def test_engine_table_one_row_per_region(self, tmp_path):
+        text = trace_summary_for_path(self._trace_file(tmp_path))
+        block = text.split("Evaluation-engine accounting\n")[1].split("\n\n")[0]
+        header, _, *rows = block.splitlines()
+        assert [c.strip() for c in header.split("|")] == [
+            "region", "batches", "configs", "dispatched", "cache_hits", "deduped",
+            "disk_hits", "shared_hits", "retried", "failed", "wall [s]",
+        ]
+        cells = {r.split("|")[0].strip(): [c.strip() for c in r.split("|")] for r in rows}
+        # regions sorted; unlabeled evaluate_batch batches show as "-"
+        assert list(cells) == ["-", "0", "1"]
+        assert cells["-"][1:6] == ["1", "10", "8", "2", "0"]
+        assert cells["1"][1:] == ["2", "12", "6", "0", "0", "6", "0", "2", "2", "0.5000"]
+        assert cells["0"][6] == "0"
+        assert "Cross-region scheduler" not in text
 
     def test_missing_file_raises_trace_error(self, tmp_path):
         with pytest.raises(TraceError, match="cannot read"):
@@ -439,14 +461,14 @@ class TestEndToEndTrace:
         event_names = {r["name"] for r in records if r["type"] == "event"}
         assert {
             "driver.analyze", "driver.optimize", "driver.finalize",
-            "optimizer.run", "engine.batch", "runtime.preview",
+            "optimizer.run", "runtime.preview",
         } <= span_names
-        assert {"optimizer.generation", "runtime.selection"} <= event_names
+        assert {"engine.batch", "optimizer.generation", "runtime.selection"} <= event_names
 
-        # engine spans account for every configuration the optimizer asked for
+        # engine events account for every configuration the optimizer asked for
         batches = [
             r for r in records
-            if r["type"] == "span" and r["name"] == "engine.batch"
+            if r["type"] == "event" and r["name"] == "engine.batch"
         ]
         stats = tuned.engine_stats
         assert sum(b["attrs"]["configs"] for b in batches) == stats.configs
