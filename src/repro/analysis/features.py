@@ -99,7 +99,8 @@ def analyze_features(region: TunableRegion, bindings: dict[str, int]) -> KernelF
     fn = region.function
     footprints: dict[str, int] = {}
     arrays = fn.arrays
-    for acc in access_functions(region.nest):
+    accesses = tuple(access_functions(region.nest))
+    for acc in accesses:
         at = arrays.get(acc.array)
         if at is None:
             continue
@@ -115,7 +116,7 @@ def analyze_features(region: TunableRegion, bindings: dict[str, int]) -> KernelF
         total_iterations=region.domain.size(bindings),
         sweep_factor=sweep_factor,
         footprint_bytes=footprints,
-        accesses=tuple(access_functions(region.nest)),
+        accesses=accesses,
     )
 
 

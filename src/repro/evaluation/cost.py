@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.features import analyze_features
-from repro.analysis.polyhedral import AccessFunction, access_functions
+from repro.analysis.polyhedral import AccessFunction
 from repro.analysis.regions import TunableRegion
 from repro.machine.model import MachineModel
 from repro.machine.topology import place_threads
@@ -161,7 +161,7 @@ class RegionCostModel:
 
         self.band = tuple(lv for lv in region.domain.vars)
         self.extent = {v: region.domain.extent(v, bindings) for v in self.band}
-        self.streams = self._build_streams()
+        self.streams = self._build_streams(feats.accesses)
 
         arrays = region.function.arrays
         self._elem_size = max(
@@ -173,10 +173,10 @@ class RegionCostModel:
     # stream extraction
     # ------------------------------------------------------------------
 
-    def _build_streams(self) -> tuple[Stream, ...]:
+    def _build_streams(self, accesses: tuple[AccessFunction, ...]) -> tuple[Stream, ...]:
         arrays = self.region.function.arrays
         groups: dict[tuple, list[AccessFunction]] = {}
-        for acc in access_functions(self.region.nest):
+        for acc in accesses:
             if acc.array not in arrays:
                 continue
             key = (acc.array, acc.linear_part())

@@ -2,14 +2,12 @@
 
 Repeated experiment sweeps, benchmarks and ``repro report`` re-measure
 identical (kernel, machine, seed, configuration) points across *process*
-runs — the in-memory ledger of :class:`~repro.evaluation.simulator.
-SimulatedTarget` cannot help there.  :class:`MeasurementDiskCache` is the
-on-disk half: a directory of JSONL shards, one per **target fingerprint**
-(a content hash over the region's cost-model signature, the machine, the
+runs, where the in-memory ledger of :class:`~repro.evaluation.simulator.
+SimulatedTarget` cannot help.  :class:`MeasurementDiskCache` is the on-disk
+half: a directory of JSONL shards, one per **target fingerprint** (a
+content hash over the region's cost-model signature, the machine, the
 noise seed/level, the measurement protocol and the cache schema version),
-each shard mapping canonical configuration keys to their measured rows
-(``(time, samples, energy)``, served as (:class:`Objectives`,
-:class:`Measurement`) pairs by :meth:`MeasurementDiskCache.fetch_many`).
+each mapping configuration keys to measured rows ``(time, samples, energy)``.
 
 Design points:
 
@@ -18,21 +16,20 @@ Design points:
   measurement, so two targets that could disagree can never share
   entries; bumping :data:`SCHEMA_VERSION` rotates every fingerprint and
   therefore invalidates all previous caches at once;
-* **append-only JSONL** — commits append one line per configuration
-  under an exclusive ``flock``, so concurrent processes never glue
-  records together; torn or corrupt lines (a crashed writer) are skipped
-  on load instead of poisoning the shard;
+* **append-only JSONL, one line per commit** — a commit appends its batch
+  as one JSON object of hex-encoded columns under an exclusive ``flock``,
+  so concurrent processes never glue batches together; torn, corrupt or
+  short lines (a crashed writer) are skipped on load instead of
+  poisoning the shard;
 * **shared between processes** — each batch lookup first checks the
   shard's size and parses only what other processes appended since, so
   a long-running tuner sees a sibling's measurements without reopening
   the cache;
-* **exact round-trip** — floats are serialized with ``repr``-fidelity
-  JSON, so a configuration served from disk is bit-identical to the one
-  that was measured, samples included.  The evaluation ledger still
-  counts a disk-served configuration towards ``E`` (it is an evaluation
-  the optimizer asked for), so reported E is identical between cold and
-  warm caches; the engine's ``disk_hits`` counter reports the savings
-  separately.
+* **exact round-trip** — the columns hold the raw float64 bits, so a
+  disk-served configuration is bit-identical to the measured one, samples
+  included.  It still counts towards ``E`` (the optimizer asked for it),
+  so E is identical between cold and warm caches; the engine's
+  ``disk_hits`` counter reports the savings separately.
 """
 
 from __future__ import annotations
@@ -42,6 +39,8 @@ import os
 import threading
 from pathlib import Path
 
+import numpy as np
+
 from repro.evaluation.measurements import Measurement, Row, row_measurement, row_objectives
 from repro.evaluation.objectives import Objectives
 from repro.util.rng import content_hash
@@ -49,33 +48,47 @@ from repro.util.rng import content_hash
 __all__ = ["MeasurementDiskCache", "DEFAULT_CACHE_DIR", "SCHEMA_VERSION"]
 
 #: bump to invalidate every existing on-disk cache entry
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: default cache root used by the CLI's bare ``--cache-dir`` flag
 DEFAULT_CACHE_DIR = "~/.cache/repro"
 
 
-_float = float.__repr__
+def _hex(values, dtype: str) -> str:
+    return np.array(values, dtype=dtype).tobytes().hex()
 
 
-def _record_line(key: tuple, row: Row) -> str:
-    """``json.dumps({"k": list(key), "v": time, "s": samples, "e": energy})``
-    byte for byte, formatted directly for int keys and finite floats (JSON
-    writes both with their ``repr``); anything else goes through
-    ``json.dumps`` itself."""
-    time, samples, energy = row
-    try:
-        line = '{"k": [%s], "v": %s, "s": [%s], "e": %s}' % (
-            ", ".join(map(int.__repr__, key)),
-            _float(time),
-            ", ".join(map(_float, samples)),
-            "null" if energy is None else _float(energy),
-        )
-        if "inf" not in line and "nan" not in line:
-            return line
-    except TypeError:
-        pass
-    return json.dumps({"k": list(key), "v": time, "s": list(samples), "e": energy})
+def _unhex(text: str, dtype: str) -> np.ndarray:
+    return np.frombuffer(bytes.fromhex(text), dtype)
+
+
+def _batch_line(items: list[tuple[tuple, Row]]) -> str:
+    """One shard line for a batch of ``(key, row)`` *items*: the row count
+    and the hex of the little-endian int64 keys and float64 times, samples
+    and energies (``"e"`` null when no row has one).  Raises for a key
+    beyond int64, ragged keys or samples, or mixed None/float energies."""
+    keys, rows = zip(*items)
+    times, samples, energies = zip(*rows)
+    nones = energies.count(None)
+    if 0 < nones < len(energies):
+        raise ValueError("a batch mixes rows with and without an energy")
+    energy = "null" if nones else '"%s"' % _hex(energies, "<f8")
+    return '{"n": %d, "k": "%s", "v": "%s", "s": "%s", "e": %s}' % (
+        len(keys), _hex(keys, "<i8"), _hex(times, "<f8"), _hex(samples, "<f8"), energy
+    )
+
+
+def _batch_rows(d: dict) -> dict[tuple, Row]:
+    """The ``key → row`` records of one batch line; raises KeyError,
+    TypeError or ValueError unless every column holds ``n`` rows."""
+    n = d["n"]
+    keys = _unhex(d["k"], "<i8").reshape(n, -1)  # first: n must be a positive int
+    if not keys.size:
+        raise ValueError("a batch without keys")
+    times = _unhex(d["v"], "<f8").reshape(n).tolist()
+    samples = _unhex(d["s"], "<f8").reshape(n, -1).tolist()
+    energies = [None] * n if d["e"] is None else _unhex(d["e"], "<f8").reshape(n).tolist()
+    return dict(zip(map(tuple, keys.tolist()), zip(times, samples, energies)))
 
 
 def _parse_line(line: bytes):
@@ -88,11 +101,10 @@ def _parse_line(line: bytes):
 
 def _parse_lines(lines: list[bytes]) -> list:
     """The JSON value of every line: one ``json.loads`` over the lines
-    joined into an array, or line by line when that parse fails or does
-    not give exactly one value per line (a corrupt, torn or empty line).
-    The writer puts one complete value on each line and a torn line only
-    ever opens brackets, so a bulk parse with one value per line is the
-    line-by-line parse."""
+    joined into an array, or line by line when that fails or does not give
+    one value per line (a corrupt, torn or empty line).  A torn line leaves
+    a string or a bracket open, so a bulk parse that gives one value per
+    line is the line-by-line parse."""
     try:
         values = json.loads(b"[" + b",".join(lines) + b"]")
     except ValueError:  # JSONDecodeError, UnicodeDecodeError
@@ -110,7 +122,7 @@ class _Shard:
     file's size with the size it last read or wrote and parses only the new
     tail, so appends by other processes become visible without reopening
     the cache; appends hold an exclusive ``flock`` so two processes never
-    interleave their records.
+    interleave their batches.
     """
 
     def __init__(self, path: Path, fingerprint: str, schema_version: int) -> None:
@@ -163,17 +175,9 @@ class _Shard:
                     return
                 continue
             try:
-                key = tuple(map(int, d["k"]))
-                energy = d.get("e")
-                row = (
-                    float(d["v"]),
-                    list(map(float, d["s"])),
-                    None if energy is None else float(energy),
-                )
+                records.update(_batch_rows(d))
             except (KeyError, TypeError, ValueError):
                 continue
-            if key:  # an empty key names no configuration
-                records[key] = row
 
     # -- queries --------------------------------------------------------
 
@@ -208,15 +212,15 @@ class _Shard:
                 fresh = [(key, row) for key, row in items if key not in self._records]
                 if not fresh:
                     return 0
-                lines = [_record_line(key, row) for key, row in fresh]
+                line = _batch_line(fresh) + "\n"
                 if self._size == 0:
                     header = {"schema": self.schema_version, "fingerprint": self.fingerprint}
-                    lines.insert(0, json.dumps(header))
+                    line = json.dumps(header) + "\n" + line
                 elif self._offset < self._size:
-                    # a torn final line (a writer died mid-record) must not
-                    # swallow the next record: start it on a line of its own
-                    lines.insert(0, "")
-                fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+                    # a torn final line (a writer died mid-batch) must not
+                    # swallow the next batch: start it on a line of its own
+                    line = "\n" + line
+                fh.write(line.encode())
                 fh.flush()
                 self._size = self._offset = fh.tell()
             self._records.update(fresh)
@@ -231,18 +235,12 @@ class MeasurementDiskCache:
         rotates every fingerprint, modelling a format change.
     """
 
-    def __init__(
-        self, root: str | Path, schema_version: int = SCHEMA_VERSION
-    ) -> None:
+    def __init__(self, root: str | Path, schema_version: int = SCHEMA_VERSION) -> None:
         self.root = Path(root).expanduser()
         self.schema_version = int(schema_version)
-        #: target fingerprint → its shard
-        self._shards: dict[str, _Shard] = {}
+        self._shards: dict[str, _Shard] = {}  # target fingerprint → its shard
         self._lock = threading.Lock()  # guards _shards and the counters
-        #: accounting across every attached target
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
+        self.hits = self.misses = self.stores = 0  # across every attached target
 
     def shard_for(self, target_fingerprint: str) -> _Shard:
         """The shard a target with this fingerprint reads and writes

@@ -12,9 +12,12 @@ differential oracles and as the baselines of the perf gates in
 * :func:`predict` — ``RegionCostModel._predict`` with its per-stream and
   per-level Python loops, over the plan :func:`build_plan` makes once per
   model.  Call it as ``predict(model, tiles, threads, collapsed)``.
-* :class:`ShardLoader` — the disk shard's line-by-line ``_read_tail``,
-  holding ``(Objectives, Measurement)`` records: the load oracle for the
-  shard's bulk parse (``tests/test_disk_cache.py``).
+* :class:`ShardLoader`, :func:`record_line` and :func:`append_records` —
+  the disk shard's per-record format (schema 1, one JSON line per
+  configuration): its line-by-line ``_read_tail`` holding
+  ``(Objectives, Measurement)`` records, the direct formatter that wrote
+  ``json.dumps``' bytes, and its flocked append.  They are the baseline of
+  the batch-line shard's perf gate and the frozen rows it must match.
 """
 
 from __future__ import annotations
@@ -30,10 +33,18 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.evaluation.measurements import Measurement
+from repro.evaluation.measurements import Measurement, Row
 from repro.evaluation.objectives import Objectives
 
-__all__ = ["ShardLoader", "build_plan", "compute_keys", "energy_batch", "predict"]
+__all__ = [
+    "ShardLoader",
+    "append_records",
+    "build_plan",
+    "compute_keys",
+    "energy_batch",
+    "predict",
+    "record_line",
+]
 
 
 def _footprint(extents: np.ndarray, line_elems: np.ndarray, line_size: int) -> np.ndarray:
@@ -375,3 +386,47 @@ class ShardLoader:
                 )
             except (KeyError, TypeError, ValueError, IndexError):
                 continue
+
+
+_float = float.__repr__
+
+
+def record_line(key: tuple, row: Row) -> str:
+    """``json.dumps({"k": list(key), "v": time, "s": samples, "e": energy})``
+    byte for byte, formatted directly for int keys and finite floats (JSON
+    writes both with their ``repr``); anything else goes through
+    ``json.dumps`` itself."""
+    time, samples, energy = row
+    try:
+        line = '{"k": [%s], "v": %s, "s": [%s], "e": %s}' % (
+            ", ".join(map(int.__repr__, key)),
+            _float(time),
+            ", ".join(map(_float, samples)),
+            "null" if energy is None else _float(energy),
+        )
+        if "inf" not in line and "nan" not in line:
+            return line
+    except TypeError:
+        pass
+    return json.dumps({"k": list(key), "v": time, "s": list(samples), "e": energy})
+
+
+def append_records(path: Path, fingerprint: str, items: list[tuple[tuple, Row]]) -> None:
+    """Append ``(key, row)`` *items* to a per-record shard file as
+    ``_Shard.put_many`` did: one :func:`record_line` per configuration
+    under an exclusive ``flock``, after a schema-1 header on a new file
+    and a newline after a torn tail.  Unlike the shard, it does not skip
+    keys already present."""
+    import fcntl
+
+    with open(path, "a+b") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        size = fh.seek(0, os.SEEK_END)
+        lines = [record_line(key, row) for key, row in items]
+        if size == 0:
+            lines.insert(0, json.dumps({"schema": 1, "fingerprint": fingerprint}))
+        else:
+            fh.seek(size - 1)
+            if fh.read(1) != b"\n":
+                lines.insert(0, "")
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))

@@ -13,8 +13,8 @@ from repro.evaluation import (
     SimulatedTarget,
     disk_cache,
 )
-from repro.evaluation.disk_cache import SCHEMA_VERSION, _record_line, _Shard
-from repro.evaluation.measurements import Measurement, row_measurement, row_objectives
+from repro.evaluation.disk_cache import SCHEMA_VERSION, _batch_line, _Shard
+from repro.evaluation.measurements import Measurement
 from repro.evaluation.objectives import Objectives
 from repro.experiments.setups import make_setup
 from repro.machine.model import BARCELONA, WESTMERE
@@ -141,7 +141,7 @@ class TestKeying:
         configs = _configs(_target(mm_model), n=20)
         cold = _target(mm_model, tmp_path)
         EvaluationEngine(cold).evaluate_batch(as_keys(cold, configs))
-        bumped = _target(mm_model, tmp_path, schema=2)
+        bumped = _target(mm_model, tmp_path, schema=SCHEMA_VERSION + 1)
         e = EvaluationEngine(bumped)
         e.evaluate_batch(as_keys(e.target, configs))
         assert e.stats.disk_hits == 0
@@ -152,11 +152,11 @@ class TestKeying:
     def test_shard_header_records_the_cache_schema(self, mm_model, tmp_path):
         import json
 
-        target = _target(mm_model, tmp_path, schema=2)
+        target = _target(mm_model, tmp_path, schema=SCHEMA_VERSION + 1)
         measure(target, {"i": 32, "j": 32, "k": 32}, 4)
         (shard,) = tmp_path.glob("*.jsonl")
         header = json.loads(shard.read_text().splitlines()[0])
-        assert header["schema"] == 2
+        assert header["schema"] == SCHEMA_VERSION + 1
 
     def test_seed_separates_shards(self, mm_model, tmp_path):
         t1 = _target(mm_model, tmp_path, seed=7)
@@ -226,7 +226,7 @@ class TestRobustness:
         MeasurementDiskCache(tmp_path).store_many(fp, [first])
         (shard_path,) = list(tmp_path.glob("*.jsonl"))
         with open(shard_path, "a", encoding="utf-8") as fh:
-            fh.write('{"k": [1, 2')  # torn: no closing brace, no newline
+            fh.write('{"n": 1, "k": "0100')  # torn: no closing brace, no newline
 
         assert MeasurementDiskCache(tmp_path).store_many(fp, [second]) == 1
         fresh = MeasurementDiskCache(tmp_path)
@@ -333,18 +333,21 @@ class TestProcesses:
 
         ctx = multiprocessing.get_context("spawn")
         start = ctx.Barrier(2, timeout=120)
-        n = 200
+        batches, per_call = 50, 4
+        n = batches * per_call
         self._run(
             ctx,
-            (tmp_path, self.FP, 1, n, 4, start),
-            (tmp_path, self.FP, 2, n, 4, start),
+            (tmp_path, self.FP, 1, n, per_call, start),
+            (tmp_path, self.FP, 2, n, per_call, start),
         )
         (shard_path,) = tmp_path.glob("*.jsonl")
         lines = shard_path.read_text().splitlines()
         records = [json.loads(line) for line in lines]  # nothing glued
         assert sum("schema" in r for r in records) == 1
         assert records[0]["fingerprint"]
-        assert len(lines) == 1 + 2 * n
+        # one line per put_many: the header plus every batch of both writers
+        assert len(lines) == 1 + 2 * batches
+        assert [r["n"] for r in records[1:]] == [per_call] * (2 * batches)
         fresh = MeasurementDiskCache(tmp_path)
         keys = [(w, i, 1, 1) for w in (1, 2) for i in range(n)]
         hits = fresh.fetch_many(self.FP, keys)
@@ -385,55 +388,109 @@ class TestPickling:
 
 
 class TestShardFormat:
-    """The shard writes each record with a direct formatter and loads a
-    tail with one bulk ``json.loads``; both must match what the shard did
-    line by line: ``json.dumps`` on write, and the frozen line-by-line
-    loader (``tests/measurement_oracle.py``) on every kind of damage."""
+    """The shard appends one JSON line per committed batch, its columns the
+    hex of little-endian int64 keys and float64 times, samples and
+    energies: floats round-trip bit for bit, each ``put_many`` is one
+    line, and a damaged line loses only its own batch."""
 
     FP = "format-target"
 
     @staticmethod
-    def _items(n=300, seed=1):
-        """Random (key, row) records plus extreme floats, energy None and
-        float alike."""
+    def _items(n=300, seed=1, energy=False):
+        """Random (key, row) records, energy None or float throughout."""
         rng = np.random.default_rng(seed)
         items = []
-        for i in range(n):
+        for _ in range(n):
             key = tuple(int(x) for x in rng.integers(1, 5000, 3)) + (int(rng.integers(1, 80)),)
             samples = np.exp(rng.normal(-6, 6, 5)).tolist()
-            energy = None if i % 2 else float(np.exp(rng.normal(0, 8)))
-            items.append((key, (sorted(samples)[2], samples, energy)))
-        items.append(((1, 2, 3, 4), (5e-324, [5e-324, 1e308, 1e-07], None)))
-        items.append(((5, 6, 7, 8), (1e308, [1e308, 5e-324, 1e16], 5e-324)))
-        items.append(((9, 10, 11, 12), (0.1, [0.1], 1e308)))
+            e = float(np.exp(rng.normal(0, 8))) if energy else None
+            items.append((key, (sorted(samples)[2], samples, e)))
         return items
 
     @staticmethod
-    def _dumps(key, row):
-        return json.dumps({"k": list(key), "v": row[0], "s": list(row[1]), "e": row[2]})
+    def _bits(rows):
+        """Every float of *rows* as its bytes, None kept as None."""
+        return [
+            (np.float64(t).tobytes(), np.array(s).tobytes(), e if e is None else np.float64(e).tobytes())
+            for t, s, e in rows
+        ]
+
+    def test_floats_round_trip_bit_exactly(self, tmp_path):
+        inf, nan = float("inf"), float("nan")
+        plain = [
+            ((1, 2, 3, 4), (5e-324, [5e-324, 1e308, -0.0], None)),
+            ((5, 6, 7, 8), (1e308, [inf, -inf, nan], None)),
+        ]
+        with_energy = [
+            ((9, 10, 11, 12), (0.1, [0.1, 0.2, 0.3], 1e308)),
+            ((13, 14, 15, 16), (nan, [nan, 5e-324, inf], 5e-324)),
+            ((17, 18, 19, 2**62), (-inf, [1e-300, 2.5, 1e16], nan)),
+        ]
+        for batch in (plain, with_energy):
+            assert MeasurementDiskCache(tmp_path).store_many(self.FP, batch) == len(batch)
+        fresh = MeasurementDiskCache(tmp_path)
+        for batch in (plain, with_energy):
+            keys = [key for key, _ in batch]
+            got = fresh.fetch_rows(self.FP, keys)
+            assert list(got) == keys
+            assert self._bits(got.values()) == self._bits(row for _, row in batch)
+            for time, samples, energy in got.values():
+                assert type(time) is float and {type(x) for x in samples} == {float}
+                assert energy is None if batch is plain else type(energy) is float
+
+    def test_each_put_many_appends_one_batch_line(self, tmp_path):
+        batches = [self._items(28, seed=s, energy=s % 2 == 1) for s in range(5)]
+        cache = MeasurementDiskCache(tmp_path)
+        for batch in batches:
+            assert cache.store_many(self.FP, batch) == len(batch)
+        (path,) = tmp_path.glob("*.jsonl")
+        header, *lines = path.read_bytes().split(b"\n")[:-1]
+        assert json.loads(header) == {
+            "schema": SCHEMA_VERSION, "fingerprint": cache.shard_for(self.FP).fingerprint
+        }
+        assert len(lines) == len(batches)
+        for line, batch in zip(lines, batches):
+            d = json.loads(line)
+            assert set(d) == {"n", "k", "v", "s", "e"} and d["n"] == len(batch)
+            keys, rows = zip(*batch)
+            assert bytes.fromhex(d["k"]) == np.array(keys, dtype="<i8").tobytes()
+            assert bytes.fromhex(d["v"]) == np.array([r[0] for r in rows], dtype="<f8").tobytes()
+            assert (d["e"] is None) == (rows[0][2] is None)
+        # a batch of keys already stored appends nothing
+        assert cache.store_many(self.FP, batches[0]) == 0
+        assert len(path.read_bytes().split(b"\n")) == len(batches) + 2
+
+    def test_a_batch_it_cannot_encode_raises_and_writes_nothing(self, tmp_path):
+        cache = MeasurementDiskCache(tmp_path)
+        cache.store_many(self.FP, self._items(3))
+        (path,) = tmp_path.glob("*.jsonl")
+        before = path.read_bytes()
+        row = (1.0, [1.0], None)
+        with pytest.raises(OverflowError):
+            cache.store_many(self.FP, [((1, 2**63), row)])
+        with pytest.raises(ValueError):
+            cache.store_many(self.FP, [((1, 1), row), ((1, 2), (1.0, [1.0], 2.0))])
+        with pytest.raises(ValueError):
+            cache.store_many(self.FP, [((1, 1), row), ((1, 2), (1.0, [1.0, 2.0], None))])
+        assert path.read_bytes() == before
+        assert len(MeasurementDiskCache(tmp_path).shard_for(self.FP)) == 3
 
     def test_lines_equal_json_dumps(self):
-        for key, row in self._items():
-            assert _record_line(key, row) == self._dumps(key, row)
-        # what JSON spells differently from repr goes through json.dumps
-        odd = [
+        """The frozen per-record formatter, the perf gate's baseline, writes
+        ``json.dumps``' bytes."""
+        from tests.measurement_oracle import record_line
+
+        def dumps(key, row):
+            return json.dumps({"k": list(key), "v": row[0], "s": list(row[1]), "e": row[2]})
+
+        items = self._items() + self._items(20, energy=True) + [
+            ((1, 2, 3, 4), (5e-324, [5e-324, 1e308, 1e-07], None)),
             ((1, 2), (float("inf"), [float("nan"), -float("inf")], None)),
             ((3, 4), (1.5, [1, 2.0], 7)),
             ((5, 6), (np.float64(0.1), [np.float64(0.2)], np.float64(0.3))),
         ]
-        for key, row in odd:
-            assert _record_line(key, row) == self._dumps(key, row)
-
-    def test_written_shard_is_json_dumps_lines(self, tmp_path):
-        items = self._items()
-        cache = MeasurementDiskCache(tmp_path)
-        assert cache.store_many(self.FP, items[:100]) == 100
-        assert cache.store_many(self.FP, items[100:]) == len(items) - 100
-        (path,) = tmp_path.glob("*.jsonl")
-        shard = cache.shard_for(self.FP)
-        header = json.dumps({"schema": SCHEMA_VERSION, "fingerprint": shard.fingerprint})
-        want = "\n".join([header] + [self._dumps(key, row) for key, row in items]) + "\n"
-        assert path.read_bytes() == want.encode()
+        for key, row in items:
+            assert record_line(key, row) == dumps(key, row)
 
     def test_directory_is_made_once(self, tmp_path, monkeypatch):
         import pathlib
@@ -452,7 +509,7 @@ class TestShardFormat:
             cache.store_many(self.FP, items[start : start + 10])
         assert made == [tmp_path / "sub"]
 
-    # -- load: the bulk parse against the line-by-line oracle ---------------
+    # -- load: damaged lines lose only their own batch ----------------------
 
     def _shard(self, tmp_path, lines, tail=b""):
         """A shard file of *lines* (bytes, each newline-terminated) and an
@@ -467,48 +524,69 @@ class TestShardFormat:
     def _load(path, fp):
         shard = _Shard(path, fp, SCHEMA_VERSION)
         len(shard)  # parses the file
-        return {
-            key: (row_objectives(key, row), row_measurement(row))
-            for key, row in shard._records.items()
-        }
+        return shard._records
 
     def _damaged(self):
-        good = [self._dumps(key, row).encode() for key, row in self._items(40, seed=2)]
+        """name → (lines, tail, the batches a load must keep)."""
+        batches = [self._items(5, seed=s, energy=s % 2 == 1) for s in range(8)]
+        good = [_batch_line(batch).encode() for batch in batches]
+        extra = json.loads(_batch_line(self._items(3, seed=99, energy=True)))
+
+        def bad(**fields):
+            return json.dumps({**extra, **fields}).encode()
+
         foreign = json.dumps({"schema": SCHEMA_VERSION, "fingerprint": "other"}).encode()
-        return {
-            "clean": (good, b""),
-            "corrupt middle line": (good[:10] + [b'{"k": [1, 2, 3'] + good[10:], b""),
-            "non-dict line": (good[:10] + [b"[1, 2]"] + good[10:], b""),
-            "two records glued": (good[:10] + [good[10] + good[11]] + good[12:], b""),
-            "two values on one line": (good[:10] + [good[10] + b", " + good[11]] + good[12:], b""),
-            "empty line": (good[:10] + [b""] + good[10:], b""),
-            "foreign header": (good[:10] + [foreign] + good[10:], b""),
-            "torn tail": (good, b'{"k": [7, 7, 7, 7], "v": 0.1, "s": [0.'),
-            "bad fields": (
-                good[:10]
-                + [
-                    b'{"k": "not-a-list", "v": 1.0, "s": []}',
-                    b'{"k": [], "v": 1.0, "s": [1.0]}',
-                    b'{"k": [1, 2, 3, 4], "v": "x", "s": [1.0]}',
-                    b'{"k": [1, 2, 3, 5], "v": 1.0, "s": [1.0], "e": [2]}',
-                    b'{"v": 1.0, "s": [1.0]}',
-                    '{"k": [1, 2, 3, 6], "v": 1.0, "s": [1.0], "e": "\u00e9"}'.encode(),
-                ]
-                + good[10:],
-                b"",
-            ),
-            "not utf-8": (good[:10] + [b"\xff\xfe not utf-8"] + good[10:], b""),
+        inserted = {
+            "clean": [],
+            "corrupt middle line": [b'{"n": 2, "k": "0100'],
+            "non-dict line": [b"[1, 2]", b'"text"', b"null"],
+            "empty line": [b""],
+            "not utf-8": [b"\xff\xfe not utf-8"],
+            "bad hex": [bad(k="zz" * 24), bad(s=extra["s"][:-1]), bad(e=17)],
+            "wrong byte count": [
+                bad(k=extra["k"][:-16]),
+                bad(v=extra["v"] + "00" * 8),
+                bad(s=extra["s"][:-8]),
+                bad(e=extra["e"][:-16]),
+                bad(k=""),
+            ],
+            "mismatched n": [bad(n=n) for n in (2, 4, 0, -1, 3.0, "3", None, True, 10**30)],
+            "bad fields": [
+                bad(k=[1, 2, 3, 4]),
+                json.dumps({k: v for k, v in extra.items() if k != "e"}).encode(),
+                json.dumps({k: v for k, v in extra.items() if k != "n"}).encode(),
+            ],
         }
+        cases = {
+            name: (good[:4] + lines + good[4:], b"", batches)
+            for name, lines in inserted.items()
+        }
+        keep = batches[:4] + batches[6:]
+        cases["two batches glued"] = (good[:4] + [good[4] + good[5]] + good[6:], b"", keep)
+        cases["two values on one line"] = (
+            good[:4] + [good[4] + b", " + good[5]] + good[6:], b"", keep
+        )
+        cases["foreign header"] = (good[:4] + [foreign] + good[4:], b"", [])
+        cases["torn tail"] = (good, b'{"n": 1, "k": "07000000', batches)
+        return cases
 
-    def test_loader_matches_line_by_line_oracle(self, tmp_path):
-        from tests.measurement_oracle import ShardLoader
-
-        for name, (lines, tail) in self._damaged().items():
+    def test_damaged_lines_lose_only_their_own_batch(self, tmp_path):
+        for name, (lines, tail, kept) in self._damaged().items():
             path, fp = self._shard(tmp_path, lines, tail)
-            want = ShardLoader(path, fp).load()
+            want = {key: (row[0], list(row[1]), row[2]) for batch in kept for key, row in batch}
             assert self._load(path, fp) == want, name
-            if name != "foreign header":
-                assert len(want) >= 38, name
+
+    def test_append_after_damage_survives(self, tmp_path):
+        """A shard whose tail is torn takes the next batch on a line of its
+        own, and a fresh load sees every intact batch."""
+        cases = self._damaged()
+        lines, tail, kept = cases["torn tail"]
+        path, fp = self._shard(tmp_path, lines, tail)
+        shard = _Shard(path, fp, SCHEMA_VERSION)
+        late = self._items(4, seed=50)
+        assert shard.put_many(late) == 4
+        want = {key: (row[0], list(row[1]), row[2]) for batch in [*kept, late] for key, row in batch}
+        assert self._load(path, fp) == want
 
     def test_bulk_parse_falls_back_only_on_damage(self, tmp_path, monkeypatch):
         """A clean tail is one ``json.loads``; a damaged one is parsed line
@@ -518,10 +596,12 @@ class TestShardFormat:
         monkeypatch.setattr(
             disk_cache, "_parse_line", lambda line: calls.append(line) or parse_line(line)
         )
-        for name, (lines, tail) in self._damaged().items():
+        fall_back = {
+            "corrupt middle line", "empty line", "not utf-8",
+            "two batches glued", "two values on one line",
+        }
+        for name, (lines, tail, _) in self._damaged().items():
             calls.clear()
             path, fp = self._shard(tmp_path, lines, tail)
             self._load(path, fp)
-            fell_back = name not in ("clean", "torn tail", "non-dict line",
-                                     "foreign header", "bad fields")
-            assert bool(calls) == fell_back, name
+            assert bool(calls) == (name in fall_back), name
