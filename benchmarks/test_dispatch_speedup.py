@@ -3,24 +3,25 @@
 Two claims on a 4096-configuration mm batch with no per-configuration
 latency, both bit-identical to the serial path with an exact E:
 
-* sharding a batch into ``ceil(B/workers)`` chunks — one vectorized
-  ``compute_keys`` call per chunk — beats per-key dispatch
-  (``chunk_size=1``: B tiny calls, each paying Python call overhead) by at
-  least 2x;
+* evaluating a batch with one vectorized ``compute_keys`` call per chunk
+  (the engine's way) beats per-key dispatch — one ``compute_keys([key])``
+  call per key, B tiny calls each paying Python call overhead, then one
+  ``commit_many`` — by at least 2x;
 * an 8-worker engine is no slower than the serial one (at least 0.95x its
   throughput).  Serial vectorized code is the honest baseline: without
   latency to overlap, the engine's pool rule evaluates inline, so 8
   workers must cost nothing.
 
-Both claims are gated on paired runs: each pair times the chunked-8 case
-next to the case it is compared with, the pairs alternate which of the two
-runs first (so neither always pays for a cold start or a load burst), and
-the gate reads the median of the per-pair wall-time ratios.  The cheap
-chunked-vs-serial ratio gets :data:`PAIRS` pairs, the per-key one (4096
-calls, seconds per run) :data:`PER_KEY_PAIRS`.  The run emits
-``BENCH_dispatch.json`` (configs/sec for serial, chunked-8 and per-key-8,
-plus the per-pair ratios) which CI uploads as an artifact, so throughput
-regressions are visible per commit.
+Per-key dispatch is timed here, on the target itself: the engine has no
+per-key mode.  Both claims are gated on paired runs: each pair times the
+chunked-8 case next to the case it is compared with, the pairs alternate
+which of the two runs first (so neither always pays for a cold start or a
+load burst), and the gate reads the median of the per-pair wall-time
+ratios.  The cheap chunked-vs-serial ratio gets :data:`PAIRS` pairs, the
+per-key one (4096 calls, seconds per run) :data:`PER_KEY_PAIRS`.  The run
+emits ``BENCH_dispatch.json`` (configs/sec for serial, chunked-8 and
+per-key, plus the per-pair ratios) which CI uploads as an artifact, so
+throughput regressions are visible per commit.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ N_CONFIGS = 4096
 WORKERS = 8
 #: chunked-8 vs serial pairs (about 0.1 s each)
 PAIRS = 31
-#: chunked-8 vs per-key-8 pairs (about 2 s each)
+#: chunked-8 vs per-key pairs (about 2 s each)
 PER_KEY_PAIRS = 3
 ARTIFACT = Path("BENCH_dispatch.json")
+SERIAL, CHUNKED, PER_KEY = "serial", f"chunked-{WORKERS}", "per-key"
 
 
 def _keys(target: SimulatedTarget, n: int) -> list[tuple]:
@@ -55,47 +57,52 @@ def _keys(target: SimulatedTarget, n: int) -> list[tuple]:
     return target.keys_of(tiles, threads)
 
 
-def _timed(workers: int, chunk_size: int | None):
+def _per_key(target: SimulatedTarget, keys: list[tuple]) -> list:
+    """Per-key dispatch: one ``compute_keys`` call per key, then one
+    commit of the whole batch."""
+    rows = [target.compute_keys([key])[0] for key in keys]
+    target.commit_many(dict(zip(keys, rows)))
+    return rows
+
+
+def _timed(case: str):
     setup = make_setup("mm", WESTMERE)
     target = SimulatedTarget(setup.model, seed=0)
-    engine = EvaluationEngine(target, max_workers=workers, chunk_size=chunk_size)
     keys = _keys(target, N_CONFIGS)
-    t0 = time.perf_counter()
-    result = engine.evaluate_batch(keys)
-    wall = time.perf_counter() - t0
-    return wall, [o.time for o in result.objectives], target.evaluations
+    if case == PER_KEY:
+        t0 = time.perf_counter()
+        rows = _per_key(target, keys)
+        wall = time.perf_counter() - t0
+    else:
+        engine = EvaluationEngine(target, max_workers=1 if case == SERIAL else WORKERS)
+        t0 = time.perf_counter()
+        rows = engine.evaluate_batch(keys).rows
+        wall = time.perf_counter() - t0
+    return wall, list(rows), target.evaluations
 
 
-def _paired(
-    base: tuple[int, int | None], pairs: int, outputs: dict, walls: dict
-) -> list[float]:
+def _paired(base: str, pairs: int, outputs: dict, walls: dict) -> list[float]:
     """Time *base* against chunked-8 *pairs* times, alternating which runs
     first; returns the per-pair ratios ``base wall / chunked wall``."""
-    chunked = (WORKERS, None)
     ratios = []
     for i in range(pairs):
-        order = (base, chunked) if i % 2 == 0 else (chunked, base)
+        order = (base, CHUNKED) if i % 2 == 0 else (CHUNKED, base)
         wall = {}
         for case in order:
-            wall[case], objs, evaluations = _timed(*case)
-            outputs[case] = (objs, evaluations)
+            wall[case], rows, evaluations = _timed(case)
+            outputs[case] = (rows, evaluations)
             walls.setdefault(case, []).append(wall[case])
-        ratios.append(wall[base] / wall[chunked])
+        ratios.append(wall[base] / wall[CHUNKED])
     return ratios
 
 
 def test_chunked_dispatch_beats_per_key_dispatch():
-    names = {
-        (1, None): "serial",
-        (WORKERS, None): f"chunked-{WORKERS}",
-        (WORKERS, 1): f"per-key-{WORKERS}",
-    }
     outputs: dict = {}
     walls: dict = {}
-    serial_ratios = _paired((1, None), PAIRS, outputs, walls)
-    per_key_ratios = _paired((WORKERS, 1), PER_KEY_PAIRS, outputs, walls)
-    wall = {names[case]: statistics.median(w) for case, w in walls.items()}
-    rates = {name: N_CONFIGS / w for name, w in wall.items()}
+    serial_ratios = _paired(SERIAL, PAIRS, outputs, walls)
+    per_key_ratios = _paired(PER_KEY, PER_KEY_PAIRS, outputs, walls)
+    wall = {case: statistics.median(w) for case, w in walls.items()}
+    rates = {case: N_CONFIGS / w for case, w in wall.items()}
     speedup = statistics.median(per_key_ratios)
     vs_serial = statistics.median(serial_ratios)
 
@@ -132,16 +139,12 @@ def test_chunked_dispatch_beats_per_key_dispatch():
 
     # correctness before throughput: every dispatch shape must agree with
     # the serial path bit-for-bit and keep E exact
-    serial_objs, serial_e = outputs[(1, None)]
-    for case, (objs, evaluations) in outputs.items():
-        assert objs == serial_objs, names[case]
-        assert evaluations == serial_e, names[case]
+    serial_rows, serial_e = outputs[SERIAL]
+    for case, (rows, evaluations) in outputs.items():
+        assert rows == serial_rows, case
+        assert evaluations == serial_e, case
 
     # one vectorized call per chunk must beat 4096 tiny calls by >= 2x
-    assert speedup >= 2.0, (
-        f"chunked-{WORKERS} only {speedup:.2f}x over per-key-{WORKERS}"
-    )
+    assert speedup >= 2.0, f"{CHUNKED} only {speedup:.2f}x over {PER_KEY}"
     # and 8 workers must not lose to serial code on a latency-free target
-    assert vs_serial >= 0.95, (
-        f"chunked-{WORKERS} runs at {vs_serial:.2f}x serial"
-    )
+    assert vs_serial >= 0.95, f"{CHUNKED} runs at {vs_serial:.2f}x serial"

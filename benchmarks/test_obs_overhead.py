@@ -1,19 +1,25 @@
 """Observability overhead guard: disabled tracing must cost < 2 %.
 
-Every instrumented component defaults to the shared ``DISABLED`` handle, so
-a plain tuning run still executes the NullTracer span/event calls and the
-(always-on) metric updates.  A naive A/B wall-clock comparison of two full
-tuning runs is noise-bound at this effect size, so the guard is built the
-deterministic way:
+Every instrumented component defaults to the shared ``DISABLED`` handle: a
+``NullTracer`` and a ``NullMetricsRegistry``.  So a plain tuning run still
+executes the null span/event calls, reads ``metrics.enabled`` before each
+block of metric updates (and skips the block), and makes whatever metric
+updates no such check guards, on the null registry's inert instrument.  A
+naive A/B wall-clock comparison of two full tuning runs is noise-bound at
+this effect size, so the guard is built the deterministic way:
 
 1. benchmark a representative RS-GDE3 tuning run with observability
    disabled (the production default) — the reference wall time;
-2. census the instrumentation touchpoints by re-running the identical
-   workload under a collecting tracer on a FakeClock (same ledger, same
-   seeds — the span/event counts are exact, not estimates);
-3. microbenchmark the disabled-path primitives (null span open/close,
-   null event, counter/gauge/histogram updates);
-4. assert touchpoints x primitive cost < 2 % of the reference wall time.
+2. census the tracer touchpoints by re-running the identical workload under
+   a collecting tracer on a FakeClock (same ledger, same seeds — the
+   span/event counts are exact; every event is charged, though the disabled
+   path skips those guarded by ``tracer.enabled``);
+3. count the metric touchpoints by re-running it once more with a counting
+   null registry: the ``metrics.enabled`` checks and the instrument
+   look-ups (each call site updates the instrument it looks up, once);
+4. microbenchmark the disabled-path primitives (null span open/close,
+   null event, an ``enabled`` check, a null-registry look-up plus update);
+5. assert touchpoints x primitive cost < 2 % of the reference wall time.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import time
 
 from repro.experiments import make_setup
 from repro.machine import WESTMERE
-from repro.obs import FakeClock, MetricsRegistry, NullTracer, Observability
+from repro.obs import FakeClock, NullMetricsRegistry, NullTracer, Observability
 from repro.optimizer import RSGDE3
 from repro.optimizer.gde3 import GDE3Settings
 from repro.optimizer.rsgde3 import RSGDE3Settings
@@ -31,13 +37,24 @@ from conftest import print_banner
 
 _SETTINGS = RSGDE3Settings(gde3=GDE3Settings(population_size=16), max_generations=8)
 
-#: generous upper bounds on metric updates per touchpoint (the engine does
-#: ~10 counter/histogram operations per ``engine.batch`` event,
-#: emit_generation 4 per event; rounding both up keeps the bound
-#: conservative)
-_METRIC_OPS_PER_SPAN = 16
-_METRIC_OPS_PER_BATCH = 16
-_METRIC_OPS_PER_EVENT = 8
+
+class _CountingNullRegistry(NullMetricsRegistry):
+    """The disabled path's registry, counting what is asked of it: reads of
+    ``enabled`` and instrument look-ups."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.checks = 0
+        self.ops = 0
+
+    @property
+    def enabled(self) -> bool:
+        self.checks += 1
+        return False
+
+    def _get(self, cls, name: str, help: str, **kwargs):
+        self.ops += 1
+        return super()._get(cls, name, help, **kwargs)
 
 
 def _tune_once(obs: Observability | None = None):
@@ -57,17 +74,20 @@ def test_disabled_observability_under_2_percent(benchmark):
     assert result.evaluations > 0
     wall = benchmark.stats["mean"]
 
-    # exact touchpoint census: identical workload, collecting tracer
+    # exact tracer census: identical workload, collecting tracer
     obs = Observability.tracing(clock=FakeClock(tick=1e-6))
     traced = _tune_once(obs=obs)
     assert traced.convergence == result.convergence  # same workload
     records = obs.tracer.records()
     n_spans = sum(1 for r in records if r["type"] == "span")
-    n_batches = sum(
-        1 for r in records if r["type"] == "event" and r["name"] == "engine.batch"
-    )
-    n_events = sum(1 for r in records if r["type"] == "event") - n_batches
-    assert n_spans > 0 and n_batches > 0 and n_events > 0
+    n_events = sum(1 for r in records if r["type"] == "event")
+    assert n_spans > 0 and n_events > 0
+
+    # exact metric census: identical workload, disabled tracer and metrics
+    registry = _CountingNullRegistry()
+    counted = _tune_once(obs=Observability(metrics=registry))
+    assert counted.convergence == result.convergence  # same workload
+    assert registry.checks > 0
 
     # disabled-path primitive costs
     tracer = NullTracer()
@@ -76,35 +96,32 @@ def test_disabled_observability_under_2_percent(benchmark):
         with tracer.span("x", a=1) as s:
             s.set(b=2)
 
-    registry = MetricsRegistry()
-    counter = registry.counter("c_total")
-    gauge = registry.gauge("g")
-    histogram = registry.histogram("h")
-
+    null = NullMetricsRegistry()
     span_cost = _per_call(null_span)
     event_cost = _per_call(lambda: tracer.event("x", a=1))
+    check_cost = _per_call(lambda: null.enabled)
     metric_cost = max(
-        _per_call(counter.inc),
-        _per_call(lambda: gauge.set(1.0)),
-        _per_call(lambda: histogram.observe(0.01)),
+        _per_call(lambda: null.counter("c_total").inc()),
+        _per_call(lambda: null.gauge("g").set(1.0)),
+        _per_call(lambda: null.histogram("h").observe(0.01)),
     )
 
-    overhead = n_spans * (span_cost + _METRIC_OPS_PER_SPAN * metric_cost)
-    overhead += n_batches * (event_cost + _METRIC_OPS_PER_BATCH * metric_cost)
-    overhead += n_events * (event_cost + _METRIC_OPS_PER_EVENT * metric_cost)
+    overhead = n_spans * span_cost + n_events * event_cost
+    overhead += registry.checks * check_cost + registry.ops * metric_cost
     share = overhead / wall
 
     print_banner("Observability overhead (tracing disabled)")
     print(f"tuning wall (obs disabled):  {wall * 1e3:9.3f} ms")
     print(
-        f"touchpoints:                 {n_spans} spans, {n_batches} engine "
-        f"batches, {n_events} other events"
+        f"touchpoints:                 {n_spans} spans, {n_events} events, "
+        f"{registry.checks} metrics.enabled checks, {registry.ops} metric ops"
     )
     print(
         f"primitive costs:             span={span_cost * 1e9:.0f}ns "
-        f"event={event_cost * 1e9:.0f}ns metric_op={metric_cost * 1e9:.0f}ns"
+        f"event={event_cost * 1e9:.0f}ns check={check_cost * 1e9:.0f}ns "
+        f"metric_op={metric_cost * 1e9:.0f}ns"
     )
-    print(f"worst-case overhead:         {overhead * 1e6:.1f} us ({share:.4%})")
+    print(f"estimated overhead:          {overhead * 1e6:.1f} us ({share:.4%})")
 
     assert share < 0.02, (
         f"disabled observability costs {share:.2%} of the tuning wall time "

@@ -121,18 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             default="1",
             metavar="N",
-            help="evaluation pool of up to N workers (integer or 'auto' = "
-            "3/4 of cores), used only where it overlaps waits (process "
-            "backend, per-configuration latency); results are bit-identical "
-            "to the serial default",
-        )
-        p.add_argument(
-            "--eval-backend",
-            default="thread",
-            choices=["thread", "process"],
-            help="dispatch backend for the evaluation engine: 'thread' "
-            "(default, shared model) or 'process' (pickled model state, "
-            "true parallelism for large grids); results are bit-identical",
+            help="evaluation thread pool of up to N workers (integer or "
+            "'auto' = 3/4 of cores), used only where it overlaps waits "
+            "(per-configuration latency on the target); results are "
+            "bit-identical to the serial default",
         )
         p.add_argument(
             "--engine-stats",
@@ -294,7 +286,6 @@ def _cmd_tune(args, out) -> int:
         workers=_parse_workers(args.workers),
         obs=obs,
         cache_dir=_cache_dir(args),
-        backend=args.eval_backend,
     )
     sizes = _parse_sizes(args.size)
 
@@ -329,8 +320,7 @@ def _cmd_tune(args, out) -> int:
     stats = tuned.engine_stats
     if args.engine_stats and stats is not None:
         print(
-            f"engine: workers={tuned.engine.max_workers} "
-            f"backend={tuned.engine.backend} {stats.summary()}",
+            f"engine: workers={tuned.engine.max_workers} {stats.summary()}",
             file=out,
         )
         if driver.disk_cache is not None:

@@ -189,9 +189,9 @@ class TuningDriver:
     :param settings: RS-GDE3 driver settings.
     :param workers: the widest evaluation-engine pool (``"auto"``: three
         quarters of the visible cores).  Above 1, a generation is evaluated
-        on a pool only where that overlaps waits (process backend, or
-        per-configuration latency); results and the E metric are
-        bit-identical to the serial default.
+        on a thread pool only where that overlaps waits (per-configuration
+        latency on the target); results and the E metric are bit-identical
+        to the serial default.
     :param obs: observability handle — compiler phases become spans and
         the optimizer/engine telemetry flows into its tracer and metrics;
         None (the default) disables tracing at zero cost.
@@ -199,8 +199,6 @@ class TuningDriver:
         (``--cache-dir``); None disables.  A repeated run against the same
         kernel/machine/seed serves every previously measured configuration
         from disk with E unchanged.
-    :param backend: evaluation dispatch backend, ``"thread"`` (default) or
-        ``"process"`` (``--eval-backend``).
     """
 
     machine: MachineModel = field(default_factory=lambda: WESTMERE)
@@ -210,7 +208,6 @@ class TuningDriver:
     workers: int | str = 1
     obs: Observability | None = None
     cache_dir: str | None = None
-    backend: str = "thread"
     _disk_cache: MeasurementDiskCache | None = field(
         default=None, repr=False, compare=False
     )
@@ -284,7 +281,7 @@ class TuningDriver:
         """Tune every region of *fn* simultaneously through the fused
         cross-region scheduler (``--multiregion``): one shared evaluation
         session drains all regions' generation batches together, on this
-        driver's machine/workers/backend/cache configuration."""
+        driver's machine/workers/cache configuration."""
         from repro.driver.multiregion import MultiRegionTuner
 
         tuner = MultiRegionTuner(
@@ -296,7 +293,6 @@ class TuningDriver:
             noise=self.noise,
             kernel=kernel,
             workers=self.workers,
-            backend=self.backend,
             pipeline=pipeline,
             disk_cache=self.disk_cache,
             obs=self.obs,
@@ -341,9 +337,7 @@ class TuningDriver:
             measure_energy=with_energy,
             disk_cache=self.disk_cache,
         )
-        engine = EvaluationEngine(
-            target, max_workers=self.workers, obs=self.obs, backend=self.backend
-        )
+        engine = EvaluationEngine(target, max_workers=self.workers, obs=self.obs)
         problem = TuningProblem.from_skeleton(
             skeleton, target, tri_objective=with_energy, engine=engine, obs=self.obs
         )

@@ -111,10 +111,10 @@ class MultiRegionTuner:
     :param machine: simulated target platform (callers that tune for a
         specific machine must pass it — the WESTMERE default exists for
         machine-agnostic tests and examples only).
-    :param workers: shared evaluation workers for :meth:`run`; 1 keeps
-        the whole pipeline serial (still fused, still bit-identical).
-    :param chunk_size: per-worker chunk size forwarded to the engine.
-    :param backend: ``"thread"`` or ``"process"`` evaluation workers.
+    :param workers: the widest shared evaluation pool for :meth:`run`; it
+        is used only when the region targets declare per-configuration
+        latency (the engine's pool rule), and 1 keeps the whole pipeline
+        serial (still fused, still bit-identical).
     :param pipeline: allow one generation of cross-region lag in
         :meth:`run` (off = lock-step barrier on the same code path).
     :param protocol: measurement protocol handed to every region target
@@ -132,8 +132,6 @@ class MultiRegionTuner:
     noise: float = 0.015
     kernel: Kernel | None = None
     workers: int | str = 1
-    chunk_size: int | None = None
-    backend: str = "thread"
     pipeline: bool = False
     protocol: MeasurementProtocol | None = None
     disk_cache: object | None = None
@@ -171,19 +169,13 @@ class MultiRegionTuner:
 
         Every region's generation batch lands in the same work queue;
         the pool stays busy until the whole generation drains.  Results
-        are bit-identical to :meth:`run_lockstep` for any ``workers``,
-        ``chunk_size``, ``backend`` and ``pipeline`` setting.
+        are bit-identical to :meth:`run_lockstep` for any ``workers`` and
+        ``pipeline`` setting.
         """
         obs = self.obs or DISABLED
         states = self._states(seed, obs)
         max_lag = 1 if self.pipeline else 0
-        engine = EvaluationEngine(
-            states[0].problem.target,
-            max_workers=self.workers,
-            backend=self.backend,
-            chunk_size=self.chunk_size,
-            obs=obs,
-        )
+        engine = EvaluationEngine(states[0].problem.target, max_workers=self.workers, obs=obs)
         #: region index → decoded value rows of its batch in flight
         in_flight: dict[int, list[list[int]]] = {}
 

@@ -15,12 +15,12 @@ target's ``keys_of``), and every batch runs the same three stages —
    most once per run;
 2. **compute** — the cold keys run *inline*, in the caller's thread, as one
    vectorized ``compute_keys`` call, unless a pool can overlap something:
-   only when ``max_workers > 1`` and the backend is ``"process"`` or the
-   target declares per-configuration latency (``protocol.overhead_s > 0``,
-   the compile-and-run wait of a real evaluation).  Pooled keys go out in
-   ``ceil(B/workers)``-sized chunks, one vectorized call per worker; workers
-   are *pure*: they produce ``key → row`` results (``(time, samples,
-   energy)``) without touching the ledger;
+   only when ``max_workers > 1`` and the target declares per-configuration
+   latency (``protocol.overhead_s > 0``, the compile-and-run wait of a real
+   evaluation).  Pooled keys go out in ``ceil(B/workers)``-sized chunks,
+   one vectorized call per worker on the engine's thread pool; workers are
+   *pure*: they produce ``key → row`` results (``(time, samples, energy)``)
+   without touching the ledger;
 3. **commit** — once none of a batch's keys is still in flight, its rows
    are committed in batch order, under one lock, through the target's
    single-writer ``commit_many``; the keys it computed go to the target's
@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, Executor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 
 from repro.evaluation.measurements import Row, row_objectives
@@ -256,24 +256,15 @@ class EvaluationEngine:
         and single-writer ``commit_many``.
     :param max_workers: the widest pool the engine may use; ``"auto"`` →
         :func:`auto_workers`.  1 (the default) always evaluates inline.
-        Above 1, a batch still runs inline unless the pool rule (module
-        docstring) holds: process backend or per-configuration latency on
-        the target.
+        Above 1, a batch still runs inline, as one ``compute_keys`` call,
+        unless its target declares per-configuration latency (the pool
+        rule, module docstring); then it is split into ``ceil(B/workers)``
+        chunks on a thread pool that is created on first use and lives
+        until :meth:`close`.
     :param fault_policy: test hook, see :class:`FaultPolicy`.
     :param obs: observability handle — every committed batch becomes an
         ``engine.batch`` event and its accounting is folded into metric
         counters/histograms; the default disabled handle is free.
-    :param backend: ``"thread"`` (default) shares the model between
-        workers; ``"process"`` ships the target's pure measurement state
-        with each chunk to a ``ProcessPoolExecutor`` for true parallelism
-        on large grids (incompatible with ``fault_policy``, whose
-        in-memory call log cannot cross processes).  Either pool is created
-        on first use and lives until :meth:`close`.
-    :param chunk_size: configurations per ``compute_keys`` call; None
-        (default) uses the whole batch inline and ``ceil(B/workers)``
-        per pooled chunk, so one vectorized call per worker covers the
-        batch.  ``chunk_size=1`` reproduces per-key dispatch (the
-        benchmark baseline).  Any value is bit-identical.
     """
 
     def __init__(
@@ -282,32 +273,19 @@ class EvaluationEngine:
         max_workers: int | str = 1,
         fault_policy: FaultPolicy | None = None,
         obs: Observability | None = None,
-        backend: str = "thread",
-        chunk_size: int | None = None,
     ) -> None:
         if max_workers == "auto" or max_workers is None:
             max_workers = auto_workers()
         if int(max_workers) < 1:
             raise ValueError("max_workers must be >= 1 (or 'auto')")
-        if backend not in ("thread", "process"):
-            raise ValueError(f"backend must be 'thread' or 'process', got {backend!r}")
-        if backend == "process" and fault_policy is not None:
-            raise ValueError(
-                "backend='process' cannot inject faults: the policy's state "
-                "lives in this process — use the thread backend for fault tests"
-            )
-        if chunk_size is not None and int(chunk_size) < 1:
-            raise ValueError("chunk_size must be >= 1 (or None for auto)")
         self.target = target
         self.max_workers = int(max_workers)
         self.fault_policy = fault_policy
         self.obs = obs or DISABLED
-        self.backend = backend
-        self.chunk_size = None if chunk_size is None else int(chunk_size)
         #: cumulative accounting across all batches
         self.stats = EngineStats()
         #: the worker pool, created on first pooled batch, released by close()
-        self._pool: Executor | None = None
+        self._pool: ThreadPoolExecutor | None = None
         # session state, owned by the caller's thread: submitted batches not
         # yet committed, the chunk of each pooled future, and per target
         # fingerprint the computed rows and the keys still in flight
@@ -327,23 +305,10 @@ class EvaluationEngine:
         self.fused_reset()
 
     def _pooled(self, target: SimulatedTarget) -> bool:
-        """The pool rule: a pool pays only when it can overlap waits —
-        another process's compute or the target's per-configuration
-        latency.  Otherwise the batch's cold keys are computed inline."""
-        return self.max_workers > 1 and (
-            self.backend == "process" or target.protocol.overhead_s > 0
-        )
-
-    def _executor(self) -> Executor:
-        """The engine's one worker pool, created on first use (so the
-        process machinery loads only when the process backend is used)."""
-        if self._pool is None and self.backend == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        elif self._pool is None:
-            self._pool = ThreadPoolExecutor(self.max_workers, thread_name_prefix="repro-eval")
-        return self._pool
+        """The pool rule: a pool pays only when it can overlap the
+        target's per-configuration latency.  Otherwise the batch's cold
+        keys are computed inline."""
+        return self.max_workers > 1 and target.protocol.overhead_s > 0
 
     # ------------------------------------------------------------------
 
@@ -401,31 +366,25 @@ class EvaluationEngine:
 
         batch = BatchResult(region, target, fp, keys, known, order, compute, stats, t0)
         if compute and self._pooled(target):
-            pool = self._executor()
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(self.max_workers, thread_name_prefix="repro-eval")
             for chunk in self._chunks(compute):
-                if self.backend == "process":
-                    # the target's pickle carries only its pure measurement
-                    # state (no ledger), so one pool serves every target
-                    future = pool.submit(target.compute_keys, chunk)
-                else:
-                    future = pool.submit(self._compute, chunk, target)
-                self._futures[future] = (batch, chunk)
+                self._futures[self._pool.submit(self._compute, chunk, target)] = (batch, chunk)
             inflight.update(compute)
         elif compute:
-            for chunk in self._chunks(compute) if self.chunk_size else [compute]:
-                try:
-                    rows = self._compute(chunk, target)
-                except Exception:  # noqa: BLE001 — rescued per key
-                    rows = self._rescue(chunk, target, stats)
-                results.update(zip(chunk, rows))
+            try:
+                rows = self._compute(compute, target)
+            except Exception:  # noqa: BLE001 — rescued per key
+                rows = self._rescue(compute, target, stats)
+            results.update(zip(compute, rows))
         self._pending.append(batch)
         return batch
 
     def _chunks(self, keys: list[tuple]) -> list[tuple[tuple, ...]]:
         """Shard *keys* into the ``compute_keys`` calls of one fan-out:
-        ``chunk_size`` keys each, by default ``ceil(B/workers)`` so every
-        worker makes one vectorized call over its whole share."""
-        size = self.chunk_size or max(1, math.ceil(len(keys) / self.max_workers))
+        ``ceil(B/workers)`` keys each, so every worker makes one vectorized
+        call over its whole share."""
+        size = math.ceil(len(keys) / self.max_workers)
         return [tuple(keys[i : i + size]) for i in range(0, len(keys), size)]
 
     def _compute(self, keys, target: SimulatedTarget, attempt: int = 1) -> list[Row]:

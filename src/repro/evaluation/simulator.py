@@ -23,8 +23,7 @@ places that build :class:`Objectives` and :class:`Measurement` records from
 rows.  A :class:`~repro.evaluation.disk_cache.MeasurementDiskCache`, keyed
 by the target's :meth:`~SimulatedTarget.fingerprint`, extends the memo
 across processes; disk hits commit like any other measurement, so ``E`` is
-the same cold or warm.  Pickled targets (the process backend) carry only
-the pure measurement state, never the ledger, lock or cache handle.
+the same cold or warm.
 """
 
 from __future__ import annotations
@@ -84,25 +83,6 @@ class SimulatedTarget:
         self._fingerprint: str | None = None
         self._lock = threading.Lock()
         self._extent = np.array([model.extent[v] for v in model.band], dtype=np.int64)
-
-    # -- pickling (process backend) ---------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Ship only the pure measurement function: model + noise/protocol
-        parameters.  The ledger, lock and disk-cache handle stay behind —
-        worker processes compute, the parent commits."""
-        state = self.__dict__.copy()
-        del state["_lock"]
-        state["disk_cache"] = None
-        state["evaluations"] = 0
-        state["_rows"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
 
     @property
     def machine(self):

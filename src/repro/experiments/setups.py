@@ -99,15 +99,12 @@ class ExperimentSetup:
         workers: int | str = 1,
         obs=None,
         disk_cache=None,
-        backend: str = "thread",
     ) -> TuningProblem:
         target = self.target(seed, disk_cache=disk_cache)
         return TuningProblem.from_skeleton(
             self.skeleton(thread_choices),
             target,
-            engine=EvaluationEngine(
-                target, max_workers=workers, obs=obs, backend=backend
-            ),
+            engine=EvaluationEngine(target, max_workers=workers, obs=obs),
             obs=obs,
         )
 

@@ -39,5 +39,30 @@ def mm_target(mm_model):
 
 
 @pytest.fixture
+def split_compute(monkeypatch):
+    """``split_compute(size)`` makes every ``SimulatedTarget.compute_keys``
+    call measure its keys in consecutive calls of at most *size* keys
+    (``None`` leaves each call whole), so a test can check that a run is
+    bit-identical however its batches are partitioned into computations."""
+
+    def apply(size):
+        if size is None:
+            return
+        bulk = SimulatedTarget.compute_keys
+
+        def compute_keys(self, keys):
+            keys = list(keys)
+            return [
+                row
+                for i in range(0, len(keys), size)
+                for row in bulk(self, keys[i : i + size])
+            ]
+
+        monkeypatch.setattr(SimulatedTarget, "compute_keys", compute_keys)
+
+    return apply
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -20,7 +20,6 @@ import pytest
 
 from repro.analysis.regions import extract_regions
 from repro.evaluation.cost import RegionCostModel
-from repro.evaluation.simulator import SimulatedTarget
 from repro.frontend import parse_function
 from repro.frontend.kernels import get_kernel
 from repro.machine.model import BARCELONA, LAPTOP, SERVER2S, WESTMERE
@@ -156,9 +155,9 @@ def test_fingerprints_unchanged():
     assert h.hexdigest() == FINGERPRINTS_SHA256
 
 
-def test_model_and_target_pickle_round_trip():
-    """The process backend ships models by pickle; the plan travels with
-    them and evaluates identically on the other side."""
+def test_model_pickle_round_trip():
+    """A pickled model carries its plan and evaluates identically after
+    the round trip."""
     rng = np.random.default_rng(3)
     for kname in ("mm", "stencil3d", "2mm"):
         kernel = get_kernel(kname)
@@ -170,9 +169,3 @@ def test_model_and_target_pickle_round_trip():
             assert np.array_equal(
                 clone.time_batch(tiles, threads), model.time_batch(tiles, threads)
             )
-        target = SimulatedTarget(model, seed=5)
-        keys = [
-            tuple(int(x) for x in rng.integers(1, 200, size=len(model.band))) + (4,)
-            for _ in range(8)
-        ]
-        assert pickle.loads(pickle.dumps(target)).compute_keys(keys) == target.compute_keys(keys)

@@ -372,21 +372,6 @@ class TestProcesses:
         assert reader.store_many(self.FP, [_record(9, 0), _record(0, 5)]) == 1
 
 
-class TestPickling:
-    def test_target_pickles_without_ledger(self, mm_model, tmp_path):
-        import pickle
-
-        t = _target(mm_model, tmp_path)
-        measure(t, {"i": 32, "j": 32, "k": 32}, 4)
-        clone = pickle.loads(pickle.dumps(t))
-        assert clone.evaluations == 0
-        assert clone.disk_cache is None
-        assert clone.lookup(t.config_key({"i": 32, "j": 32, "k": 32}, 4)) is None
-        # the pure measurement function survives intact
-        key = t.config_key({"i": 32, "j": 32, "k": 32}, 4)
-        assert clone.compute_keys([key]) == t.compute_keys([key])
-
-
 class TestShardFormat:
     """The shard appends one JSON line per committed batch, its columns the
     hex of little-endian int64 keys and float64 times, samples and

@@ -134,19 +134,32 @@ class TestSession:
 
 
 class TestEngineLifetime:
-    def test_tune_releases_process_pool(self):
-        """A tune closes its engine: the process backend's workers exit
-        once it returns, and the engine's accounting stays readable."""
-        import multiprocessing
-        import time
+    def test_tune_releases_thread_pool(self, monkeypatch):
+        """A tune closes its engine: the pool its latency-bound target used
+        is released once it returns, and the engine's accounting stays
+        readable."""
+        import threading
 
-        driver = TuningDriver(
-            machine=WESTMERE, seed=1, settings=FAST_SETTINGS, workers=2, backend="process"
-        )
+        import repro.driver.compiler as compiler
+        from repro.evaluation.measurements import MeasurementProtocol
+
+        class LatencyTarget(compiler.SimulatedTarget):
+            def __init__(self, *args, **kwargs):
+                super().__init__(
+                    *args, protocol=MeasurementProtocol(overhead_s=0.001), **kwargs
+                )
+
+        def pool_threads():
+            return {t for t in threading.enumerate() if t.name.startswith("repro-eval")}
+
+        monkeypatch.setattr(compiler, "SimulatedTarget", LatencyTarget)
+        before = pool_threads()
+        driver = TuningDriver(machine=WESTMERE, seed=1, settings=FAST_SETTINGS, workers=2)
         for _ in range(2):
             tuned = driver.tune_kernel("mm", sizes={"N": 300})
             assert tuned.engine_stats.dispatched > 0
-            deadline = time.monotonic() + 10.0
-            while multiprocessing.active_children() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert multiprocessing.active_children() == []
+            # the pool rule held (workers > 1, latency), so the tune pooled
+            assert tuned.engine.max_workers == 2
+            assert tuned.engine.target.protocol.overhead_s > 0
+            assert tuned.engine._pool is None
+            assert not pool_threads() - before

@@ -280,7 +280,7 @@ class TestEngineConfig:
         import inspect
 
         assert list(inspect.signature(EvaluationEngine).parameters) == [
-            "target", "max_workers", "fault_policy", "obs", "backend", "chunk_size",
+            "target", "max_workers", "fault_policy", "obs",
         ]
 
     def test_stats_merge(self):
@@ -378,9 +378,10 @@ class TestEngineStatsUnit:
 
 
 class TestChunkedDispatch:
-    """The tentpole: chunked vectorized dispatch must be bit-identical to
-    the serial path for every (workers, chunk_size) combination, with and
-    without fault injection."""
+    """Chunked vectorized dispatch must be bit-identical to the serial path
+    for every worker count and every partition of a batch into
+    ``compute_keys`` calls (``chunk_size``, applied on the target by the
+    ``split_compute`` fixture), with and without fault injection."""
 
     def _reference(self, mm_model, configs, protocol=None):
         target = fresh_target(mm_model, seed=21, protocol=protocol)
@@ -398,15 +399,17 @@ class TestChunkedDispatch:
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     @pytest.mark.parametrize("chunk_size", [None, 1, 3])
-    def test_bit_identical_for_any_chunking(self, mm_model, workers, chunk_size):
+    def test_bit_identical_for_any_chunking(
+        self, mm_model, split_compute, workers, chunk_size
+    ):
         configs = self._configs()
-        for protocol in PROTOCOLS:
-            ref, ref_target = self._reference(mm_model, configs, protocol)
+        refs = [self._reference(mm_model, configs, protocol) for protocol in PROTOCOLS]
+        split_compute(chunk_size)
+        for protocol, (ref, ref_target) in zip(PROTOCOLS, refs):
             target = fresh_target(mm_model, seed=21, protocol=protocol)
-            engine = EvaluationEngine(
-                target, max_workers=workers, chunk_size=chunk_size
-            )
+            engine = EvaluationEngine(target, max_workers=workers)
             res = engine.evaluate_batch(as_keys(engine.target, configs))
+            engine.close()
             assert res.objectives == ref.objectives  # bit-identical
             assert target.evaluations == ref_target.evaluations  # E exact
             s = engine.stats
@@ -414,16 +417,18 @@ class TestChunkedDispatch:
 
     @pytest.mark.parametrize("workers", [2, 8])
     @pytest.mark.parametrize("chunk_size", [None, 1, 3])
-    def test_fault_parity_under_chunking(self, mm_model, workers, chunk_size):
+    def test_fault_parity_under_chunking(
+        self, mm_model, split_compute, workers, chunk_size
+    ):
         """A failed pooled chunk is rescued per key — the result must still
         match the clean serial run exactly."""
         configs = self._configs(24)
         ref, ref_target = self._reference(mm_model, configs, LATENCY)
+        split_compute(chunk_size)
         target = fresh_target(mm_model, seed=21, protocol=LATENCY)
         engine = EvaluationEngine(
             target,
             max_workers=workers,
-            chunk_size=chunk_size,
             fault_policy=FlakyFaultPolicy(fail_attempts=1),
         )
         res = engine.evaluate_batch(as_keys(engine.target, configs))
@@ -440,56 +445,52 @@ class TestChunkedDispatch:
         assert [k for c in chunks for k in c] == keys
         assert len(chunks) <= 4
         assert max(len(c) for c in chunks) == 3  # ceil(10/4)
-        engine.chunk_size = 4
-        assert [len(c) for c in engine._chunks(keys)] == [4, 4, 2]
-
-    def test_invalid_chunk_size_rejected(self, mm_model):
-        with pytest.raises(ValueError):
-            EvaluationEngine(fresh_target(mm_model), chunk_size=0)
-
-    def test_invalid_backend_rejected(self, mm_model):
-        with pytest.raises(ValueError):
-            EvaluationEngine(fresh_target(mm_model), backend="gpu")
+        assert [len(c) for c in engine._chunks(keys[:3])] == [1, 1, 1]
 
     def test_close_is_idempotent_for_thread_backend(self, mm_model):
-        engine = EvaluationEngine(fresh_target(mm_model), max_workers=2)
+        engine = EvaluationEngine(fresh_target(mm_model, protocol=LATENCY), max_workers=2)
         engine.evaluate_batch(
             as_keys(engine.target, some_configs(4, duplicate_every=0))
         )
+        assert engine._pool is not None
         engine.close()
         engine.close()
+        assert engine._pool is None
 
 
-class TestProcessBackend:
-    def test_bit_identical_to_serial(self, mm_model):
-        configs = [
-            ({"i": 16 * (i + 1), "j": 64, "k": 8}, 10) for i in range(24)
-        ]
+def _eval_threads() -> set:
+    """The live threads of any engine's pool."""
+    return {t for t in threading.enumerate() if t.name.startswith("repro-eval")}
+
+
+class TestPoolLifetime:
+    """The engine's one thread pool is created on the first pooled batch,
+    reused by every later one, and released by ``close()``."""
+
+    def test_pool_cached_across_batches_and_released(self, mm_model):
+        before = _eval_threads()
+        configs = [({"i": 16 * (i + 1), "j": 64, "k": 8}, 10) for i in range(24)]
         ref_target = fresh_target(mm_model, seed=9)
         ref = EvaluationEngine(ref_target).evaluate_batch(as_keys(ref_target, configs))
-        target = fresh_target(mm_model, seed=9)
-        engine = EvaluationEngine(target, max_workers=4, backend="process")
+        target = fresh_target(
+            mm_model, seed=9, protocol=MeasurementProtocol(overhead_s=0.001)
+        )
+        engine = EvaluationEngine(target, max_workers=2)
         try:
-            res = engine.evaluate_batch(as_keys(engine.target, configs))
-            assert res.objectives == ref.objectives
-            assert target.evaluations == ref_target.evaluations
-            # the pool is cached across batches
+            res = engine.evaluate_batch(as_keys(target, configs[:12]))
             pool = engine._pool
             assert pool is not None
-            # all memo hits, pool untouched
-            engine.evaluate_batch(as_keys(engine.target, configs))
+            # a second batch of new keys goes through the same pool
+            res2 = engine.evaluate_batch(as_keys(target, configs[12:]))
+            assert res2.stats.dispatched == 12
             assert engine._pool is pool
+            assert res.objectives + res2.objectives == ref.objectives
+            assert target.evaluations == ref_target.evaluations
+            assert _eval_threads() - before
         finally:
             engine.close()
         assert engine._pool is None
-
-    def test_fault_policy_incompatible(self, mm_model):
-        with pytest.raises(ValueError):
-            EvaluationEngine(
-                fresh_target(mm_model),
-                backend="process",
-                fault_policy=FlakyFaultPolicy(),
-            )
+        assert not _eval_threads() - before
 
 
 class TestEngineObservability:
@@ -697,24 +698,6 @@ class TestFusedSession:
         assert batch.objectives == ref.objectives
         assert batch.stats.failed > 0
 
-    def test_process_backend(self, mm_model):
-        targets = [fresh_target(mm_model, seed=s) for s in (0, 1)]
-        refs = [
-            EvaluationEngine(fresh_target(mm_model, seed=s)).evaluate_batch(
-                as_keys(targets[0], some_configs(8))
-            )
-            for s in (0, 1)
-        ]
-        engine = EvaluationEngine(targets[0], max_workers=2, backend="process")
-        batches = [
-            engine.fused_submit(t, as_keys(t, some_configs(8)), region=str(i))
-            for i, t in enumerate(targets)
-        ]
-        self.drain(engine)
-        engine.close()
-        for batch, ref in zip(batches, refs):
-            assert batch.objectives == ref.objectives
-
     def test_evaluate_batch_is_a_one_batch_session(self, mm_model):
         """evaluate_batch drains only its own batch: a pending fused batch
         stays pending for fused_wait, and once nothing is pending the
@@ -778,8 +761,8 @@ class RecordingTarget(SimulatedTarget):
 
 
 class TestPoolRule:
-    """A pool is used only when it can overlap waits: a process backend or
-    per-configuration latency on the target.  Otherwise every computation
+    """A pool is used only when it can overlap waits: per-configuration
+    latency on the target.  Otherwise every computation
     runs on the caller's thread, one ``compute_keys`` call per batch (a
     fault policy does not change that).  Objectives are bit-identical either
     way."""
@@ -848,22 +831,21 @@ class TestPoolRule:
                 assert RecordingTarget.threads == [me, me]
 
     @pytest.mark.parametrize("chunk_size", [None, 1, 3])
-    def test_pooled_chunking_bit_identical(self, mm_model, chunk_size):
+    def test_pooled_chunking_bit_identical(self, mm_model, split_compute, chunk_size):
+        """A pooled batch of B unique keys goes out as ``ceil(B/workers)``-key
+        chunks: 16 keys on 4 workers are 4 ``compute_keys`` calls, all on
+        pool threads, bit-identical however the target splits each one."""
         configs = some_configs(24)
+        ref = self._reference(mm_model, 4, configs, LATENCY)
+        split_compute(chunk_size)
         target = RecordingTarget(mm_model, seed=4, protocol=LATENCY)
-        engine = EvaluationEngine(target, max_workers=4, chunk_size=chunk_size)
+        engine = EvaluationEngine(target, max_workers=4)
         res = engine.evaluate_batch(as_keys(engine.target, configs))
-        assert res.objectives == self._reference(mm_model, 4, configs, LATENCY)
+        engine.close()
+        assert res.stats.dispatched == 16
+        assert res.objectives == ref
+        assert len(RecordingTarget.threads) == 4
         assert self._pooled_threads() == RecordingTarget.threads
-
-    def test_inline_chunk_size_splits_the_call(self, mm_model):
-        configs = some_configs(9, duplicate_every=0)
-        engine = EvaluationEngine(
-            RecordingTarget(mm_model, seed=4), max_workers=8, chunk_size=1
-        )
-        res = engine.evaluate_batch(as_keys(engine.target, configs))
-        assert RecordingTarget.threads == [threading.current_thread()] * 9
-        assert res.objectives == self._reference(mm_model, 4, configs)
 
     def test_inline_failure_is_rescued_per_key(self, mm_model, monkeypatch):
         configs = some_configs(6, duplicate_every=0)

@@ -569,3 +569,20 @@ class TestVectorizedNoise:
 
     def test_compute_keys_empty(self, mm_target):
         assert mm_target.compute_keys([]) == []
+
+    @pytest.mark.parametrize("kernel, machine, energy", [
+        ("mm", WESTMERE, False), ("stencil3d", BARCELONA, True),
+    ])
+    def test_compute_keys_any_partition_matches_bulk(self, kernel, machine, energy):
+        """Measurement noise is hash-derived per key, so splitting a batch
+        into ``compute_keys`` calls of any size — 1 (per-key dispatch), 3,
+        or the engine's ``ceil(B/workers)`` pooled chunk — gives exactly
+        the bulk call's rows, bit for bit."""
+        problem = make_setup(kernel, machine).problem()
+        tgt = SimulatedTarget(problem.target.model, seed=6, measure_energy=energy)
+        rows = problem.space.full_boundary().sample(np.random.default_rng(8), 40)
+        keys = list(dict.fromkeys(problem.decode(rows)[1]))
+        bulk = tgt.compute_keys(keys)
+        for size in (1, 3) + tuple(math.ceil(len(keys) / w) for w in (2, 4, 8)):
+            parts = [tgt.compute_keys(keys[i : i + size]) for i in range(0, len(keys), size)]
+            assert [row for part in parts for row in part] == bulk, size

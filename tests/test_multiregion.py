@@ -129,7 +129,8 @@ class TestMultiRegionTuner:
 
 class TestCrossRegionScheduler:
     """The fused scheduler must be bit-identical to the serial lock-step
-    reference for any worker count, chunk size and lag setting."""
+    reference for any worker count, partition of its batches into
+    ``compute_keys`` calls and lag setting."""
 
     @pytest.fixture(scope="class")
     def lockstep(self):
@@ -144,12 +145,11 @@ class TestCrossRegionScheduler:
     @pytest.mark.parametrize("workers", [1, 4, 8])
     @pytest.mark.parametrize("chunk_size", [1, None])
     def test_bit_identity_across_workers_and_chunks(
-        self, lockstep_runs, workers, chunk_size
+        self, lockstep_runs, split_compute, workers, chunk_size
     ):
+        split_compute(chunk_size)
         for protocol, ref in lockstep_runs:
-            got = jacobi_tuner(
-                workers=workers, chunk_size=chunk_size, protocol=protocol
-            ).run(seed=2)
+            got = jacobi_tuner(workers=workers, protocol=protocol).run(seed=2)
             assert fronts(got) == fronts(ref)
             assert [r.evaluations for r in got.results] == [
                 r.evaluations for r in ref.results
@@ -193,11 +193,6 @@ class TestCrossRegionScheduler:
         text = res.summary()
         assert "program runs" in text
         assert "sharing" in text
-
-    def test_process_backend_parity(self, lockstep):
-        got = jacobi_tuner(workers=2, backend="process").run(seed=2)
-        assert fronts(got) == fronts(lockstep)
-        assert got.program_runs == lockstep.program_runs
 
 
 class TestCrossRegionDedup:
