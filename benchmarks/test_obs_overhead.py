@@ -20,18 +20,33 @@ this effect size, so the guard is built the deterministic way:
 4. microbenchmark the disabled-path primitives (null span open/close,
    null event, an ``enabled`` check, a null-registry look-up plus update);
 5. assert touchpoints x primitive cost < 2 % of the reference wall time.
+
+The runtime's per-invocation path is held to a stricter rule: on the
+disabled handle, ``RegionExecutor.select()`` builds no event attributes
+(no ``policy.describe()``) and looks up no metric at all.
 """
 
 from __future__ import annotations
 
 import time
 
+import repro.obs
+from repro.backend.meta import VersionMeta
 from repro.experiments import make_setup
 from repro.machine import WESTMERE
 from repro.obs import FakeClock, NullMetricsRegistry, NullTracer, Observability
 from repro.optimizer import RSGDE3
 from repro.optimizer.gde3 import GDE3Settings
 from repro.optimizer.rsgde3 import RSGDE3Settings
+from repro.runtime import (
+    BanditSelector,
+    RegionExecutor,
+    RuntimeMonitor,
+    ThreadCapPolicy,
+    Version,
+    VersionTable,
+    WeightedSumPolicy,
+)
 
 from conftest import print_banner
 
@@ -127,3 +142,41 @@ def test_disabled_observability_under_2_percent(benchmark):
         f"disabled observability costs {share:.2%} of the tuning wall time "
         "(budget: 2%)"
     )
+
+
+def test_runtime_select_disabled_path_is_free(monkeypatch):
+    """5,000 ``RegionExecutor.select()`` calls on the default handle, over
+    a compiled, a context-sensitive and a learning policy: not one metric
+    look-up and not one ``policy.describe()``."""
+    registry = _CountingNullRegistry()
+    monkeypatch.setattr(repro.obs.DISABLED, "metrics", registry)
+    described = []
+    for cls in (WeightedSumPolicy, ThreadCapPolicy, BanditSelector):
+        monkeypatch.setattr(cls, "describe", lambda self: described.append(self))
+
+    metas = [
+        VersionMeta(index=i, time=0.01 * (16 - i), resources=0.01 * (16 - i) * t,
+                    threads=t, tile_sizes=())
+        for i, t in enumerate([1, 2, 4, 8] * 4)
+    ]
+    table = VersionTable("mm", tuple(Version(meta=m) for m in metas))
+    monitor = RuntimeMonitor()
+    bandit = BanditSelector(seed=1)
+    executors = [
+        RegionExecutor(table, policy, monitor=monitor)
+        for policy in (WeightedSumPolicy(), ThreadCapPolicy(), bandit)
+    ]
+    for i in range(5000):
+        monitor.set_available_cores((1, 2, 4, 8, 16)[i % 5])
+        version = executors[i % 3].select()
+        if i % 3 == 2:
+            bandit.observe(version.meta.index, version.meta.time)
+
+    print_banner("Runtime selection, disabled observability")
+    print(
+        f"5000 selects: {registry.checks} metrics.enabled checks, "
+        f"{registry.ops} metric look-ups, {len(described)} describe() calls"
+    )
+    assert registry.ops == 0
+    assert described == []
+    assert registry.checks > 0  # the counting registry was the one consulted

@@ -14,8 +14,14 @@ with a :class:`~repro.obs.clock.FakeClock` instead of matching against
 Executors sharing a monitor may record from several threads: one lock
 guards the history, :meth:`RuntimeMonitor.record` appends under it, and
 every query (:meth:`invocations`, :meth:`version_counts`,
-:meth:`total_cpu_seconds`) reads a consistent snapshot of the complete
-history.
+:meth:`total_cpu_seconds`, :meth:`wall_times`) reads a consistent snapshot
+of the complete history.
+
+Recalibration needs one region's wall times per version.  Rather than scan
+the whole history on every call, the monitor keeps an index of wall times
+per (region, version index); a read folds in the records appended since
+the previous read, so the index also covers a history passed in at
+construction or appended to directly.
 """
 
 from __future__ import annotations
@@ -23,15 +29,16 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.obs.clock import Clock, SystemClock
 
 __all__ = ["ExecutionRecord", "RuntimeMonitor"]
 
 
-@dataclass(frozen=True)
-class ExecutionRecord:
-    """One region invocation."""
+class ExecutionRecord(NamedTuple):
+    """One region invocation (a named tuple: immutable and cheap to build,
+    since every invocation makes one)."""
 
     region: str
     version_index: int
@@ -58,6 +65,10 @@ class RuntimeMonitor:
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
+        # region -> version index -> wall times of history[:_indexed]
+        self._walls: dict[str, dict[int, list[float]]] = {}
+        self._indexed = 0
+        self._indexed_history = self.history
 
     # -- system context --------------------------------------------------
 
@@ -86,12 +97,8 @@ class RuntimeMonitor:
         with self._lock:
             self.history.append(
                 ExecutionRecord(
-                    region=region,
-                    version_index=version_index,
-                    threads=threads,
-                    predicted_time=predicted_time,
-                    wall_time=wall_time,
-                    timestamp=self.clock.now(),
+                    region, version_index, threads, predicted_time, wall_time,
+                    self.clock.now(),
                 )
             )
 
@@ -104,6 +111,23 @@ class RuntimeMonitor:
         """Consistent snapshot of the execution history."""
         with self._lock:
             return list(self.history)
+
+    def wall_times(self, region: str) -> dict[int, list[float]]:
+        """``version index -> wall times`` of *region*'s invocations, in
+        recording order: one locked copy of that region's index."""
+        with self._lock:
+            history = self.history
+            if history is not self._indexed_history or self._indexed > len(history):
+                # the history was replaced or cut: rebuild from scratch
+                self._walls, self._indexed = {}, 0
+                self._indexed_history = history
+            walls = self._walls
+            for r in history[self._indexed:]:
+                walls.setdefault(r.region, {}).setdefault(r.version_index, []).append(
+                    r.wall_time
+                )
+            self._indexed = len(history)
+            return {i: list(ws) for i, ws in walls.get(region, {}).items()}
 
     @property
     def invocations(self) -> int:

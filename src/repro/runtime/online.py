@@ -13,18 +13,21 @@ prior.  It composes with :class:`~repro.runtime.scheduler.RegionExecutor`
 as a policy: exploration happens on real invocations, and the observed
 medians can be folded back via ``executor.recalibrate()``.
 
-Statistics live in NumPy arrays (counts / running means / Welford M2 per
+Statistics live in Python lists (counts / running means / Welford M2 per
 arm) guarded by one lock, so executors on many threads can feed
-observations without losing a single count, and :meth:`select`
-computes every arm's UCB score in **one** vectorized expression instead of
-a per-arm Python loop.  :meth:`select_scalar` keeps the per-arm loop
-in-tree as the differential oracle — both paths read the same statistics
-through the same floating-point operations, so their selection sequences
-are identical.
+observations without losing a single count.  :meth:`select` copies them
+under the lock and scores the arms on Python floats: a table holds 13–16
+versions, too few for per-call NumPy temporaries to pay off.  The table's
+prior times and scale are cached per versions tuple, beside the alignment
+of table positions onto statistic slots.
+:meth:`select_scalar` keeps the NumPy per-arm loop in-tree as the
+differential oracle — both paths apply the same floating-point operations
+in the same order, so their selection sequences are identical.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -46,7 +49,8 @@ class BanditSelector(SelectionPolicy):
     :param exploration: UCB exploration weight (in units of the observed
         time scale).
     :param prior_weight: how many pseudo-observations the metadata time
-        contributes per version (0 ignores the static prediction).
+        contributes per version (0 ignores the static prediction; negative
+        weights are rejected).
     :param seed: randomness for ε-greedy exploration.
 
     Feed observations with :meth:`observe` (the executor's recorded wall
@@ -64,18 +68,22 @@ class BanditSelector(SelectionPolicy):
     def __post_init__(self) -> None:
         if self.strategy not in ("ucb1", "epsilon"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.prior_weight < 0:
+            raise ValueError(f"prior_weight must be >= 0, got {self.prior_weight!r}")
         self._rng = derive_rng(self.seed, "bandit")
         self._lock = threading.Lock()
         # per-arm statistics, slot-indexed; _slots maps version index -> slot
         self._slots: dict[int, int] = {}
-        self._counts = np.zeros(0, dtype=np.int64)
-        self._means = np.zeros(0, dtype=float)
-        self._m2 = np.zeros(0, dtype=float)
+        self._counts: list[int] = []
+        self._means: list[float] = []
+        self._m2: list[float] = []
         self._total = 0
         # cached alignment of a table's version order onto slots; the
         # epoch bumps whenever a new arm appears
         self._epoch = 0
-        self._aligned: tuple[tuple[Version, ...], int, np.ndarray] | None = None
+        self._aligned: tuple[tuple[Version, ...], int, list[int]] | None = None
+        # cached prior times (table order) and UCB scale of a table
+        self._priors: tuple[tuple[Version, ...], list[float], float] | None = None
 
     # ------------------------------------------------------------------
 
@@ -84,12 +92,9 @@ class BanditSelector(SelectionPolicy):
         if slot is None:
             slot = len(self._slots)
             self._slots[version_index] = slot
-            grown = slot + 1
-            for name in ("_counts", "_means", "_m2"):
-                old = getattr(self, name)
-                new = np.zeros(grown, dtype=old.dtype)
-                new[: len(old)] = old
-                setattr(self, name, new)
+            self._counts.append(0)
+            self._means.append(0.0)
+            self._m2.append(0.0)
             self._epoch += 1
         return slot
 
@@ -97,6 +102,9 @@ class BanditSelector(SelectionPolicy):
         """Record one production measurement of a version."""
         if wall_time <= 0:
             raise ValueError("wall time must be positive")
+        # a NumPy scalar (say float32) would carry its own precision into
+        # the statistics; they are float64, as the oracle's arrays are
+        wall_time = float(wall_time)
         with self._lock:
             slot = self._slot_locked(version_index)
             self._counts[slot] += 1
@@ -138,7 +146,7 @@ class BanditSelector(SelectionPolicy):
 
     # ------------------------------------------------------------------
 
-    def _alignment(self, table: VersionTable) -> np.ndarray:
+    def _alignment(self, table: VersionTable) -> list[int]:
         """Slot of each table position (-1 = never observed), cached per
         (versions tuple, arm epoch)."""
         cached = self._aligned
@@ -148,41 +156,36 @@ class BanditSelector(SelectionPolicy):
             and cached[1] == self._epoch
         ):
             return cached[2]
-        slots = np.array(
-            [self._slots.get(v.meta.index, -1) for v in table.versions],
-            dtype=np.int64,
-        )
+        slots = [self._slots.get(v.meta.index, -1) for v in table.versions]
         self._aligned = (table.versions, self._epoch, slots)
         return slots
+
+    def _prior(self, table: VersionTable) -> tuple[list[float], float]:
+        """The table's prior times (table order) and UCB scale, cached per
+        versions tuple."""
+        cached = self._priors
+        if cached is not None and cached[0] is table.versions:
+            return cached[1], cached[2]
+        times = table.columns().times
+        scale = times.max() - times.min()
+        scale = float(scale or times.max() or 1.0)
+        prior = times.tolist()
+        self._priors = (table.versions, prior, scale)
+        return prior, scale
 
     def _snapshot(self, table: VersionTable) -> tuple[np.ndarray, np.ndarray, int]:
         """(counts, sums) aligned to table order plus the grand total,
         captured atomically."""
         with self._lock:
-            slots = self._alignment(table)
-            if self._counts.size == 0:
+            slots = np.array(self._alignment(table), dtype=np.int64)
+            if not self._counts:
                 zeros = np.zeros(len(slots), dtype=np.int64)
                 return zeros, np.zeros(len(slots)), self._total
             observed = slots >= 0
             safe = np.where(observed, slots, 0)
-            counts = np.where(observed, self._counts[safe], 0)
-            sums = np.where(observed, counts * self._means[safe], 0.0)
+            counts = np.where(observed, np.array(self._counts, dtype=np.int64)[safe], 0)
+            sums = np.where(observed, counts * np.array(self._means)[safe], 0.0)
             return counts, sums, self._total
-
-    def _scores(self, table: VersionTable) -> np.ndarray:
-        """Every arm's UCB score in one vectorized expression."""
-        cols = table.columns()
-        prior = cols.times
-        scale = prior.max() - prior.min()
-        scale = scale or prior.max() or 1.0
-        counts, sums, total = self._snapshot(table)
-        w = self.prior_weight
-        n = counts + w
-        means = (sums + w * prior) / n
-        bonus = self.exploration * scale * np.sqrt(
-            2 * np.log(max(1, total) + 1) / n
-        )
-        return means - bonus
 
     def select(self, table: VersionTable, context: dict | None = None) -> Version:
         if self.strategy == "epsilon":
@@ -193,13 +196,38 @@ class BanditSelector(SelectionPolicy):
             w = self.prior_weight
             means = (sums + w * table.columns().times) / (counts + w)
             return table.versions[int(np.argmin(means))]
-        return table.versions[int(np.argmin(self._scores(table)))]
+        prior, scale = self._prior(table)
+        with self._lock:
+            slots = self._alignment(table)
+            counts = self._counts[:]
+            means = self._means[:]
+            total = self._total
+        w = self.prior_weight
+        weight = self.exploration * scale
+        # np.log, not math.log: the two differ in the last bit for some
+        # arguments, and select_scalar takes NumPy's
+        log_term = 2 * float(np.log(float(max(1, total) + 1)))
+        best, best_pos = None, 0
+        for pos, slot in enumerate(slots):
+            if slot >= 0:
+                count = counts[slot]
+                n, s = count + w, count * means[slot]
+            elif w:
+                n, s = w, 0.0
+            else:
+                # a never-observed arm without a prior scores NaN, which
+                # the first-minimum rule (np.argmin) picks
+                return table.versions[pos]
+            score = (s + w * prior[pos]) / n - weight * math.sqrt(log_term / n)
+            if best is None or score < best:
+                best, best_pos = score, pos
+        return table.versions[best_pos]
 
     def select_scalar(self, table: VersionTable, context: dict | None = None) -> Version:
-        """Per-arm scoring loop — the differential oracle for
-        :meth:`select`.  Reads the same statistics through the same
+        """Per-arm scoring loop on NumPy scalars — the differential oracle
+        for :meth:`select`.  Reads the same statistics through the same
         floating-point operations, one arm at a time; the chosen version is
-        always identical to the vectorized path."""
+        always identical to :meth:`select`'s."""
         if self.strategy == "epsilon":
             return self.select(table, context)
         cols = table.columns()
@@ -211,6 +239,8 @@ class BanditSelector(SelectionPolicy):
         best, best_pos = None, 0
         for pos in range(len(table.versions)):
             n = counts[pos] + w
+            if not n:
+                return table.versions[pos]  # NaN score, as in select()
             mean = (sums[pos] + w * prior[pos]) / n
             bonus = self.exploration * scale * np.sqrt(
                 2 * np.log(max(1, total) + 1) / n

@@ -10,7 +10,7 @@ of the abstract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from repro.runtime.compiled import CompiledSelection, compile_policy
 from repro.runtime.monitor import RuntimeMonitor
 from repro.runtime.selection import SelectionPolicy, WeightedSumPolicy
 from repro.runtime.version_table import Version, VersionTable
+from repro.util.stats import median
 
 __all__ = ["RegionExecutor"]
 
@@ -103,19 +104,23 @@ class RegionExecutor:
 
     def _emit_selection(self, version: Version, wall_time: float | None) -> None:
         """Publish one selection decision (actual time only when the
-        version actually ran)."""
+        version actually ran).  A disabled handle returns before any
+        attribute is built."""
         obs = self.obs or DISABLED
-        obs.tracer.event(
-            "runtime.selection",
-            region=self.table.region_name,
-            policy=self.policy.describe(),
-            context=self.monitor.context(),
-            version=version.meta.index,
-            threads=version.meta.threads,
-            predicted_time=version.meta.time,
-            actual_time=wall_time,
-        )
-        m = obs.metrics
+        tracer, m = obs.tracer, obs.metrics
+        if tracer.enabled:
+            tracer.event(
+                "runtime.selection",
+                region=self.table.region_name,
+                policy=self.policy.describe(),
+                context=self.monitor.context(),
+                version=version.meta.index,
+                threads=version.meta.threads,
+                predicted_time=version.meta.time,
+                actual_time=wall_time,
+            )
+        if not m.enabled:
+            return
         m.counter(
             "repro_runtime_selections_total", "version-selection decisions"
         ).inc()
@@ -136,28 +141,23 @@ class RegionExecutor:
         recorded executions of this region, its metadata time (and the
         derived resources/energy-proportional fields) is replaced by the
         observed median, so subsequent policy decisions reflect reality.
+        The samples come from the monitor's per-region index of wall
+        times, so a call reads this region's executions only.
 
         :returns: the number of versions whose metadata was updated.
         """
-        from dataclasses import replace as dc_replace
-
-        from repro.runtime.version_table import VersionTable
-        from repro.util.stats import median
-
-        samples: dict[int, list[float]] = {}
-        for record in self.monitor.records():
-            if record.region != self.table.region_name:
-                continue
-            samples.setdefault(record.version_index, []).append(record.wall_time)
+        if min_samples < 1:
+            raise ValueError(f"min_samples must be at least 1, got {min_samples!r}")
+        samples = self.monitor.wall_times(self.table.region_name)
 
         updated = 0
         new_versions = []
         for version in self.table:
-            obs = samples.get(version.meta.index, [])
+            obs = samples.get(version.meta.index, ())
             if len(obs) >= min_samples:
                 observed = median(obs)
                 scale = observed / version.meta.time if version.meta.time > 0 else 1.0
-                meta = dc_replace(
+                meta = replace(
                     version.meta,
                     time=observed,
                     resources=observed * version.meta.threads,
@@ -165,7 +165,7 @@ class RegionExecutor:
                     if version.meta.energy is None
                     else version.meta.energy * scale,
                 )
-                new_versions.append(dc_replace(version, meta=meta))
+                new_versions.append(replace(version, meta=meta))
                 updated += 1
             else:
                 new_versions.append(version)

@@ -112,11 +112,10 @@ class TestExecutorIntegration:
         assert sel.select(table).meta.index == 1
 
 
-class TestVectorizedParity:
-    """select() computes every arm's UCB score in one vectorized
-    expression; select_scalar() is the per-arm loop kept as the
-    differential oracle.  The two must pick the same version at every step
-    of any observation stream."""
+class TestFloatScoringParity:
+    """select() scores the arms on Python floats; select_scalar() is the
+    NumPy per-arm loop kept as the differential oracle.  The two must pick
+    the same version at every step of any observation stream."""
 
     def test_select_matches_scalar_oracle_throughout(self):
         table = table_with_times([0.5, 0.3, 0.8, 0.4])
@@ -147,6 +146,90 @@ class TestVectorizedParity:
         b = BanditSelector(strategy="epsilon", seed=3)
         for _ in range(20):
             assert b.select_scalar(table).meta.index in (0, 1)
+
+    @pytest.mark.parametrize("n_arms", [13, 16])
+    def test_benchmark_shaped_stream(self, n_arms):
+        """A table as large as a tuned Pareto set, observed through its own
+        choices (as the runtime does), with lognormal observation noise."""
+        rng = derive_rng(n_arms, "shape")
+        table = table_with_times(list(rng.uniform(0.01, 0.5, n_arms)))
+        true_times = rng.uniform(0.01, 0.5, n_arms)
+        b = BanditSelector(seed=n_arms)
+        for step in range(2000):
+            v = b.select(table)
+            assert v is b.select_scalar(table), step
+            wall = true_times[v.meta.index] * float(np.exp(rng.normal(0, 0.015)))
+            b.observe(v.meta.index, wall)
+
+    def test_tied_prior_times(self):
+        """Equal prior times (and a zero prior span, so the scale falls back
+        to the largest time): ties go to the first arm in table order."""
+        table = table_with_times([0.2, 0.1, 0.2, 0.1, 0.1, 0.2] * 3)
+        b = BanditSelector(seed=5)
+        assert b.select(table) is b.select_scalar(table) is table[1]
+        flat = table_with_times([0.3] * 14)
+        assert b.select(flat) is b.select_scalar(flat) is flat[0]
+        rng = derive_rng(5, "ties")
+        for step in range(400):
+            for t in (table, flat):
+                assert b.select(t) is b.select_scalar(t), step
+            b.observe(int(rng.integers(18)), 0.1 * (1 + int(rng.integers(3))))
+
+    def test_arms_first_observed_mid_stream(self):
+        """Arms join the statistics one by one (each bumps the alignment
+        epoch), some of them absent from the table."""
+        table = table_with_times([0.05 * (1 + i % 5) for i in range(14)])
+        b = BanditSelector(seed=6)
+        rng = derive_rng(6, "epochs")
+        order = [int(i) for i in rng.permutation(20)]  # 14..19 not in the table
+        for step, arm in enumerate(order):
+            epoch, new = b._epoch, b.observations(arm) == 0
+            b.observe(arm, 0.05 + float(rng.random()) * 0.1)
+            assert b._epoch == epoch + new
+            for _ in range(10):
+                v = b.select(table)
+                assert v is b.select_scalar(table), step
+                b.observe(v.meta.index, 0.05 + float(rng.random()) * 0.1)
+
+    def test_recalibrated_table_swapped_mid_stream(self):
+        """An executor swaps in a recalibrated table (a new versions tuple,
+        new prior times) mid-stream: the per-table caches follow it."""
+        from repro.runtime import RegionExecutor
+
+        table = table_with_times([0.02 * (i + 1) for i in range(15)])
+        b = BanditSelector(seed=7)
+        ex = RegionExecutor(table, policy=b)
+        rng = derive_rng(7, "swap")
+        true_times = rng.uniform(0.01, 0.3, 15)
+        swaps = 0
+        for step in range(1500):
+            v = ex.select()
+            assert v is b.select_scalar(ex.table), step
+            wall = true_times[v.meta.index] * float(np.exp(rng.normal(0, 0.05)))
+            ex.monitor.record("r", v.meta.index, 1, v.meta.time, wall)
+            b.observe(v.meta.index, wall)
+            if step % 250 == 249:
+                swaps += ex.recalibrate() > 0
+        assert swaps == 6
+
+    def test_zero_prior_weight_explores_unobserved_first(self):
+        """Without a prior, a never-observed arm scores NaN and is picked
+        first, in table order, by both paths."""
+        table = table_with_times([0.5, 0.3, 0.8, 0.4])
+        b = BanditSelector(prior_weight=0.0, seed=8)
+        for arm in (0, 2):
+            b.observe(arm, 0.3)
+        assert b.select(table) is b.select_scalar(table) is table[1]
+        for arm in (1, 3):
+            b.observe(arm, 0.9)
+        for step in range(50):
+            v = b.select(table)
+            assert v is b.select_scalar(table), step
+            b.observe(v.meta.index, 0.1 + 0.1 * v.meta.index)
+
+    def test_negative_prior_weight_rejected(self):
+        with pytest.raises(ValueError, match="prior_weight"):
+            BanditSelector(prior_weight=-1.0)
 
 
 class TestBatchedObservation:

@@ -330,6 +330,198 @@ class TestMonitorClock:
         assert rec.timestamp == 1.0  # third read of the same counter
 
 
+class TestRecalibrationOracle:
+    """The indexed recalibrate() against the whole-history scan it replaced
+    (tests/runtime_oracle.py): same updated count, same new table (the same
+    table object when nothing was updated), over random multi-region
+    histories."""
+
+    REGIONS = ("mm", "jacobi", "nbody")
+
+    @staticmethod
+    def _table(region, rng, n=6):
+        """*n* versions; every other one carries energy metadata."""
+        metas = [
+            meta(
+                i,
+                float(rng.uniform(0.01, 1.0)),
+                int(rng.choice((1, 2, 4, 8))),
+                energy=float(rng.uniform(0.5, 5.0)) if i % 2 else None,
+            )
+            for i in range(n)
+        ]
+        return VersionTable(region, tuple(Version(meta=m) for m in metas))
+
+    @staticmethod
+    def _records(rng, n, n_versions=6):
+        regions = TestRecalibrationOracle.REGIONS
+        return [
+            ExecutionRecord(
+                regions[int(rng.integers(len(regions)))],
+                int(rng.integers(n_versions)),
+                2,
+                0.1,
+                float(rng.uniform(0.01, 2.0)),
+                float(t),
+            )
+            for t in range(n)
+        ]
+
+    @staticmethod
+    def _assert_matches(ex, min_samples):
+        from tests.runtime_oracle import recalibrated
+
+        before = ex.table
+        want_updated, want_table = recalibrated(
+            before, ex.monitor.records(), min_samples
+        )
+        assert ex.recalibrate(min_samples=min_samples) == want_updated
+        if want_updated == 0:
+            assert ex.table is before
+        else:
+            assert ex.table is not before
+            assert ex.table.region_name == want_table.region_name
+            assert ex.table.versions == want_table.versions
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_histories_with_seeded_monitor(self, seed):
+        """A monitor built with history= and then recorded into, several
+        regions sharing it, recalibrated after every chunk."""
+        rng = np.random.default_rng([seed, 28])
+        monitor = RuntimeMonitor(history=self._records(rng, int(rng.integers(0, 40))))
+        executors = [
+            RegionExecutor(self._table(r, rng), monitor=monitor)
+            for r in self.REGIONS
+        ]
+        for _ in range(8):
+            for rec in self._records(rng, int(rng.integers(0, 30))):
+                monitor.record(*rec[:5])
+            for ex in executors:
+                self._assert_matches(ex, int(rng.integers(1, 6)))
+
+    def test_zero_updates_keep_the_table_object(self):
+        rng = np.random.default_rng(1)
+        monitor = RuntimeMonitor()
+        ex = RegionExecutor(self._table("mm", rng), monitor=monitor)
+        self._assert_matches(ex, 3)  # empty history
+        monitor.record("mm", 0, 2, 0.1, 0.2)
+        monitor.record("mm", 1, 2, 0.1, 0.3)
+        monitor.record("jacobi", 0, 2, 0.1, 0.3)
+        self._assert_matches(ex, 2)  # one sample per version: no update
+
+    def test_partial_update_with_energy_none_and_scaled(self):
+        rng = np.random.default_rng(2)
+        table = self._table("mm", rng)
+        monitor = RuntimeMonitor()
+        ex = RegionExecutor(table, monitor=monitor)
+        # version 0 (energy None) and 1 (energy metadata) reach 3 samples,
+        # version 2 stays at 2
+        for wall in (0.3, 0.1, 0.2):
+            monitor.record("mm", 0, 2, 0.1, wall)
+            monitor.record("mm", 1, 2, 0.1, wall * 2)
+        monitor.record("mm", 2, 2, 0.1, 0.4)
+        monitor.record("mm", 2, 2, 0.1, 0.5)
+        self._assert_matches(ex, 3)
+        new = ex.table.versions
+        assert new[0].meta.time == 0.2 and new[0].meta.energy is None
+        assert new[1].meta.energy == pytest.approx(
+            table[1].meta.energy * 0.4 / table[1].meta.time
+        )
+        assert new[2:] == table.versions[2:]
+
+    def test_history_appended_directly_and_replaced(self):
+        """The index picks up records appended to the history list itself,
+        and rebuilds when the list is replaced."""
+        rng = np.random.default_rng(3)
+        monitor = RuntimeMonitor()
+        ex = RegionExecutor(self._table("mm", rng), monitor=monitor)
+        monitor.history.extend(self._records(rng, 60))
+        self._assert_matches(ex, 2)
+        monitor.history = self._records(rng, 45)
+        self._assert_matches(ex, 2)
+        del monitor.history[10:]
+        self._assert_matches(ex, 1)
+
+    def test_concurrent_recording(self):
+        """Writers record while recalibrate() runs, with thread switches
+        forced often: every intermediate call succeeds, and once the
+        writers stop, the index holds exactly the complete history."""
+        import sys
+        import threading
+
+        rng = np.random.default_rng(4)
+        monitor = RuntimeMonitor()
+        executors = [
+            RegionExecutor(self._table(r, rng), monitor=monitor)
+            for r in self.REGIONS
+        ]
+        per_thread = 400
+        errors = []
+
+        def writer(tid):
+            wrng = np.random.default_rng([tid, 5])
+            for rec in self._records(wrng, per_thread):
+                monitor.record(*rec[:5])
+
+        def recalibrator():
+            try:
+                for i in range(60):
+                    executors[i % 3].recalibrate(min_samples=2)
+            except Exception as exc:  # pragma: no cover - the assertion
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in range(4)]
+        threads.append(threading.Thread(target=recalibrator))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert monitor.invocations == 4 * per_thread
+        indexed = sum(
+            len(walls)
+            for region in self.REGIONS
+            for walls in monitor.wall_times(region).values()
+        )
+        assert indexed == 4 * per_thread
+        for ex in executors:
+            self._assert_matches(ex, 2)
+
+    @pytest.mark.parametrize("min_samples", [0, -1])
+    def test_min_samples_below_one_rejected(self, table, min_samples):
+        """A version that never ran has no median: min_samples < 1 is
+        rejected before any sample is read."""
+        ex = RegionExecutor(table)
+        ex.monitor.record("mm", 0, 40, 0.05, 0.06)
+        with pytest.raises(ValueError, match="min_samples"):
+            ex.recalibrate(min_samples=min_samples)
+        assert ex.table is table
+
+
+class TestExecutionRecord:
+    def test_fields_construction_immutability_and_repr(self):
+        fields = ("region", "version_index", "threads", "predicted_time",
+                  "wall_time", "timestamp")
+        assert ExecutionRecord._fields == fields
+        pos = ExecutionRecord("mm", 1, 4, 0.1, 0.2, 3.0)
+        kw = ExecutionRecord(region="mm", version_index=1, threads=4,
+                             predicted_time=0.1, wall_time=0.2, timestamp=3.0)
+        assert pos == kw and hash(pos) == hash(kw)
+        assert pos.wall_time == 0.2
+        with pytest.raises(AttributeError):
+            pos.wall_time = 1.0
+        assert repr(pos) == (
+            "ExecutionRecord(region='mm', version_index=1, threads=4, "
+            "predicted_time=0.1, wall_time=0.2, timestamp=3.0)"
+        )
+
+
 class TestSelectionEvents:
     def test_select_emits_decision_event(self, table):
         from repro.obs import FakeClock, Observability
