@@ -10,7 +10,9 @@ latency, both bit-identical to the serial path with an exact E:
 * an 8-worker engine is no slower than the serial one (at least 0.95x its
   throughput).  Serial vectorized code is the honest baseline: without
   latency to overlap, the engine's pool rule evaluates inline, so 8
-  workers must cost nothing.
+  workers must cost nothing.  Both cases run the same code, so the test
+  also checks that directly: neither engine creates a pool, and each
+  evaluates the batch as one ``compute_keys`` call on the caller's thread.
 
 Per-key dispatch is timed here, on the target itself: the engine has no
 per-key mode.  Both claims are gated on paired runs: each pair times the
@@ -38,7 +40,7 @@ from repro.evaluation.simulator import SimulatedTarget
 from repro.experiments import make_setup
 from repro.machine import WESTMERE
 
-from conftest import print_banner
+from conftest import assert_one_inline_call_per_batch, inline_batches, print_banner
 
 N_CONFIGS = 4096
 WORKERS = 8
@@ -97,6 +99,17 @@ def _paired(base: str, pairs: int, outputs: dict, walls: dict) -> list[float]:
 
 
 def test_chunked_dispatch_beats_per_key_dispatch():
+    # the pool rule behind the chunked-vs-serial bound: without latency to
+    # overlap, both engines create no pool and evaluate the batch as one
+    # compute_keys call on the caller's thread, so that timing compares
+    # one code path with itself
+    for case in (SERIAL, CHUNKED):
+        with inline_batches() as batches:
+            _timed(case)
+        assert len(batches) == 1, case
+        assert_one_inline_call_per_batch(batches)
+        assert batches[0][0] == N_CONFIGS, case
+
     outputs: dict = {}
     walls: dict = {}
     serial_ratios = _paired(SERIAL, PAIRS, outputs, walls)

@@ -12,8 +12,10 @@ lock-step reference:
 * with no overhead, the 8-worker fused session is no slower than the
   1-worker one (at least 0.95x): the pool rule keeps GIL-bound work inline
   instead of paying thread hand-offs.  Both cases run the same inline
-  code, so the gate reads the median of :data:`FREE_PAIRS` per-pair
-  ratios, the pairs alternating which case runs first (as
+  code (the test checks it directly: no pool is created, and each batch
+  is one ``compute_keys`` call on the caller's thread), so the gate reads
+  the median of :data:`FREE_PAIRS` per-pair ratios, the pairs
+  alternating which case runs first (as
   ``test_dispatch_speedup.py`` does), so neither case always pays for a
   cold start or a load burst; each side of a pair times
   :data:`FREE_RUNS` runs back to back, because one run (about 20 ms) is
@@ -38,7 +40,7 @@ from repro.machine import WESTMERE
 from repro.optimizer.gde3 import GDE3Settings
 from repro.optimizer.rsgde3 import RSGDE3Settings
 
-from conftest import print_banner
+from conftest import assert_one_inline_call_per_batch, inline_batches, print_banner
 
 WORKERS = 8
 OVERHEAD_S = 0.003
@@ -110,7 +112,14 @@ def test_fused_scheduler_beats_serial_lockstep():
     print(f"{'fused workers=8':>22}: {fused_wall:7.3f} s  ({speedup:.2f}x)")
     print(f"{'pipelined workers=8':>22}: {piped_wall:7.3f} s  ({piped_speedup:.2f}x)")
 
-    # the same runs without overhead: nothing for a pool to overlap
+    # the same runs without overhead: nothing for a pool to overlap, so
+    # both widths create no pool and compute each region's batch as one
+    # compute_keys call on the caller's thread (the timed pairs below
+    # compare one code path with itself)
+    for workers in (1, WORKERS):
+        with inline_batches() as batches:
+            _tuner(overhead_s=0.0, workers=workers).run(seed=3)
+        assert_one_inline_call_per_batch(batches)
     free_walls: dict[int, list[float]] = {1: [], WORKERS: []}
     free = {}
     free_ratios = []

@@ -74,11 +74,12 @@ class Stream:
     elem_size: int
 
 
-def _footprint(extents: np.ndarray, line_elems: np.ndarray, line_size: int) -> np.ndarray:
+def _footprint(extents: np.ndarray, line_elems, line_size) -> np.ndarray:
     """Bytes of the cache lines S streams touch, given their per-dimension
     extents (R, S, ...) → (S, ...): line granularity on the innermost
     dimension only (outer dimensions are strided), multiplied outer
-    dimensions first, then innermost lines."""
+    dimensions first, then innermost lines.  Array line sizes broadcast
+    against the extents, giving every line size in one pass."""
     inner = np.ceil(extents[-1] / line_elems)
     return functools.reduce(np.multiply, [*extents[:-1], inner]) * line_size
 
@@ -87,31 +88,46 @@ def _footprint(extents: np.ndarray, line_elems: np.ndarray, line_size: int) -> n
 class _CostPlan:
     """Configuration-independent terms of :meth:`RegionCostModel.time_batch`
     for S streams of rank <= R, n band vars and units s = 0..n, as float64
-    holding exact integers: ``base`` (R, S, 1, 1) ``1 + const_span`` (ranks
-    front-padded with unit extents), ``coeff`` (R·S, n) each band var's
-    ``|coeff|``, ``ext`` (n,) the extents, ``fixed`` (n, n+1, 1) whether
-    unit s fixes var i.  ``merged`` (S, n+1) indexes, into unit s's outer
-    loops (tile loops, then point loops), the innermost one stream j
-    depends on (0 if none), ``span_index`` its span and ``merged_cap`` its
-    extent.  Footprints come in pairs (R, 2, S, n+1, B), the unit's own
-    extents and then with that span absorbed (``merged_coeff``: 0, then its
-    ``|coeff|``), summed over streams with ``weight`` × ``prefix[fetch_rows]``
-    (2, S, n+1, B): 1 for the working set, write weight × refetches for the
-    traffic.  ``by_line`` maps each line size (cache lines, page) to
-    (line_elems (S, 1, 1), compulsory traffic, whole-problem working set);
-    ``fetch_bw`` (levels, 1) holds the fill bandwidths."""
+    holding exact integers: ``base`` (R, 1, 1, S, 1, 1) ``1 + const_span``
+    (ranks front-padded), ``unit_coeff`` (R·S·(n+1), n) each band var's
+    ``|coeff|`` where unit s spans it.  ``loop_init`` lays out the rows [1,
+    trip counts, tile sizes, 0]; ``loop_rows`` (2, S, n+1) indexes into
+    them the innermost outer loop stream j depends on in unit s (0 if none)
+    and the span it absorbs, of extent ``merged_cap``.  Footprints come in
+    pairs (R, 2, 1, S, n+1, B), the unit's extents and then with that span
+    absorbed (``merged_coeff``), summed over streams with ``weight`` ×
+    ``prefix[fetch_rows]``: 1 for the working set, write weight × refetches
+    for the traffic.  The K rows (cache levels, then the TLB) take unit
+    footprints at the line sizes ``line_size`` (``line_elems`` is ``None``
+    if every whole problem fits), ``row_line`` each row's; ``comp`` (K, 1)
+    is the compulsory traffic, ``whole`` whether the whole problem fits
+    (``None`` if none does).  ``level_rows`` repeats the last level, whose
+    second ``fetch_bw`` is DRAM's per core.  ``per_thread`` (4 + K,
+    total_cores + 2) holds per thread count the threads per socket, active
+    sockets, SMP/NUMA tax (1 at one thread), fork/join seconds (0 at one
+    thread) and K capacities."""
 
     base: np.ndarray
-    coeff: np.ndarray
+    unit_coeff: np.ndarray
     ext: np.ndarray
-    fixed: np.ndarray
-    merged: np.ndarray
-    span_index: tuple[np.ndarray, np.ndarray]
+    loop_init: np.ndarray
+    loop_rows: np.ndarray
     merged_cap: np.ndarray
     merged_coeff: np.ndarray
     weight: np.ndarray
     fetch_rows: np.ndarray
-    by_line: dict[int, tuple[np.ndarray, float, float]]
+    entry_rows: np.ndarray
+    line_elems: np.ndarray | None
+    line_size: np.ndarray
+    row_line: np.ndarray
+    comp: np.ndarray
+    whole: np.ndarray | None
+    level_rows: np.ndarray
+    per_thread: np.ndarray
+    spec: tuple
+    flops: float
+    flop_rate: float
+    loop_cycles: np.ndarray
     fetch_bw: np.ndarray
 
 
@@ -237,8 +253,11 @@ class RegionCostModel:
         coeff_flat = coeff.reshape(R * S, n)
         ext = np.array([self.extent[v] for v in band], dtype=np.int64)
         whole = base + (coeff_flat @ (ext - 1)).reshape(R, S, 1, 1)
+        # the K rows: each cache level, then the TLB, as (line size, size)
+        rows = [(lv.line_size, float(lv.size)) for lv in machine.levels]
+        rows.append((machine.page_size, float(machine.tlb_reach)))
         by_line = {}
-        for L in {lv.line_size for lv in machine.levels} | {machine.page_size}:
+        for L in {L for L, _ in rows}:
             line_elems = np.array([max(1, L // st.elem_size) for st in streams], dtype=float)
             line_elems = line_elems.reshape(S, 1, 1)
             comp = ws = 0.0
@@ -246,19 +265,63 @@ class RegionCostModel:
                 comp += w * fp
                 ws += fp
             by_line[L] = line_elems, float(comp), float(ws)
+        fits = np.array([[by_line[L][2] <= size] for L, size in rows])
+        lines = sorted({L for (L, _), f in zip(rows, fits) if not f})
+        # the thread-count terms of counts 0..total_cores + 1 (0 is rejected)
+        p = np.arange(machine.total_cores + 2)
+        cps = machine.cores_per_socket
+        per_socket, sockets = np.minimum(p, cps), -(-p // cps)
+        fill = (per_socket - 1) / max(1, cps - 1)
+        tax = 1.0 + machine.smp_tax * fill + machine.numa_tax * (sockets - 1)
+        fork_join = machine.fork_join_base + machine.fork_join_per_thread * p
+        per_thread = np.array([
+            per_socket, sockets, np.where(p > 1, tax, 1.0), np.where(p > 1, fork_join, 0.0),
+            *(size / (np.maximum(per_socket, 1) if shared else np.ones(len(p)))
+              for shared, (_, size) in zip([lv.shared for lv in machine.levels] + [False], rows)),
+        ])
         merged_pos = merged % n
         merged_coeff = np.where(depth >= 0, coeff[:, np.arange(S)[:, None], merged_pos], 0)
+        free = np.tri(n + 1, n, -1, dtype=bool).T == 0  # (n, n+1): unit s spans var i
+        # each unit's merged loop count, and the span it absorbs (1 if fixed)
+        span_row = np.where(free[merged_pos, np.arange(n + 1)], n + 1 + merged_pos, 0)
+        entry_rows = np.r_[0, 0 : 2 * n]
         return _CostPlan(
-            base=base, coeff=coeff_flat, ext=ext,
-            fixed=np.tri(n + 1, n, -1, dtype=bool).T[..., None],
-            merged=merged, span_index=(merged_pos, np.arange(n + 1)),
+            base=base.reshape(R, 1, 1, S, 1, 1),
+            unit_coeff=(coeff[..., None] * free).transpose(0, 1, 3, 2).reshape(-1, n),
+            ext=ext,
+            loop_init=np.eye(2 * n + 2, 1),
+            loop_rows=np.stack([merged + 1, span_row]),
             merged_cap=ext[merged_pos][..., None],
-            merged_coeff=np.stack([np.zeros_like(merged_coeff), merged_coeff], axis=1)[..., None],
-            weight=np.stack([np.ones_like(weight), weight]),
-            fetch_rows=np.stack([np.zeros_like(merged), merged]),
-            by_line=by_line,
-            fetch_bw=np.array([[level.fetch_bw] for level in machine.levels], dtype=float),
+            merged_coeff=np.stack([0 * merged_coeff, merged_coeff], 1)[:, :, None, ..., None],
+            weight=np.stack([np.ones_like(weight), weight])[:, None],
+            fetch_rows=np.stack([np.zeros_like(merged), merged])[:, None],
+            entry_rows=np.stack([entry_rows, np.where(entry_rows > 0, entry_rows, 2 * n + 1)], 1),
+            line_elems=np.stack([by_line[L][0] for L in lines]) if lines else None,
+            line_size=np.array(lines, dtype=float).reshape(-1, 1, 1, 1),
+            row_line=np.array([lines.index(L) if L in lines else 0 for L, _ in rows]),
+            comp=np.array([[by_line[L][1]] for L, _ in rows]),
+            whole=fits if fits.any() else None,
+            level_rows=np.r_[: len(machine.levels), len(machine.levels) - 1],
+            per_thread=per_thread,
+            spec=self._worksharing(self.parallel_spec),
+            flops=self.flops_per_iteration * self.total_iterations,
+            flop_rate=machine.flops_per_cycle * machine.freq_hz,
+            loop_cycles=np.array([[machine.loop_entry_cycles], [machine.loop_overhead_cycles]]),
+            fetch_bw=np.array([[lv.fetch_bw] for lv in machine.levels]
+                              + [[machine.dram_bw_per_core]], dtype=float),
         )
+
+    def _worksharing(self, spec) -> tuple:
+        """*spec* as (kind, depth or band position, the other positions);
+        ``None`` collapses ``min(2, n)`` tile loops."""
+        n = len(self.band)
+        kind, arg = ("collapse", min(2, n)) if spec is None else spec
+        if kind == "collapse":
+            return kind, max(1, min(int(arg or 1), n)), None
+        if kind not in ("tile", "point", "none"):
+            raise ValueError(f"unknown parallel spec {spec!r}")
+        pos = None if kind == "none" else self.band.index(str(arg))
+        return kind, pos, [j for j in range(n) if j != pos]
 
     # ------------------------------------------------------------------
     # evaluation
@@ -282,7 +345,8 @@ class RegionCostModel:
         :param tiles: int array (B, len(band)) — tile sizes in band order,
             clipped into [1, extent] (the extent models an untiled loop).
         :param threads: int array (B,) — worksharing thread counts (1 =
-            sequential, no parallel overhead).
+            sequential, no parallel overhead) in 1..``total_cores + 1``;
+            ValueError outside.
         :param collapsed: how many outer tile loops are collapsed into the
             worksharing loop; overrides the constructor's ``parallel_spec``.
         :returns: float array (B,) of seconds.
@@ -351,12 +415,12 @@ class RegionCostModel:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The model itself, as arrays (B,): wall time, the DRAM bytes the
         whole run moves (all threads) and the active socket count.  One
-        contraction gives the extents of every (reuse unit, stream),
-        footprints and unit traffic are computed once per distinct line
-        size, and each cache level and the TLB only pick their fitting
-        unit."""
-        machine, band, plan = self.machine, self.band, self._plan
-        n = len(band)
+        contraction gives the extents of every (reuse unit, stream), one
+        pass the footprints and unit traffic of every line size the cache
+        levels and the TLB need, and one comparison each row's fitting
+        unit; the thread-count terms are read from the plan."""
+        machine, plan = self.machine, self._plan
+        n = len(self.band)
         tiles = np.asarray(tiles, dtype=np.int64)
         threads = np.asarray(threads, dtype=np.int64)
         if tiles.ndim != 2 or tiles.shape[1] != n:
@@ -364,133 +428,98 @@ class RegionCostModel:
         B = tiles.shape[0]
         if threads.shape != (B,):
             raise ValueError("threads must have shape (B,)")
+        try:  # counts past the table raise IndexError, and so do those below 1
+            if B and threads.min() < 1:
+                raise IndexError
+            per_thread = plan.per_thread.take(threads, axis=1)
+        except IndexError:
+            raise ValueError(f"threads must lie in 1..{machine.total_cores + 1}") from None
+        per_socket, active_sockets, tax, fork_join = per_thread[:4]
+        capacity = per_thread[4:, None]
 
         ext = plan.ext
         t = np.minimum(np.maximum(tiles, 1), ext)
         trips = -(-ext // t)  # ceil div, (B, n)
 
-        # thread placement (vectorized over the few distinct thread counts)
-        cps = machine.cores_per_socket
-        max_per_socket = np.minimum(threads, cps)
-        active_sockets = -(-threads // cps)
-
         # worksharing structure per the parallel spec
-        spec = self.parallel_spec
-        if collapsed is not None:
-            spec = ("collapse", collapsed)
-        if spec is None:
-            spec = ("collapse", min(2, n))
-        kind, arg = spec
-        invocations = np.ones(B)
+        spec = plan.spec if collapsed is None else self._worksharing(("collapse", collapsed))
+        kind, arg, others = spec
         if kind == "collapse":
-            depth = max(1, min(int(arg or 1), n))
-            par_iters = np.multiply.reduce(trips[:, :depth], axis=1)
+            par_iters = np.multiply.reduce(trips[:, :arg], axis=1)
         elif kind == "tile":
-            par_iters = trips[:, band.index(str(arg))]
+            par_iters = trips[:, arg]
         elif kind == "point":
-            pos = band.index(str(arg))
-            par_iters = np.full(B, ext[pos])
-            for j in range(n):
-                if j != pos:
-                    invocations = invocations * np.where(t[:, j] < ext[j], trips[:, j], 1)
-        elif kind == "none":
-            par_iters = np.ones(B)
+            par_iters = ext[arg]
+            # one fork/join per iteration of the tiled loops around it
+            invocations = np.where(t < ext, trips, 1)[:, others]
+            fork_join = fork_join * np.multiply.reduce(invocations, axis=1, dtype=float)
         else:
-            raise ValueError(f"unknown parallel spec {spec!r}")
-        share = np.where(threads > 1, np.ceil(par_iters / threads) / par_iters, 1.0)
+            par_iters = 1
+        share = np.ceil(par_iters / threads) / par_iters  # exactly 1 at one thread
 
-        # spans per unit (n, n_units, B): unit s fixes the first s band vars
-        n_units = n + 1
-        spans = np.where(plan.fixed, 1, t.T[:, None])
-        R, S = plan.base.shape[:2]
-        unit_ext = plan.base + (plan.coeff @ (spans - 1).reshape(n, -1)).reshape(R, S, n_units, B)
-        # outer-loop counts (tile loops, then point loops) and their prefix
-        # products: unit s refetches stream j prefix[merged[j, s]] times and
-        # its footprint absorbs loop merged[j, s]'s span
-        counts = np.concatenate([trips.T, t.T])
-        prefix = np.multiply.accumulate(np.concatenate([np.ones((1, B)), counts]), axis=0)
-        span_at = spans[plan.span_index]
-        grown = np.minimum(plan.merged_cap, counts[plan.merged] * span_at) - span_at
-        extents = unit_ext[:, None] + plan.merged_coeff * grown  # (R, 2, S, n_units, B)
-        factors = plan.weight * prefix[plan.fetch_rows]  # (2, S, n_units, B)
-        columns = np.arange(B)
-        per_line: dict[int, np.ndarray] = {}
-
-        def level_traffic_for(capacity, cap_whole: float, line_size: int) -> np.ndarray:
-            line_elems, comp, ws_whole = plan.by_line[line_size]
-            if ws_whole <= cap_whole:
-                return np.full(B, comp)
-            if line_size not in per_line:  # (working set, traffic) per unit
-                # streams summed in order: n_units >= 2 keeps the stream
-                # axis outside reduce's inner loop, so it never sums pairwise
-                fp = _footprint(extents, line_elems, line_size)
-                per_line[line_size] = np.add.reduce(factors * fp, axis=1)
-            ws, traffic = per_line[line_size]
-            # smallest s whose working set fits; fallback: last unit
-            fits = ws <= capacity
-            fits[-1] = True
-            return np.maximum(traffic[fits.argmax(axis=0), columns], comp)
-
-        # each level moves at most what the level above it does
-        level_traffic = np.minimum.accumulate(
-            [
-                level_traffic_for(
-                    level.size / max_per_socket if level.shared else float(level.size),
-                    float(level.size),
-                    level.line_size,
-                )
-                for level in machine.levels
-            ],
-            axis=0,
-        )
+        # the outer loops' counts (tile loops, then point loops) between a
+        # leading 1 and a trailing 0, and their prefix products: unit s
+        # refetches stream j prefix[merged[j, s]] times and its footprint
+        # absorbs loop merged[j, s]'s span
+        loops = plan.loop_init.repeat(B, axis=1)
+        loops[1 : n + 1] = trips.T
+        loops[n + 1 : 2 * n + 1] = t_rows = t.T
+        prefix = np.multiply.accumulate(loops, axis=0)
+        if plan.line_elems is None:  # every row's whole problem fits
+            traffic = np.repeat(plan.comp, B, axis=1)
+        else:
+            # each unit's extents (R, 1, 1, S, n_units, B): unit s fixes
+            # the first s band vars at span 1
+            unit_ext = (plan.unit_coeff @ (t_rows - 1)).reshape(*plan.base.shape[:4], n + 1, B)
+            unit_ext += plan.base
+            count, span = loops[plan.loop_rows]
+            grown = np.minimum(plan.merged_cap, count * span) - span
+            extents = unit_ext + plan.merged_coeff * grown  # (R, 2, 1, S, n_units, B)
+            factors = plan.weight * prefix[plan.fetch_rows]  # (2, 1, S, n_units, B)
+            # (working set, traffic) per line size and unit; streams summed
+            # in order: n_units >= 2 keeps the stream axis outside reduce's
+            # inner loop, so it never sums pairwise
+            ws, unit_traffic = np.add.reduce(
+                factors * _footprint(extents, plan.line_elems, plan.line_size), axis=2
+            )
+            # each row's smallest unit whose working set fits; fallback: last unit
+            fits = ws[plan.row_line] <= capacity
+            fits[:, -1] = True
+            picked = unit_traffic[plan.row_line[:, None], fits.argmax(axis=1), np.arange(B)]
+            traffic = np.maximum(picked, plan.comp)
+            if plan.whole is not None:
+                traffic = np.where(plan.whole, plan.comp, traffic)
+        # each level moves at most what the level above it does; the TLB last
+        level_traffic = np.minimum.accumulate(traffic[plan.level_rows], axis=0)
+        tlb_traffic = traffic[-1]
 
         freq = machine.freq_hz
-        flops = self.flops_per_iteration * self.total_iterations
-        compute_t = flops * share / (machine.flops_per_cycle * freq)
+        compute_t = plan.flops * share / plan.flop_rate
 
         # loop overhead: entries of all 2n loops, 1 + prefix[0] + ... +
-        # prefix[2n-1], and iterations of the outer 2n-1, prefix[1] + ... +
-        # prefix[2n-1], each summed left to right (a reduce would sum
-        # pairwise once B = 1 leaves it one axis)
-        entries = np.add.accumulate(np.concatenate([prefix[:1], prefix[: 2 * n]]))[-1]
-        iters = np.add.accumulate(prefix[1 : 2 * n])[-1]
-        overhead_t = (
-            iters * machine.loop_overhead_cycles + entries * machine.loop_entry_cycles
-        ) * share / freq
-
-        # TLB
-        tlb_reach = float(machine.tlb_reach)
-        tlb_traffic = level_traffic_for(tlb_reach, tlb_reach, machine.page_size)
-        overhead_t += (
-            tlb_traffic / machine.page_size * machine.tlb_miss_cycles * share / freq
-        )
+        # prefix[2n-1], and iterations of the outer 2n-1, 0 + 0 + prefix[1]
+        # + ... + prefix[2n-1], summed left to right in one running sum (a
+        # reduce would sum pairwise once B = 1 leaves it one axis)
+        cycles = np.add.accumulate(prefix[plan.entry_rows], axis=0)[-1] * plan.loop_cycles
+        overhead_t = (cycles[1] + cycles[0]) * share / freq
+        overhead_t += tlb_traffic / machine.page_size * machine.tlb_miss_cycles * share / freq
 
         dram_traffic = level_traffic[-1]
+        moved = level_traffic * share  # the last level twice: its fill and DRAM per core
         mem_t = np.maximum(
-            np.maximum.reduce(level_traffic * share / plan.fetch_bw, axis=0),
-            np.maximum(
-                dram_traffic * share / machine.dram_bw_per_core,
-                dram_traffic * share * max_per_socket / machine.dram_bw_per_socket,
-            ),
+            np.maximum.reduce(moved / plan.fetch_bw, axis=0),
+            moved[-1] * per_socket / machine.dram_bw_per_socket,
         )
 
         work_t = compute_t + overhead_t
         busy = np.maximum(work_t, mem_t) + machine.mem_overlap_residual * np.minimum(
             work_t, mem_t
         )
-
-        par_mask = threads > 1
-        fill = (max_per_socket - 1) / max(1, cps - 1)
-        tax = 1.0 + machine.smp_tax * fill + machine.numa_tax * (active_sockets - 1)
-        busy = np.where(par_mask, busy * tax, busy)
-        busy = np.where(
-            par_mask,
-            busy
-            + (machine.fork_join_base + machine.fork_join_per_thread * threads)
-            * invocations,
-            busy,
-        )
-        return busy * self.sweep_factor, dram_traffic * self.sweep_factor, active_sockets
+        # tax 1 and no fork/join at one thread, so these leave busy as is
+        busy = busy * tax + fork_join
+        if self.sweep_factor != 1:  # x * 1 is x
+            busy, dram_traffic = busy * self.sweep_factor, dram_traffic * self.sweep_factor
+        return busy, dram_traffic, active_sockets
 
     # ------------------------------------------------------------------
     # identity

@@ -11,7 +11,7 @@ into SciPy 1.17) bit for bit rather than approximating it:
   the one the C code takes;
 * all three branches (the central one, ``exp(-2) < y <= 1 - exp(-2)``,
   about 73% of uniform inputs, and the two tails) run their Horner steps
-  as whole-array NumPy operations;
+  as whole-array NumPy operations, over coefficients picked per element;
 * the tails' ``log`` is taken on Python floats with :func:`math.log`,
   which calls the C library as Cephes does.  ``numpy.log`` is *not* a
   substitute: its SIMD kernels (AVX-512 builds) may round differently
@@ -71,15 +71,14 @@ _Q2 = (
 )
 
 
-#: Horner coefficients, highest power first.  Rows 0-2 hold ``P`` and rows
-#: 3-5 ``Q`` of the three branches: the central one, then the tail with
-#: ``x = sqrt(-2 log y)`` below 8 and from 8 on.  ``P0``'s four leading
-#: zeros and the ``Q``s' leading 1 (Cephes' ``p1evl``) are exact no-ops, so
-#: every branch runs the same nine steps.
+#: Horner coefficients, highest power first, as (step, P/Q, branch): the
+#: central branch, then the tail with ``x = sqrt(-2 log y)`` below 8 and
+#: from 8 on.  ``P0``'s four leading zeros and the ``Q``s' leading 1
+#: (Cephes' ``p1evl``) are exact no-ops, so every branch runs the same nine
+#: steps.
 _PQ = np.array([
-    (0.0,) * 4 + _P0, _P1, _P2, (1.0,) + _Q0, (1.0,) + _Q1, (1.0,) + _Q2,
-])
-_Q_ROW = 3
+    [(0.0,) * 4 + _P0, _P1, _P2], [(1.0,) + _Q0, (1.0,) + _Q1, (1.0,) + _Q2],
+]).transpose(2, 0, 1).copy()
 
 
 def ndtri(y) -> np.ndarray:
@@ -90,32 +89,33 @@ def ndtri(y) -> np.ndarray:
     element with its own branch's coefficients: its variable is
     ``(y - 0.5)**2`` in the central branch and ``z = 1 / x`` in the tails,
     where ``x`` and ``x0 = x - log(x) / x`` come from :func:`math.log`.
+    The tail mask is the branch index, so one ``take`` lays out every
+    element's coefficients as contiguous (9, 2n) rows.
     """
     y = np.asarray(y, dtype=np.float64)
     flat = y.reshape(-1)
     n = flat.size
-    tails = np.flatnonzero(~((flat > _EXPM2) & (flat <= _HIGH)))
-    if tails.size:
-        t = flat[tails]
-        high = t > _HIGH
-        t = np.where(high, 1.0 - t, t)
-        try:
-            log_t = list(map(math.log, t.tolist()))
-        except ValueError:  # 0, 1 or outside [0, 1]
-            return _with_special_values(y)
-        x = np.sqrt(np.multiply(log_t, -2.0))
-        x0 = x - np.divide(list(map(math.log, x.tolist())), x)
+    tail = ~((flat > _EXPM2) & (flat <= _HIGH))
+    tails = tail.nonzero()[0]
+    branch = tail.astype(np.intp)
     d = flat - 0.5
     # the Horner variable of P (first half) and of Q (second half)
     vv = np.empty(2 * n)
     v = vv[:n]
     np.multiply(d, d, out=v)
-    branch = np.zeros(n, dtype=np.intp)
     if tails.size:
+        t = flat[tails]
+        high = t > _HIGH
+        try:  # log of y, or of 1 - y in the upper tail
+            log_t = np.fromiter(map(math.log, np.minimum(t, 1.0 - t).tolist()), float, t.size)
+        except ValueError:  # 0, 1 or outside [0, 1]
+            return _with_special_values(y)
+        x = np.sqrt(log_t * -2.0)
+        x0 = x - np.fromiter(map(math.log, x.tolist()), float, x.size) / x
         v[tails] = 1.0 / x
-        branch[tails] = np.where(x < 8.0, 1, 2)
+        branch[tails[x >= 8.0]] = 2
     vv[n:] = v
-    c = _PQ.take(np.concatenate((branch, branch + _Q_ROW)), axis=0).T
+    c = _PQ.take(branch, axis=2).reshape(len(_PQ), 2 * n)
     acc = c[0] * vv
     acc += c[1]
     for row in c[2:]:

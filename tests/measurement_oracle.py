@@ -12,6 +12,16 @@ differential oracles and as the baselines of the perf gates in
 * :func:`predict` — ``RegionCostModel._predict`` with its per-stream and
   per-level Python loops, over the plan :func:`build_plan` makes once per
   model.  Call it as ``predict(model, tiles, threads, collapsed)``.
+* :func:`predict_per_level` and :func:`energy_batch_per_level` —
+  ``RegionCostModel._predict`` with one traffic pass per cache level and
+  another for the TLB, thread-count terms computed per call and a
+  footprint pass per line size, over the plan
+  :func:`build_plan_per_level` makes once per model.  The fused model
+  must match all three of its outputs bit for bit
+  (``tests/test_measurement_floor.py``), and the per-call perf gate times
+  against it.
+* :func:`ndtri_gather` — ``repro.util.ndtri.ndtri`` as it gathered a
+  ``(2n, 9)`` Horner coefficient matrix per element.
 * :class:`ShardLoader`, :func:`record_line` and :func:`append_records` —
   the disk shard's per-record format (schema 1, one JSON line per
   configuration): its line-by-line ``_read_tail`` holding
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import time as _time
 import weakref
@@ -35,14 +46,19 @@ import numpy as np
 
 from repro.evaluation.measurements import Measurement, Row
 from repro.evaluation.objectives import Objectives
+from repro.util.ndtri import _EXPM2, _HIGH, _P0, _P1, _P2, _Q0, _Q1, _Q2, _S2PI
 
 __all__ = [
     "ShardLoader",
     "append_records",
     "build_plan",
+    "build_plan_per_level",
     "compute_keys",
     "energy_batch",
+    "energy_batch_per_level",
+    "ndtri_gather",
     "predict",
+    "predict_per_level",
     "record_line",
 ]
 
@@ -258,6 +274,294 @@ def predict(
         busy,
     )
     return busy * self.sweep_factor, dram_traffic * self.sweep_factor, active_sockets
+
+
+def build_plan_per_level(self) -> SimpleNamespace:
+    """``RegionCostModel._build_plan`` for :func:`predict_per_level`."""
+    band, streams, machine = self.band, self.streams, self.machine
+    n, S = len(band), len(streams)
+    R = max([1] + [len(st.coeff_dims) for st in streams])
+    base = np.ones((R, S, 1, 1))
+    coeff = np.zeros((R, S, n))
+    depth = np.full((S, n + 1), -1)
+    for j, st in enumerate(streams):
+        dims = zip(st.coeff_dims, st.const_span)  # front-padded to rank R
+        for d, (coeffs, extra) in enumerate(dims, R - len(st.coeff_dims)):
+            base[d, j] = 1 + extra
+            for var, c in coeffs:
+                coeff[d, j, band.index(var)] += abs(c)
+        for s in range(n + 1):  # the innermost outer loop it depends on
+            outer = band + band[:s]
+            depth[j, s] = max((k for k, v in enumerate(outer) if v in st.depends), default=-1)
+    merged = np.maximum(depth, 0)
+    weight = np.array([2.0 if st.has_write else 1.0 for st in streams]).reshape(S, 1, 1)
+    coeff_flat = coeff.reshape(R * S, n)
+    ext = np.array([self.extent[v] for v in band], dtype=np.int64)
+    whole = base + (coeff_flat @ (ext - 1)).reshape(R, S, 1, 1)
+    by_line = {}
+    for L in {lv.line_size for lv in machine.levels} | {machine.page_size}:
+        line_elems = np.array([max(1, L // st.elem_size) for st in streams], dtype=float)
+        line_elems = line_elems.reshape(S, 1, 1)
+        comp = ws = 0.0
+        for w, fp in zip(weight.ravel(), _footprint(whole, line_elems, L).ravel()):
+            comp += w * fp
+            ws += fp
+        by_line[L] = line_elems, float(comp), float(ws)
+    merged_pos = merged % n
+    merged_coeff = np.where(depth >= 0, coeff[:, np.arange(S)[:, None], merged_pos], 0)
+    return SimpleNamespace(
+        base=base, coeff=coeff_flat, ext=ext,
+        fixed=np.tri(n + 1, n, -1, dtype=bool).T[..., None],
+        merged=merged, span_index=(merged_pos, np.arange(n + 1)),
+        merged_cap=ext[merged_pos][..., None],
+        merged_coeff=np.stack([np.zeros_like(merged_coeff), merged_coeff], axis=1)[..., None],
+        weight=np.stack([np.ones_like(weight), weight]),
+        fetch_rows=np.stack([np.zeros_like(merged), merged]),
+        by_line=by_line,
+        fetch_bw=np.array([[level.fetch_bw] for level in machine.levels], dtype=float),
+    )
+
+
+#: model → its :func:`build_plan_per_level`, built once per model
+_PER_LEVEL_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def predict_per_level(
+    self,
+    tiles: np.ndarray,
+    threads: np.ndarray,
+    collapsed: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The model itself, as arrays (B,): wall time, the DRAM bytes the
+    whole run moves (all threads) and the active socket count.  One
+    contraction gives the extents of every (reuse unit, stream),
+    footprints and unit traffic are computed once per distinct line
+    size, and each cache level and the TLB only pick their fitting
+    unit."""
+    machine, band = self.machine, self.band
+    plan = _PER_LEVEL_PLANS.get(self)
+    if plan is None:
+        plan = _PER_LEVEL_PLANS[self] = build_plan_per_level(self)
+    n = len(band)
+    tiles = np.asarray(tiles, dtype=np.int64)
+    threads = np.asarray(threads, dtype=np.int64)
+    if tiles.ndim != 2 or tiles.shape[1] != n:
+        raise ValueError(f"tiles must have shape (B, {n})")
+    B = tiles.shape[0]
+    if threads.shape != (B,):
+        raise ValueError("threads must have shape (B,)")
+
+    ext = plan.ext
+    t = np.minimum(np.maximum(tiles, 1), ext)
+    trips = -(-ext // t)  # ceil div, (B, n)
+
+    # thread placement (vectorized over the few distinct thread counts)
+    cps = machine.cores_per_socket
+    max_per_socket = np.minimum(threads, cps)
+    active_sockets = -(-threads // cps)
+
+    # worksharing structure per the parallel spec
+    spec = self.parallel_spec
+    if collapsed is not None:
+        spec = ("collapse", collapsed)
+    if spec is None:
+        spec = ("collapse", min(2, n))
+    kind, arg = spec
+    invocations = np.ones(B)
+    if kind == "collapse":
+        depth = max(1, min(int(arg or 1), n))
+        par_iters = np.multiply.reduce(trips[:, :depth], axis=1)
+    elif kind == "tile":
+        par_iters = trips[:, band.index(str(arg))]
+    elif kind == "point":
+        pos = band.index(str(arg))
+        par_iters = np.full(B, ext[pos])
+        for j in range(n):
+            if j != pos:
+                invocations = invocations * np.where(t[:, j] < ext[j], trips[:, j], 1)
+    elif kind == "none":
+        par_iters = np.ones(B)
+    else:
+        raise ValueError(f"unknown parallel spec {spec!r}")
+    share = np.where(threads > 1, np.ceil(par_iters / threads) / par_iters, 1.0)
+
+    # spans per unit (n, n_units, B): unit s fixes the first s band vars
+    n_units = n + 1
+    spans = np.where(plan.fixed, 1, t.T[:, None])
+    R, S = plan.base.shape[:2]
+    unit_ext = plan.base + (plan.coeff @ (spans - 1).reshape(n, -1)).reshape(R, S, n_units, B)
+    # outer-loop counts (tile loops, then point loops) and their prefix
+    # products: unit s refetches stream j prefix[merged[j, s]] times and
+    # its footprint absorbs loop merged[j, s]'s span
+    counts = np.concatenate([trips.T, t.T])
+    prefix = np.multiply.accumulate(np.concatenate([np.ones((1, B)), counts]), axis=0)
+    span_at = spans[plan.span_index]
+    grown = np.minimum(plan.merged_cap, counts[plan.merged] * span_at) - span_at
+    extents = unit_ext[:, None] + plan.merged_coeff * grown  # (R, 2, S, n_units, B)
+    factors = plan.weight * prefix[plan.fetch_rows]  # (2, S, n_units, B)
+    columns = np.arange(B)
+    per_line: dict[int, np.ndarray] = {}
+
+    def level_traffic_for(capacity, cap_whole: float, line_size: int) -> np.ndarray:
+        line_elems, comp, ws_whole = plan.by_line[line_size]
+        if ws_whole <= cap_whole:
+            return np.full(B, comp)
+        if line_size not in per_line:  # (working set, traffic) per unit
+            # streams summed in order: n_units >= 2 keeps the stream
+            # axis outside reduce's inner loop, so it never sums pairwise
+            fp = _footprint(extents, line_elems, line_size)
+            per_line[line_size] = np.add.reduce(factors * fp, axis=1)
+        ws, traffic = per_line[line_size]
+        # smallest s whose working set fits; fallback: last unit
+        fits = ws <= capacity
+        fits[-1] = True
+        return np.maximum(traffic[fits.argmax(axis=0), columns], comp)
+
+    # each level moves at most what the level above it does
+    level_traffic = np.minimum.accumulate(
+        [
+            level_traffic_for(
+                level.size / max_per_socket if level.shared else float(level.size),
+                float(level.size),
+                level.line_size,
+            )
+            for level in machine.levels
+        ],
+        axis=0,
+    )
+
+    freq = machine.freq_hz
+    flops = self.flops_per_iteration * self.total_iterations
+    compute_t = flops * share / (machine.flops_per_cycle * freq)
+
+    # loop overhead: entries of all 2n loops, 1 + prefix[0] + ... +
+    # prefix[2n-1], and iterations of the outer 2n-1, prefix[1] + ... +
+    # prefix[2n-1], each summed left to right (a reduce would sum
+    # pairwise once B = 1 leaves it one axis)
+    entries = np.add.accumulate(np.concatenate([prefix[:1], prefix[: 2 * n]]))[-1]
+    iters = np.add.accumulate(prefix[1 : 2 * n])[-1]
+    overhead_t = (
+        iters * machine.loop_overhead_cycles + entries * machine.loop_entry_cycles
+    ) * share / freq
+
+    # TLB
+    tlb_reach = float(machine.tlb_reach)
+    tlb_traffic = level_traffic_for(tlb_reach, tlb_reach, machine.page_size)
+    overhead_t += (
+        tlb_traffic / machine.page_size * machine.tlb_miss_cycles * share / freq
+    )
+
+    dram_traffic = level_traffic[-1]
+    mem_t = np.maximum(
+        np.maximum.reduce(level_traffic * share / plan.fetch_bw, axis=0),
+        np.maximum(
+            dram_traffic * share / machine.dram_bw_per_core,
+            dram_traffic * share * max_per_socket / machine.dram_bw_per_socket,
+        ),
+    )
+
+    work_t = compute_t + overhead_t
+    busy = np.maximum(work_t, mem_t) + machine.mem_overlap_residual * np.minimum(
+        work_t, mem_t
+    )
+
+    par_mask = threads > 1
+    fill = (max_per_socket - 1) / max(1, cps - 1)
+    tax = 1.0 + machine.smp_tax * fill + machine.numa_tax * (active_sockets - 1)
+    busy = np.where(par_mask, busy * tax, busy)
+    busy = np.where(
+        par_mask,
+        busy
+        + (machine.fork_join_base + machine.fork_join_per_thread * threads)
+        * invocations,
+        busy,
+    )
+    return busy * self.sweep_factor, dram_traffic * self.sweep_factor, active_sockets
+
+
+def energy_batch_per_level(self, tiles, threads, collapsed=None):
+    """``RegionCostModel.energy_batch`` over :func:`predict_per_level`."""
+    time, dram_bytes, active_sockets = predict_per_level(self, tiles, threads, collapsed)
+    machine = self.machine
+    power = (
+        active_sockets * machine.idle_power_per_socket
+        + np.asarray(threads, dtype=np.int64) * machine.active_power_per_core
+    )
+    return time, time * power + dram_bytes * machine.dram_energy_per_byte
+
+
+#: the parent's Horner coefficients, highest power first: rows 0-2 ``P``
+#: and rows 3-5 ``Q`` of the central branch and the two tails
+_PQ = np.array([
+    (0.0,) * 4 + _P0, _P1, _P2, (1.0,) + _Q0, (1.0,) + _Q1, (1.0,) + _Q2,
+])
+_Q_ROW = 3
+
+
+def ndtri_gather(y) -> np.ndarray:
+    """The ``x`` with ``Phi(x) = y``, elementwise; ``-inf`` at 0, ``inf`` at
+    1 and NaN outside ``[0, 1]``.  Bit-identical to ``scipy.special.ndtri``.
+
+    One Horner pass evaluates ``P`` and ``Q`` of every element at once, each
+    element with its own branch's coefficients: its variable is
+    ``(y - 0.5)**2`` in the central branch and ``z = 1 / x`` in the tails,
+    where ``x`` and ``x0 = x - log(x) / x`` come from :func:`math.log`.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    flat = y.reshape(-1)
+    n = flat.size
+    tails = np.flatnonzero(~((flat > _EXPM2) & (flat <= _HIGH)))
+    if tails.size:
+        t = flat[tails]
+        high = t > _HIGH
+        t = np.where(high, 1.0 - t, t)
+        try:
+            log_t = list(map(math.log, t.tolist()))
+        except ValueError:  # 0, 1 or outside [0, 1]
+            return _with_special_values(y)
+        x = np.sqrt(np.multiply(log_t, -2.0))
+        x0 = x - np.divide(list(map(math.log, x.tolist())), x)
+    d = flat - 0.5
+    # the Horner variable of P (first half) and of Q (second half)
+    vv = np.empty(2 * n)
+    v = vv[:n]
+    np.multiply(d, d, out=v)
+    branch = np.zeros(n, dtype=np.intp)
+    if tails.size:
+        v[tails] = 1.0 / x
+        branch[tails] = np.where(x < 8.0, 1, 2)
+    vv[n:] = v
+    c = _PQ.take(np.concatenate((branch, branch + _Q_ROW)), axis=0).T
+    acc = c[0] * vv
+    acc += c[1]
+    for row in c[2:]:
+        acc *= vv
+        acc += row
+    # r = y2 * P / Q in the central branch, z * P / Q in the tails
+    r = acc[:n]
+    r *= v
+    r /= acc[n:]
+    out = d * r
+    out += d
+    out *= _S2PI  # central: (y + y * r) * sqrt(2 pi)
+    if tails.size:
+        x0 -= r[tails]
+        np.negative(x0, out=x0, where=~high)  # the lower tail is negative
+        out[tails] = x0
+    out = out.reshape(y.shape)
+    return out[()] if out.ndim == 0 else out
+
+
+def _with_special_values(y: np.ndarray) -> np.ndarray:
+    """:func:`ndtri_gather` of an array holding 0, 1, NaN or values outside
+    [0, 1]."""
+    inside = (y > 0.0) & (y < 1.0)
+    out = np.where(y == 0.0, -np.inf, np.where(y == 1.0, np.inf, np.nan))
+    # Cephes runs a NaN through and negates it on return
+    nan = np.isnan(y)
+    out[nan] = -y[nan]
+    out[inside] = ndtri_gather(y[inside])
+    return out[()] if out.ndim == 0 else out
 
 
 def energy_batch(self, tiles, threads, collapsed=None):

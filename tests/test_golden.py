@@ -4,8 +4,9 @@ RS-GDE3 at the ``repro tune`` defaults (seed 0, run seed 0, default
 sizes, serial evaluation) for the five Table VI kernels on both machines,
 with each cell's untiled sequential baseline time, the tri-objective
 (time, resources, energy) mm run on Westmere, the jacobi-2d multi-region
-run, one NSGA-II run and the mm brute-force sweep on Westmere (the
-Fig. 9 reference front), compared with ``==``
+run, one NSGA-II run, the mm brute-force sweep on Westmere (the
+Fig. 9 reference front) and the runtime's selections over seeded
+invocation streams (:func:`runtime_case`), compared with ``==``
 against ``tests/golden/results.json``.  A refactor of the optimizer loop,
 the evaluation engine or the cost model must leave every value unchanged;
 floats are pinned as ``float.hex`` and fronts and convergence traces as
@@ -23,12 +24,14 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.driver.compiler import TuningDriver
 from repro.experiments import EXPERIMENT_KERNELS, make_setup, run_brute_force
 from repro.frontend import get_kernel
 from repro.machine import BARCELONA, WESTMERE
+from repro.runtime import BanditSelector, RegionExecutor, RuntimeMonitor, policy_by_name
 
 GOLDEN = Path(__file__).parent / "golden" / "results.json"
 MACHINES = (WESTMERE, BARCELONA)
@@ -126,6 +129,64 @@ def multiregion_case() -> dict:
     }
 
 
+RUNTIME_SEEDS = (0, 1, 2)
+
+
+def runtime_case(seed: int) -> dict:
+    """One seeded stream of 2,000 region invocations through
+    ``repro.runtime`` over the five Westmere Table VI version tables.  Each
+    region has one monitor and three executors (compiled ``balanced``,
+    context-sensitive ``thread_cap``, a seeded bandit); per invocation the
+    available cores are set, one executor selects, the monitor records the
+    version's tuned time times a lognormal factor as its wall time, and the
+    bandit observes it.  Every 200 invocations one region's executors
+    recalibrate.  Pins the digest of the selected version indices and of
+    every executor's final table (``float.hex`` metadata), so the values
+    that feed the runtime stay bit-identical into its decisions.  Like the
+    other pins, it assumes the AVX-512 NumPy dispatch the file was
+    generated with; on a host without it, the tuned tables may differ in
+    their last bits."""
+    tables = [_tuned(k, WESTMERE).build_version_table() for k in EXPERIMENT_KERNELS]
+    rng = np.random.default_rng([seed, 31])
+    n, every = 2000, 200
+    regions = rng.integers(0, len(tables), n).tolist()
+    policies = rng.integers(0, 3, n).tolist()
+    cores = rng.choice((1, 2, 4, 8, 16), n).tolist()
+    factors = rng.lognormal(0.0, 0.015, n).tolist()
+    executors = []
+    for r, table in enumerate(tables):
+        monitor = RuntimeMonitor()
+        executors.append([
+            RegionExecutor(table, policy_by_name("balanced"), monitor=monitor),
+            RegionExecutor(table, policy_by_name("thread_cap"), monitor=monitor),
+            RegionExecutor(table, BanditSelector(seed=10 * seed + r), monitor=monitor),
+        ])
+    chosen = []
+    for i, (r, p, c, factor) in enumerate(zip(regions, policies, cores, factors)):
+        executor = executors[r][p]
+        executor.monitor.set_available_cores(c)
+        meta = executor.select().meta
+        wall = tables[r].versions[meta.index].meta.time * factor
+        executor.monitor.record(executor.table.region_name, meta.index, meta.threads,
+                                meta.time, wall)
+        if p == 2:
+            executor.policy.observe(meta.index, wall)
+        chosen.append(meta.index)
+        if (i + 1) % every == 0:
+            for ex in executors[(i // every) % len(executors)]:
+                ex.recalibrate()
+    final = [
+        [
+            [m.index, float(m.time).hex(), float(m.resources).hex(), m.threads,
+             None if m.energy is None else float(m.energy).hex()]
+            for m in (v.meta for v in ex.table.versions)
+        ]
+        for row in executors
+        for ex in row
+    ]
+    return {"selections": _sha(chosen), "tables": _sha(final)}
+
+
 def compute() -> dict:
     return {
         "rsgde3": {
@@ -142,6 +203,7 @@ def compute() -> dict:
         "nsga2": {"mm/Westmere": nsga2_case()},
         "brute_force": {"mm/Westmere": brute_force_case()},
         "multiregion": {"jacobi2d/Westmere": multiregion_case()},
+        "runtime": {f"seed{seed}": runtime_case(seed) for seed in RUNTIME_SEEDS},
     }
 
 
@@ -176,6 +238,11 @@ def test_brute_force_mm(golden):
 
 def test_multiregion_jacobi2d(golden):
     assert multiregion_case() == golden["multiregion"]["jacobi2d/Westmere"]
+
+
+@pytest.mark.parametrize("seed", RUNTIME_SEEDS)
+def test_runtime_selections(golden, seed):
+    assert runtime_case(seed) == golden["runtime"][f"seed{seed}"]
 
 
 if __name__ == "__main__":
