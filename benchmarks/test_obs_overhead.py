@@ -1,29 +1,25 @@
 """Observability overhead guard: disabled tracing must cost < 2 %.
 
-Every instrumented component defaults to the shared ``DISABLED`` handle: a
-``NullTracer`` and a ``NullMetricsRegistry``.  So a plain tuning run still
-executes the null span/event calls, reads ``metrics.enabled`` before each
-block of metric updates (and skips the block), and makes whatever metric
-updates no such check guards, on the null registry's inert instrument.  A
-naive A/B wall-clock comparison of two full tuning runs is noise-bound at
-this effect size, so the guard is built the deterministic way:
+Every instrumented component defaults to the shared ``DISABLED`` handle,
+whose tracer is a ``NullTracer``.  Metrics are folded from recorded events
+after a run, so the disabled path holds no metric code at all; a plain
+tuning run still executes the null span calls and reads ``tracer.enabled``
+before each event site (and skips the event).  A naive A/B wall-clock
+comparison of two full tuning runs is noise-bound at this effect size, so
+the guard is built the deterministic way:
 
 1. benchmark a representative RS-GDE3 tuning run with observability
    disabled (the production default) — the reference wall time;
-2. census the tracer touchpoints by re-running the identical workload under
-   a collecting tracer on a FakeClock (same ledger, same seeds — the
-   span/event counts are exact; every event is charged, though the disabled
-   path skips those guarded by ``tracer.enabled``);
-3. count the metric touchpoints by re-running it once more with a counting
-   null registry: the ``metrics.enabled`` checks and the instrument
-   look-ups (each call site updates the instrument it looks up, once);
-4. microbenchmark the disabled-path primitives (null span open/close,
-   null event, an ``enabled`` check, a null-registry look-up plus update);
-5. assert touchpoints x primitive cost < 2 % of the reference wall time.
+2. census the disabled path by re-running the identical workload under a
+   counting null tracer (same ledger, same seeds — the counts are exact):
+   its ``enabled`` checks, null span opens and null events;
+3. microbenchmark the disabled-path primitives (null span open/close,
+   null event, an ``enabled`` check);
+4. assert touchpoints x primitive cost < 2 % of the reference wall time.
 
 The runtime's per-invocation path is held to a stricter rule: on the
 disabled handle, ``RegionExecutor.select()`` builds no event attributes
-(no ``policy.describe()``) and looks up no metric at all.
+(no ``policy.describe()``) and records no event at all.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ import repro.obs
 from repro.backend.meta import VersionMeta
 from repro.experiments import make_setup
 from repro.machine import WESTMERE
-from repro.obs import FakeClock, NullMetricsRegistry, NullTracer, Observability
+from repro.obs import NullTracer, Observability
 from repro.optimizer import RSGDE3
 from repro.optimizer.gde3 import GDE3Settings
 from repro.optimizer.rsgde3 import RSGDE3Settings
@@ -53,23 +49,26 @@ from conftest import print_banner
 _SETTINGS = RSGDE3Settings(gde3=GDE3Settings(population_size=16), max_generations=8)
 
 
-class _CountingNullRegistry(NullMetricsRegistry):
-    """The disabled path's registry, counting what is asked of it: reads of
-    ``enabled`` and instrument look-ups."""
+class _CountingNullTracer(NullTracer):
+    """The disabled path's tracer, counting what is asked of it: reads of
+    ``enabled``, span opens and events."""
 
     def __init__(self) -> None:
-        super().__init__()
         self.checks = 0
-        self.ops = 0
+        self.spans = 0
+        self.events = 0
 
     @property
     def enabled(self) -> bool:
         self.checks += 1
         return False
 
-    def _get(self, cls, name: str, help: str, **kwargs):
-        self.ops += 1
-        return super()._get(cls, name, help, **kwargs)
+    def span(self, name: str, **attrs):
+        self.spans += 1
+        return super().span(name, **attrs)
+
+    def event(self, name: str, **attrs) -> None:
+        self.events += 1
 
 
 def _tune_once(obs: Observability | None = None):
@@ -89,52 +88,36 @@ def test_disabled_observability_under_2_percent(benchmark):
     assert result.evaluations > 0
     wall = benchmark.stats["mean"]
 
-    # exact tracer census: identical workload, collecting tracer
-    obs = Observability.tracing(clock=FakeClock(tick=1e-6))
-    traced = _tune_once(obs=obs)
-    assert traced.convergence == result.convergence  # same workload
-    records = obs.tracer.records()
-    n_spans = sum(1 for r in records if r["type"] == "span")
-    n_events = sum(1 for r in records if r["type"] == "event")
-    assert n_spans > 0 and n_events > 0
-
-    # exact metric census: identical workload, disabled tracer and metrics
-    registry = _CountingNullRegistry()
-    counted = _tune_once(obs=Observability(metrics=registry))
+    # exact census of the disabled path: identical workload, counting tracer
+    tracer = _CountingNullTracer()
+    counted = _tune_once(obs=Observability(tracer=tracer))
     assert counted.convergence == result.convergence  # same workload
-    assert registry.checks > 0
+    assert tracer.spans > 0 and tracer.checks > 0
 
     # disabled-path primitive costs
-    tracer = NullTracer()
+    null = NullTracer()
 
     def null_span():
-        with tracer.span("x", a=1) as s:
+        with null.span("x", a=1) as s:
             s.set(b=2)
 
-    null = NullMetricsRegistry()
     span_cost = _per_call(null_span)
-    event_cost = _per_call(lambda: tracer.event("x", a=1))
+    event_cost = _per_call(lambda: null.event("x", a=1))
     check_cost = _per_call(lambda: null.enabled)
-    metric_cost = max(
-        _per_call(lambda: null.counter("c_total").inc()),
-        _per_call(lambda: null.gauge("g").set(1.0)),
-        _per_call(lambda: null.histogram("h").observe(0.01)),
-    )
 
-    overhead = n_spans * span_cost + n_events * event_cost
-    overhead += registry.checks * check_cost + registry.ops * metric_cost
+    overhead = tracer.spans * span_cost + tracer.events * event_cost
+    overhead += tracer.checks * check_cost
     share = overhead / wall
 
     print_banner("Observability overhead (tracing disabled)")
     print(f"tuning wall (obs disabled):  {wall * 1e3:9.3f} ms")
     print(
-        f"touchpoints:                 {n_spans} spans, {n_events} events, "
-        f"{registry.checks} metrics.enabled checks, {registry.ops} metric ops"
+        f"touchpoints:                 {tracer.spans} spans, {tracer.events} events, "
+        f"{tracer.checks} tracer.enabled checks"
     )
     print(
         f"primitive costs:             span={span_cost * 1e9:.0f}ns "
-        f"event={event_cost * 1e9:.0f}ns check={check_cost * 1e9:.0f}ns "
-        f"metric_op={metric_cost * 1e9:.0f}ns"
+        f"event={event_cost * 1e9:.0f}ns check={check_cost * 1e9:.0f}ns"
     )
     print(f"estimated overhead:          {overhead * 1e6:.1f} us ({share:.4%})")
 
@@ -146,10 +129,10 @@ def test_disabled_observability_under_2_percent(benchmark):
 
 def test_runtime_select_disabled_path_is_free(monkeypatch):
     """5,000 ``RegionExecutor.select()`` calls on the default handle, over
-    a compiled, a context-sensitive and a learning policy: not one metric
-    look-up and not one ``policy.describe()``."""
-    registry = _CountingNullRegistry()
-    monkeypatch.setattr(repro.obs.DISABLED, "metrics", registry)
+    a compiled, a context-sensitive and a learning policy: not one event
+    built and not one ``policy.describe()``."""
+    tracer = _CountingNullTracer()
+    monkeypatch.setattr(repro.obs.DISABLED, "tracer", tracer)
     described = []
     for cls in (WeightedSumPolicy, ThreadCapPolicy, BanditSelector):
         monkeypatch.setattr(cls, "describe", lambda self: described.append(self))
@@ -174,9 +157,9 @@ def test_runtime_select_disabled_path_is_free(monkeypatch):
 
     print_banner("Runtime selection, disabled observability")
     print(
-        f"5000 selects: {registry.checks} metrics.enabled checks, "
-        f"{registry.ops} metric look-ups, {len(described)} describe() calls"
+        f"5000 selects: {tracer.checks} tracer.enabled checks, "
+        f"{tracer.events} events, {len(described)} describe() calls"
     )
-    assert registry.ops == 0
+    assert tracer.events == 0
     assert described == []
-    assert registry.checks > 0  # the counting registry was the one consulted
+    assert tracer.checks == 5000  # the counting tracer was the one consulted

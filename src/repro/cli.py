@@ -180,15 +180,12 @@ def _parse_workers(value: str) -> int | str:
 
 def _build_obs(args) -> Observability | None:
     """One observability handle per invocation: a collecting tracer when
-    ``--trace`` was given, metrics-only for a bare ``--metrics``, and None
-    (fully disabled) otherwise."""
+    ``--trace`` or ``--metrics`` was given (a bare ``--metrics`` folds the
+    events of a trace that is never written), and None (fully disabled)
+    otherwise."""
     from repro.obs import Observability
 
-    if getattr(args, "trace", None):
-        obs = Observability.tracing()
-    elif getattr(args, "metrics", False):
-        obs = Observability.disabled()
-    else:
+    if not (getattr(args, "trace", None) or getattr(args, "metrics", False)):
         return None
     if args.trace:
         # fail before the (long) run, not after it — a clear error beats a
@@ -198,11 +195,12 @@ def _build_obs(args) -> Observability | None:
                 pass
         except OSError as exc:
             raise SystemExit(f"cannot write trace file {args.trace}: {exc}") from None
-    return obs
+    return Observability.tracing()
 
 
 def _finish_obs(args, obs: Observability | None, meta: dict, out) -> None:
-    """Write the trace file and/or print metrics after a traced run."""
+    """Write the trace file and/or print the metrics folded from it after
+    a traced run."""
     from repro.obs import TraceError
 
     if obs is None:
@@ -310,7 +308,7 @@ def _cmd_tune(args, out) -> int:
             source, sizes=sizes, optimizer=args.optimizer, run_seed=args.seed
         )
 
-    if obs is not None and obs.enabled:
+    if args.trace:
         # exercise the runtime layer so the trace is end to end: one
         # selection decision per core policy against the tuned table
         tuned.preview_selections()

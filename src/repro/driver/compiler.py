@@ -117,14 +117,18 @@ class TunedKernel:
 
     def build_version_table(self, executable: bool = True) -> VersionTable:
         """Version table for the runtime; with ``executable`` the versions
-        carry compiled Python bodies (exact semantics, small-size speed)."""
+        carry compiled Python bodies (exact semantics, small-size speed),
+        without it they are built from the metadata alone."""
+        if not executable:
+            versions = tuple(Version(meta=meta) for meta in self.version_metas())
+            return VersionTable(region_name=self.name, versions=versions)
         from repro.backend.pygen import compile_function
 
-        versions = []
-        for fn, meta in self._variants():
-            body = compile_function(fn, name=f"{self.name}_v{meta.index}") if executable else None
-            versions.append(Version(meta=meta, fn=body))
-        return VersionTable(region_name=self.name, versions=tuple(versions))
+        versions = tuple(
+            Version(meta=meta, fn=compile_function(fn, name=f"{self.name}_v{meta.index}"))
+            for fn, meta in self._variants()
+        )
+        return VersionTable(region_name=self.name, versions=versions)
 
     def emit_c(self) -> MultiVersionUnit:
         """The multi-versioned C translation unit (paper Fig. 6)."""
@@ -193,7 +197,7 @@ class TuningDriver:
         latency on the target); results and the E metric are bit-identical
         to the serial default.
     :param obs: observability handle — compiler phases become spans and
-        the optimizer/engine telemetry flows into its tracer and metrics;
+        the optimizer/engine telemetry flows into its tracer as events;
         None (the default) disables tracing at zero cost.
     :param cache_dir: directory of the persistent measurement cache
         (``--cache-dir``); None disables.  A repeated run against the same

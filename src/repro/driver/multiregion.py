@@ -121,7 +121,7 @@ class MultiRegionTuner:
         (the benchmark injects per-configuration overhead through this).
     :param disk_cache: persistent measurement cache shared by all
         region targets.
-    :param obs: observability handle (scheduler spans + metrics).
+    :param obs: observability handle (scheduler spans and events).
     """
 
     function: Function

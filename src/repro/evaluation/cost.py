@@ -49,7 +49,6 @@ from repro.analysis.features import analyze_features
 from repro.analysis.polyhedral import AccessFunction
 from repro.analysis.regions import TunableRegion
 from repro.machine.model import MachineModel
-from repro.machine.topology import place_threads
 from repro.util.rng import content_hash
 
 __all__ = ["RegionCostModel", "Stream"]
@@ -103,7 +102,7 @@ class _CostPlan:
     is the compulsory traffic, ``whole`` whether the whole problem fits
     (``None`` if none does).  ``level_rows`` repeats the last level, whose
     second ``fetch_bw`` is DRAM's per core.  ``per_thread`` (4 + K,
-    total_cores + 2) holds per thread count the threads per socket, active
+    total_cores + 1) holds per thread count the threads per socket, active
     sockets, SMP/NUMA tax (1 at one thread), fork/join seconds (0 at one
     thread) and K capacities."""
 
@@ -267,8 +266,8 @@ class RegionCostModel:
             by_line[L] = line_elems, float(comp), float(ws)
         fits = np.array([[by_line[L][2] <= size] for L, size in rows])
         lines = sorted({L for (L, _), f in zip(rows, fits) if not f})
-        # the thread-count terms of counts 0..total_cores + 1 (0 is rejected)
-        p = np.arange(machine.total_cores + 2)
+        # the thread-count terms of counts 0..total_cores (0 is rejected)
+        p = np.arange(machine.total_cores + 1)
         cps = machine.cores_per_socket
         per_socket, sockets = np.minimum(p, cps), -(-p // cps)
         fill = (per_socket - 1) / max(1, cps - 1)
@@ -345,7 +344,7 @@ class RegionCostModel:
         :param tiles: int array (B, len(band)) — tile sizes in band order,
             clipped into [1, extent] (the extent models an untiled loop).
         :param threads: int array (B,) — worksharing thread counts (1 =
-            sequential, no parallel overhead) in 1..``total_cores + 1``;
+            sequential, no parallel overhead) in 1..``total_cores``;
             ValueError outside.
         :param collapsed: how many outer tile loops are collapsed into the
             worksharing loop; overrides the constructor's ``parallel_spec``.
@@ -401,9 +400,7 @@ class RegionCostModel:
 
     def _one(self, tile_sizes: dict[str, int], threads: int) -> tuple[list, list]:
         """One configuration as a B = 1 batch, tile sizes clipped into
-        [1, extent] before they become int64; raises ValueError for a thread
-        count the machine cannot place."""
-        place_threads(self.machine, threads)
+        [1, extent] before they become int64."""
         ext = self.extent
         return [[min(max(1, tile_sizes.get(v, ext[v])), ext[v]) for v in self.band]], [threads]
 
@@ -433,7 +430,7 @@ class RegionCostModel:
                 raise IndexError
             per_thread = plan.per_thread.take(threads, axis=1)
         except IndexError:
-            raise ValueError(f"threads must lie in 1..{machine.total_cores + 1}") from None
+            raise ValueError(f"threads must lie in 1..{machine.total_cores}") from None
         per_socket, active_sockets, tax, fork_join = per_thread[:4]
         capacity = per_thread[4:, None]
 

@@ -185,22 +185,6 @@ class EngineStats:
 #: the field names of :class:`EngineStats`, read once
 _STATS_FIELDS = tuple(f.name for f in fields(EngineStats))
 
-#: (metric, help, :class:`EngineStats` field) of the per-batch counters
-_ENGINE_COUNTERS = (
-    ("repro_engine_batches_total", "evaluation batches processed", "batches"),
-    ("repro_engine_configs_total", "configurations submitted", "configs"),
-    ("repro_engine_dispatched_total", "unique configurations computed", "dispatched"),
-    ("repro_engine_cache_hits_total", "configurations served from the memo cache",
-     "cache_hits"),
-    ("repro_engine_deduped_total", "in-batch duplicate configurations", "deduped"),
-    ("repro_engine_disk_hits_total", "configurations served from the persistent disk cache",
-     "disk_hits"),
-    ("repro_engine_shared_hits_total", "configurations served by a sibling region's computation",
-     "shared_hits"),
-    ("repro_engine_retries_total", "failed per-key rescue attempts", "retried"),
-    ("repro_engine_failed_total", "configurations rescued per key", "failed"),
-)
-
 
 @dataclass(eq=False)
 class BatchResult:
@@ -263,8 +247,8 @@ class EvaluationEngine:
         until :meth:`close`.
     :param fault_policy: test hook, see :class:`FaultPolicy`.
     :param obs: observability handle — every committed batch becomes an
-        ``engine.batch`` event and its accounting is folded into metric
-        counters/histograms; the default disabled handle is free.
+        ``engine.batch`` event (the metrics are folded from these); the
+        default disabled handle is free.
     """
 
     def __init__(
@@ -459,13 +443,6 @@ class EvaluationEngine:
         batch.done = True
         if self.obs.tracer.enabled:
             self.obs.tracer.event("engine.batch", region=batch.region, **stats.as_dict())
-        m = self.obs.metrics
-        if m.enabled:
-            for name, help_text, attr in _ENGINE_COUNTERS:
-                m.counter(name, help_text).inc(getattr(stats, attr))
-            m.histogram(
-                "repro_engine_batch_seconds", "wall time per evaluation batch"
-            ).observe(stats.wall_time_s)
         self.stats.merge(stats)
 
     # -- fused multi-target session (cross-region scheduling) --------------
@@ -504,16 +481,5 @@ class EvaluationEngine:
         A failed chunk is rescued per key in the caller's thread (the one
         failure policy, see the module docstring).
         """
-        t0 = time.perf_counter()
-        ready = self._drain(self._pending)
-        m = self.obs.metrics
-        m.gauge(
-            "repro_scheduler_inflight_chunks",
-            "fused-session worker chunks currently in flight",
-        ).set(len(self._futures))
-        m.histogram(
-            "repro_scheduler_drain_seconds",
-            "coordinator wait time per fused drain",
-        ).observe(time.perf_counter() - t0)
-        return ready
+        return self._drain(self._pending)
 

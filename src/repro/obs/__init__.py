@@ -5,17 +5,18 @@ The observability layer the rest of the framework reports into:
 * :mod:`repro.obs.clock` — injectable time sources (deterministic tests);
 * :mod:`repro.obs.tracer` — span tracer with JSONL export, plus the
   zero-overhead :class:`NullTracer` default;
-* :mod:`repro.obs.metrics` — counter/gauge/histogram registry with
-  Prometheus text exposition;
+* :mod:`repro.obs.metrics` — counters, gauges and histograms folded from
+  the trace events, with Prometheus text exposition;
 * :mod:`repro.obs.convergence` — per-generation optimizer telemetry
   (the paper's V-vs-E trajectories as first-class data);
 * :mod:`repro.obs.summary` — trace-file summarization backing the
   ``repro trace`` subcommand.
 
-Instrumented components take one :class:`Observability` handle bundling a
-tracer and a metrics registry.  Components built without one fall back to
-the shared :data:`DISABLED` handle, which costs nothing on the hot path and
-records nothing.
+Instrumented components take one :class:`Observability` handle holding a
+tracer; a run's metrics are a fold over the events its tracer recorded.
+Components built without one fall back to the shared :data:`DISABLED`
+handle, whose null tracer costs nothing on the hot path and records
+nothing.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.clock import Clock, FakeClock, SystemClock
 from repro.obs.convergence import ConvergenceRecord, emit_generation, population_delta
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, fold
 from repro.obs.summary import load_trace, summarize_trace, trace_summary_for_path
 from repro.obs.tracer import NullTracer, Span, TraceError, Tracer
 
@@ -44,7 +39,7 @@ __all__ = [
     "Span",
     "TraceError",
     "MetricsRegistry",
-    "NullMetricsRegistry",
+    "fold",
     "Counter",
     "Gauge",
     "Histogram",
@@ -63,23 +58,19 @@ class Observability:
 
     :param tracer: a collecting :class:`Tracer` or the no-op
         :class:`NullTracer`.
-    :param metrics: the run's :class:`MetricsRegistry`; metrics are cheap
-        and always collected, tracing is the opt-in half.
     """
 
     tracer: Tracer | NullTracer = field(default_factory=NullTracer)
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     @property
     def enabled(self) -> bool:
         """Whether span/event tracing is active."""
         return getattr(self.tracer, "enabled", False)
 
-    @classmethod
-    def disabled(cls) -> "Observability":
-        """Null tracer + fresh registry: no tracing, metrics for this run
-        only (``--metrics`` without ``--trace``)."""
-        return cls()
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The run's metrics, folded from the events recorded so far."""
+        return fold(self.tracer.records())
 
     @classmethod
     def tracing(cls, clock: Clock | None = None) -> "Observability":
@@ -88,6 +79,6 @@ class Observability:
 
 
 #: shared inert instance used as the fallback when a component was built
-#: without an explicit handle: null tracer, null registry — it records
-#: nothing, so nothing leaks from one run into the next
-DISABLED = Observability(metrics=NullMetricsRegistry())
+#: without an explicit handle: its null tracer records nothing, so nothing
+#: leaks from one run into the next
+DISABLED = Observability()

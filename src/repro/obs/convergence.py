@@ -57,28 +57,13 @@ class ConvergenceRecord:
 
 def emit_generation(obs, algorithm: str, record: ConvergenceRecord) -> None:
     """Publish one convergence point as an ``optimizer.generation`` trace
-    event plus the optimizer gauges/counters (*obs* is an
+    event, from which the optimizer metrics are folded (*obs* is an
     :class:`~repro.obs.Observability` handle; duck-typed to avoid the
     circular import)."""
     if obs.tracer.enabled:
         obs.tracer.event(
             "optimizer.generation", algorithm=algorithm, **record.as_dict()
         )
-    m = obs.metrics
-    if not m.enabled:
-        return
-    m.counter(
-        "repro_optimizer_generations_total", "optimizer generations executed"
-    ).inc()
-    m.gauge(
-        "repro_optimizer_hypervolume", "population-front hypervolume V(S)"
-    ).set(record.hypervolume)
-    m.gauge(
-        "repro_optimizer_front_size", "non-dominated front size |S|"
-    ).set(record.front_size)
-    m.gauge(
-        "repro_optimizer_evaluations", "evaluations E spent by the current run"
-    ).set(record.evaluations)
 
 
 def population_delta(before, after) -> tuple[int, int]:

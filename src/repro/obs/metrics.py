@@ -1,21 +1,21 @@
-"""A small metrics registry: counters, gauges, histograms.
+"""Metrics folded from the trace: counters, gauges, histograms.
 
-Instruments are created lazily through the registry (``metrics.counter(
-"repro_engine_batches_total")``) and rendered with
-:meth:`MetricsRegistry.exposition` in the Prometheus text format, so the
-output of ``repro tune ... --metrics`` can be diffed, scraped, or pushed
-as-is.  All instruments are thread-safe (the engine's worker pool and the
-runtime executor may update them concurrently) and cheap enough to stay on
-unconditionally — tracing is the opt-in half of the observability layer,
-metrics are always collected.
+The trace records each fact once, as an event (``engine.batch``,
+``optimizer.generation``, ``runtime.selection``); the metrics are derived
+from those events rather than updated beside them.  :data:`FOLDS` maps
+each event name to the instrument updates one such event makes, and
+:func:`fold` replays a tracer's records through it into a fresh
+:class:`MetricsRegistry`, rendered with :meth:`MetricsRegistry.exposition`
+in the Prometheus text format, so the output of ``repro tune ...
+--metrics`` can be diffed, scraped, or pushed as-is.  A fold runs on one
+thread, after the run, so the instruments take no locks.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "NullMetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "FOLDS", "fold"]
 
 #: default histogram buckets (seconds): spans µs-scale engine batches up to
 #: multi-second tuning phases
@@ -40,13 +40,11 @@ class Counter:
         self.name = name
         self.help = help
         self._value = 0.0
-        self._lock = threading.Lock()
 
     def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError("counters can only increase")
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     @property
     def value(self) -> float:
@@ -65,15 +63,12 @@ class Gauge:
         self.name = name
         self.help = help
         self._value = 0.0
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
+        self._value = float(value)
 
     def inc(self, amount: float = 1) -> None:
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     def dec(self, amount: float = 1) -> None:
         self.inc(-amount)
@@ -102,14 +97,12 @@ class Histogram:
         self._counts = [0] * (len(self.buckets) + 1)  # +1 for +Inf
         self._sum = 0.0
         self._count = 0
-        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         idx = bisect_left(self.buckets, value)
-        with self._lock:
-            self._counts[idx] += 1
-            self._sum += value
-            self._count += 1
+        self._counts[idx] += 1
+        self._sum += value
+        self._count += 1
 
     @property
     def count(self) -> int:
@@ -135,23 +128,18 @@ class Histogram:
 class MetricsRegistry:
     """Name → instrument map with get-or-create accessors."""
 
-    #: whether updates are kept; callers skip building them when not
-    enabled = True
-
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
-        self._lock = threading.Lock()
 
     def _get(self, cls, name: str, help: str, **kwargs):
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = self._instruments[name] = cls(name, help, **kwargs)
-            elif not isinstance(instrument, cls):
-                raise TypeError(
-                    f"metric {name!r} is a {instrument.kind}, not a {cls.kind}"
-                )
-            return instrument
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            instrument = self._instruments[name] = cls(name, help, **kwargs)
+        elif not isinstance(instrument, cls):
+            raise TypeError(
+                f"metric {name!r} is a {instrument.kind}, not a {cls.kind}"
+            )
+        return instrument
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get(Counter, name, help)
@@ -193,24 +181,62 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-class _NullInstrument:
-    """Accepts every counter, gauge and histogram update and keeps none."""
+#: event name → the instrument updates one such event makes, as (kind,
+#: event attribute, metric, help): a ``counter`` adds the attribute's
+#: value, a ``count`` adds 1, a ``gauge`` takes the value and a
+#: ``histogram`` observes it.  An update is skipped when its attribute is
+#: null in the event; a ``count`` without an attribute counts every event.
+FOLDS: dict[str, tuple[tuple[str, str | None, str, str], ...]] = {
+    "engine.batch": (
+        ("counter", "batches", "repro_engine_batches_total", "evaluation batches processed"),
+        ("counter", "configs", "repro_engine_configs_total", "configurations submitted"),
+        ("counter", "dispatched", "repro_engine_dispatched_total",
+         "unique configurations computed"),
+        ("counter", "cache_hits", "repro_engine_cache_hits_total",
+         "configurations served from the memo cache"),
+        ("counter", "deduped", "repro_engine_deduped_total",
+         "in-batch duplicate configurations"),
+        ("counter", "disk_hits", "repro_engine_disk_hits_total",
+         "configurations served from the persistent disk cache"),
+        ("counter", "shared_hits", "repro_engine_shared_hits_total",
+         "configurations served by a sibling region's computation"),
+        ("counter", "retried", "repro_engine_retries_total", "failed per-key rescue attempts"),
+        ("counter", "failed", "repro_engine_failed_total", "configurations rescued per key"),
+        ("histogram", "wall_time_s", "repro_engine_batch_seconds",
+         "wall time per evaluation batch"),
+    ),
+    "optimizer.generation": (
+        ("count", None, "repro_optimizer_generations_total", "optimizer generations executed"),
+        ("gauge", "hypervolume", "repro_optimizer_hypervolume",
+         "population-front hypervolume V(S)"),
+        ("gauge", "front_size", "repro_optimizer_front_size", "non-dominated front size |S|"),
+        ("gauge", "evaluations", "repro_optimizer_evaluations",
+         "evaluations E spent by the current run"),
+    ),
+    "runtime.selection": (
+        ("count", None, "repro_runtime_selections_total", "version-selection decisions"),
+        ("count", "actual_time", "repro_runtime_executions_total", "region invocations executed"),
+        ("histogram", "actual_time", "repro_runtime_wall_seconds", "observed region wall time"),
+    ),
+}
 
-    def inc(self, amount: float = 1) -> None:
-        pass
 
-    dec = set = observe = inc
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """A registry that records nothing: every accessor returns one shared
-    inert instrument and nothing is ever registered, so a handle built
-    without a run of its own cannot accumulate state across runs."""
-
-    enabled = False
-
-    def _get(self, cls, name: str, help: str, **kwargs):
-        return _NULL_INSTRUMENT
+def fold(records) -> MetricsRegistry:
+    """The metrics of a run: every event among *records* (a tracer's
+    records, in recorded order) applied through :data:`FOLDS` to a fresh
+    registry."""
+    registry = MetricsRegistry()
+    for record in records:
+        if record["type"] != "event":
+            continue
+        for kind, attr, name, help_text in FOLDS.get(record["name"], ()):
+            value = 1 if attr is None else record["attrs"][attr]
+            if value is None:
+                continue
+            if kind == "gauge":
+                registry.gauge(name, help_text).set(value)
+            elif kind == "histogram":
+                registry.histogram(name, help_text).observe(value)
+            else:
+                registry.counter(name, help_text).inc(value if kind == "counter" else 1)
+    return registry

@@ -80,9 +80,9 @@ class RegionExecutor:
     def select(self) -> Version:
         """The version the current policy would pick right now."""
         version = self._select()
-        obs = self.obs or DISABLED
-        if obs.tracer.enabled or obs.metrics.enabled:
-            self._emit_selection(obs, version, wall_time=None)
+        tracer = (self.obs or DISABLED).tracer
+        if tracer.enabled:
+            self._emit_selection(tracer, version, wall_time=None)
         return version
 
     def execute(
@@ -103,41 +103,25 @@ class RegionExecutor:
             predicted_time=version.meta.time,
             wall_time=wall,
         )
-        obs = self.obs or DISABLED
-        if obs.tracer.enabled or obs.metrics.enabled:
-            self._emit_selection(obs, version, wall_time=wall)
+        tracer = (self.obs or DISABLED).tracer
+        if tracer.enabled:
+            self._emit_selection(tracer, version, wall_time=wall)
         return version
 
-    def _emit_selection(
-        self, obs: Observability, version: Version, wall_time: float | None
-    ) -> None:
-        """Publish one selection decision (actual time only when the
-        version actually ran).  Callers skip it on a disabled handle, so
-        no attribute is built there."""
-        tracer, m = obs.tracer, obs.metrics
-        if tracer.enabled:
-            tracer.event(
-                "runtime.selection",
-                region=self.table.region_name,
-                policy=self.policy.describe(),
-                context=self.monitor.context(),
-                version=version.meta.index,
-                threads=version.meta.threads,
-                predicted_time=version.meta.time,
-                actual_time=wall_time,
-            )
-        if not m.enabled:
-            return
-        m.counter(
-            "repro_runtime_selections_total", "version-selection decisions"
-        ).inc()
-        if wall_time is not None:
-            m.counter(
-                "repro_runtime_executions_total", "region invocations executed"
-            ).inc()
-            m.histogram(
-                "repro_runtime_wall_seconds", "observed region wall time"
-            ).observe(wall_time)
+    def _emit_selection(self, tracer, version: Version, wall_time: float | None) -> None:
+        """Record one selection decision (actual time only when the version
+        actually ran).  Callers skip it on a disabled tracer, so no
+        attribute is built there."""
+        tracer.event(
+            "runtime.selection",
+            region=self.table.region_name,
+            policy=self.policy.describe(),
+            context=self.monitor.context(),
+            version=version.meta.index,
+            threads=version.meta.threads,
+            predicted_time=version.meta.time,
+            actual_time=wall_time,
+        )
 
     def recalibrate(self, min_samples: int = 3) -> int:
         """Fold observed wall times back into the version metadata.

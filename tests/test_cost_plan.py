@@ -66,12 +66,12 @@ def _batches(model, rng):
     ext = np.array([model.extent[v] for v in model.band])
     n = len(ext)
     cores = model.machine.total_cores
-    threads = np.array(sorted({1, 2, 3, cores // 2 or 1, cores, cores + 1}))
+    threads = np.array(sorted({1, 2, 3, cores // 2 or 1, cores}))
     yield rng.integers(1, ext + 1, size=(1, n)), rng.integers(1, cores + 1, size=1)
     yield np.ones((len(threads), n), dtype=np.int64), threads
     yield np.tile(ext, (len(threads), 1)), threads
     B = 64
-    yield rng.integers(1, ext + 3, size=(B, n)), rng.integers(1, cores + 2, size=B)
+    yield rng.integers(1, ext + 3, size=(B, n)), rng.integers(1, cores + 1, size=B)
 
 
 def _assert_same(model, tiles, threads, label):

@@ -72,6 +72,29 @@ class TestVersionTableIntegration:
         with pytest.raises(RuntimeError):
             table.fastest()({}, {})
 
+    def test_metadata_table_matches_the_variants(self, tuned_mm):
+        table = tuned_mm.build_version_table(executable=False)
+        assert [v.meta for v in table.versions] == [m for _, m in tuned_mm._variants()]
+
+    def test_preview_picks_the_executable_tables_versions(self, tuned_mm, monkeypatch):
+        """The preview reads metadata only: it instantiates no IR variant,
+        and each policy picks what it picks on the executable table."""
+        from repro.runtime.scheduler import RegionExecutor
+        from repro.runtime.selection import policy_by_name
+
+        policies = ("fastest", "efficient", "balanced")
+        executor = RegionExecutor(tuned_mm.build_version_table())
+        expected = {}
+        for name in policies:
+            executor.set_policy(policy_by_name(name))
+            expected[name] = executor.select().meta.index
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the preview instantiated a variant")
+
+        monkeypatch.setattr(type(tuned_mm.skeleton), "instantiate", fail)
+        assert tuned_mm.preview_selections(policies) == expected
+
     def test_emit_c_unit(self, tuned_mm):
         unit = tuned_mm.emit_c()
         assert unit.kernel == "mm"

@@ -515,19 +515,19 @@ class TestEngineObservability:
     def test_metrics_accumulate_across_batches(self, mm_model):
         from repro.obs import Observability
 
-        obs = Observability.disabled()  # metrics still collected
+        obs = Observability.tracing()
         engine = EvaluationEngine(fresh_target(mm_model), obs=obs)
         engine.evaluate_batch(
             as_keys(engine.target, some_configs(6, duplicate_every=0))
         )
         # all cached
         engine.evaluate_batch(as_keys(engine.target, some_configs(6, duplicate_every=0)))
-        m = obs.metrics.as_dict()
+        m = obs.metrics.as_dict()  # folded from the two engine.batch events
         assert m["repro_engine_batches_total"] == 2
         assert m["repro_engine_configs_total"] == 12
         assert m["repro_engine_cache_hits_total"] == 6
         assert m["repro_engine_batch_seconds"]["count"] == 2
-        assert obs.tracer.records() == []  # tracing stayed off
+        assert len(obs.tracer.records()) == 2
 
     def test_merge_sums_every_field(self):
         from dataclasses import fields
@@ -541,7 +541,7 @@ class TestEngineObservability:
     def test_enabled_registry_receives_every_batch_value(self, mm_model):
         from repro.obs import Observability
 
-        obs = Observability.disabled()
+        obs = Observability.tracing()
         engine = EvaluationEngine(fresh_target(mm_model), obs=obs)
         res = engine.evaluate_batch(
             as_keys(engine.target, some_configs(9, duplicate_every=3))
@@ -563,12 +563,12 @@ class TestEngineObservability:
         assert stats.dispatched == 6 and stats.deduped == 3
 
     def test_disabled_handle_builds_no_accounting(self, mm_model, monkeypatch):
-        from repro.obs.metrics import NullMetricsRegistry
+        from repro.obs import NullTracer
 
         def fail(*args, **kwargs):
             raise AssertionError("disabled observability did work")
 
-        monkeypatch.setattr(NullMetricsRegistry, "_get", fail)
+        monkeypatch.setattr(NullTracer, "event", fail)
         monkeypatch.setattr(EngineStats, "as_dict", fail)
         engine = EvaluationEngine(fresh_target(mm_model))
         res = engine.evaluate_batch(as_keys(engine.target, some_configs(6)))
@@ -745,7 +745,9 @@ class TestFusedSession:
         assert attrs["region"] == "r7"
         assert attrs["configs"] == 9
         m = obs.metrics.as_dict()
-        assert m["repro_scheduler_drain_seconds"]["count"] >= 1
+        assert m["repro_engine_batches_total"] == 1
+        assert m["repro_engine_configs_total"] == 9
+        assert not any(name.startswith("repro_scheduler_") for name in m)
 
 
 class RecordingTarget(SimulatedTarget):

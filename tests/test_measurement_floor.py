@@ -28,9 +28,9 @@ BATCH_SIZES = (1, 7, 28, 300)
 
 
 def _thread_counts(machine) -> np.ndarray:
-    """1, a full socket, one past it, the whole machine and one past it."""
+    """1, a full socket, one past it and the whole machine."""
     cps, cores = machine.cores_per_socket, machine.total_cores
-    return np.array([1, cps, cps + 1, cores, cores + 1])
+    return np.array([1, cps, min(cps + 1, cores), cores])
 
 
 def _assert_same(model, tiles, threads, label, collapsed=None):
@@ -44,13 +44,13 @@ def _assert_same(model, tiles, threads, label, collapsed=None):
 def _batches(model, rng):
     """B = 1, 7, 28 and 300: random tiles overshooting the extents, every
     other row untiled (full extents), over the edge thread counts and
-    random ones in 1..cores + 1."""
+    random ones in 1..cores."""
     ext = np.array([model.extent[v] for v in model.band])
     edges = _thread_counts(model.machine)
     for B in BATCH_SIZES:
         tiles = rng.integers(1, ext + 3, size=(B, len(ext)))
         tiles[1::2] = ext
-        threads = rng.integers(1, model.machine.total_cores + 2, size=B)
+        threads = rng.integers(1, model.machine.total_cores + 1, size=B)
         threads[: len(edges)] = edges[:B]
         yield tiles, threads
 
@@ -93,12 +93,32 @@ def test_predict_matches_per_level_oracle_beyond_2_to_the_53(machine):
     "past_cores, count", [(True, 2), (False, 0), (False, -1)], ids=["cores+2", "0", "-1"]
 )
 def test_thread_counts_outside_the_table_are_rejected(past_cores, count):
-    """Counts past ``total_cores + 1`` and below 1 raise, rather than
+    """Counts past ``total_cores`` and below 1 raise, rather than
     reading another count's row (a negative index would wrap)."""
     _, model = next(_models())
     threads = count + (model.machine.total_cores if past_cores else 0)
     with pytest.raises(ValueError, match="threads"):
         model.time_batch([[1] * len(model.band)] * 2, [1, threads])
+
+
+@pytest.mark.parametrize("past_cores, count", [(True, 1), (False, 0)], ids=["cores+1", "0"])
+def test_scalar_and_batch_entry_points_share_one_thread_rule(past_cores, count):
+    """``time``/``energy`` and ``time_batch``/``energy_batch`` accept
+    exactly 1..``total_cores``: one past the machine and 0 raise on all
+    four, and ``total_cores`` itself is accepted by all four."""
+    _, model = next(_models())
+    cores = model.machine.total_cores
+    threads = count + (cores if past_cores else 0)
+    tiles = [[1] * len(model.band)]
+    for call in (
+        lambda t: model.time({}, t),
+        lambda t: model.energy({}, t),
+        lambda t: model.time_batch(tiles, [t]),
+        lambda t: model.energy_batch(tiles, [t]),
+    ):
+        with pytest.raises(ValueError, match="threads"):
+            call(threads)
+        call(cores)
 
 
 def test_empty_batch():

@@ -12,13 +12,13 @@ from repro.obs import (
     ConvergenceRecord,
     FakeClock,
     MetricsRegistry,
-    NullMetricsRegistry,
     NullTracer,
     Observability,
     SystemClock,
     TraceError,
     Tracer,
     emit_generation,
+    fold,
     load_trace,
     population_delta,
     summarize_trace,
@@ -199,7 +199,7 @@ class TestMetrics:
 
 class TestObservability:
     def test_disabled_default(self):
-        obs = Observability.disabled()
+        obs = Observability()
         assert not obs.enabled
         assert isinstance(obs.tracer, NullTracer)
         assert not DISABLED.enabled
@@ -215,12 +215,14 @@ class TestObservability:
         assert DISABLED.metrics.exposition() == ""
         assert DISABLED.tracer.records() == []
 
-    def test_disabled_factory_keeps_a_per_run_registry(self):
-        """``Observability.disabled()`` (the CLI's ``--metrics`` handle)
-        still collects metrics, into a registry of its own."""
-        a, b = Observability.disabled(), Observability.disabled()
-        a.metrics.counter("runs_total").inc()
-        assert a.metrics.as_dict() == {"runs_total": 1.0}
+    def test_metrics_are_folded_from_each_handles_own_events(self):
+        """A handle's metrics come from the events its own tracer recorded
+        (the CLI's ``--metrics`` handle traces in memory), folded afresh on
+        each read; nothing reaches another handle or :data:`DISABLED`."""
+        a, b = Observability.tracing(), Observability.tracing()
+        a.tracer.event("runtime.selection", actual_time=None)
+        assert a.metrics.as_dict() == {"repro_runtime_selections_total": 1.0}
+        assert a.metrics is not a.metrics
         assert len(b.metrics) == 0 and len(DISABLED.metrics) == 0
 
     def test_tracing_factory(self):
@@ -262,7 +264,7 @@ class TestConvergence:
         def fail(*args, **kwargs):
             raise AssertionError("disabled observability did work")
 
-        monkeypatch.setattr(NullMetricsRegistry, "_get", fail)
+        monkeypatch.setattr(NullTracer, "event", fail)
         monkeypatch.setattr(ConvergenceRecord, "as_dict", fail)
         emit_generation(
             DISABLED, "rsgde3", ConvergenceRecord(generation=0, evaluations=30,
@@ -490,3 +492,46 @@ class TestEndToEndTrace:
         metrics = obs.metrics.as_dict()
         assert metrics["repro_engine_batches_total"] == stats.batches
         assert metrics["repro_runtime_selections_total"] == 3
+
+
+class TestMetricsFold:
+    """The metrics are a fold over the recorded events, through one table."""
+
+    def test_fold_of_a_traced_tune_matches_its_events(self):
+        from repro.obs.metrics import FOLDS
+
+        obs = Observability.tracing(clock=FakeClock(tick=1e-4))
+        driver = TuningDriver(machine=WESTMERE, seed=0, settings=_SMALL, obs=obs)
+        tuned = driver.tune_kernel("mm", sizes={"N": 200})
+        tuned.preview_selections()
+        records = obs.tracer.records()
+        metrics = fold(records).as_dict()
+        assert obs.metrics.as_dict() == metrics
+
+        events = [r for r in records if r["type"] == "event"]
+        for event_name, updates in FOLDS.items():
+            attrs = [e["attrs"] for e in events if e["name"] == event_name]
+            assert attrs, event_name
+            for kind, attr, name, _ in updates:
+                values = [1 if attr is None else a[attr] for a in attrs]
+                values = [v for v in values if v is not None]
+                if not values:  # previewed selections carry no actual time
+                    assert name not in metrics
+                    continue
+                total = 0.0
+                for value in values:  # in recorded order
+                    total += value
+                if kind == "counter":
+                    assert metrics[name] == total, name
+                elif kind == "count":
+                    assert metrics[name] == len(values), name
+                elif kind == "gauge":
+                    assert metrics[name] == values[-1], name
+                else:
+                    assert metrics[name] == {"sum": total, "count": len(values)}, name
+
+        assert metrics["repro_engine_batches_total"] == tuned.engine_stats.batches
+        assert metrics["repro_optimizer_generations_total"] == len(tuned.result.convergence)
+        assert metrics["repro_optimizer_evaluations"] == tuned.result.evaluations
+        assert metrics["repro_runtime_selections_total"] == 3
+        assert "repro_runtime_executions_total" not in metrics
