@@ -11,11 +11,11 @@ static inline double repro_rsqrt(double x) { return 1.0 / sqrt(x); }
 
 void cov_update_v0(int N, int M, double X[N][M], double S[M][M]) {
     #pragma omp parallel for num_threads(30) schedule(static)
-    for (long long cidx = 0; cidx < (M - 0 + 88 - 1) / 88 * ((M - 0 + 267 - 1) / 267); cidx += 1) {
+    for (long long cidx = 0; cidx < (M + 88 - 1) / 88 * ((M + 267 - 1) / 267); cidx += 1) {
         for (long long s_t = 0; s_t < N; s_t += 21) {
-            for (long long a = 0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 88 - 1) / 88) * 88; a < REPRO_MIN(0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 88 - 1) / 88) * 88 + 88, M); a += 1) {
-                for (long long b = 0 + cidx % ((M - 0 + 267 - 1) / 267) * 267; b < REPRO_MIN(0 + cidx % ((M - 0 + 267 - 1) / 267) * 267 + 267, M); b += 1) {
-                    for (long long s = s_t; s < REPRO_MIN(s_t + 21, N); s += 1) {
+            for (long long a = REPRO_MAX(cidx / ((M + 267 - 1) / 267) % ((M + 88 - 1) / 88) * 88, 0); a < REPRO_MIN(cidx / ((M + 267 - 1) / 267) % ((M + 88 - 1) / 88) * 88 + 88, M); a += 1) {
+                for (long long b = REPRO_MAX(cidx % ((M + 267 - 1) / 267) * 267, 0); b < REPRO_MIN(cidx % ((M + 267 - 1) / 267) * 267 + 267, M); b += 1) {
+                    for (long long s = REPRO_MAX(s_t, 0); s < REPRO_MIN(s_t + 21, N); s += 1) {
                         S[a][b] = S[a][b] + X[s][a] * X[s][b];
                     }
                 }
@@ -26,11 +26,11 @@ void cov_update_v0(int N, int M, double X[N][M], double S[M][M]) {
 
 void cov_update_v1(int N, int M, double X[N][M], double S[M][M]) {
     #pragma omp parallel for num_threads(28) schedule(static)
-    for (long long cidx = 0; cidx < (M - 0 + 98 - 1) / 98 * ((M - 0 + 267 - 1) / 267); cidx += 1) {
+    for (long long cidx = 0; cidx < (M + 98 - 1) / 98 * ((M + 267 - 1) / 267); cidx += 1) {
         for (long long s_t = 0; s_t < N; s_t += 40) {
-            for (long long a = 0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 98 - 1) / 98) * 98; a < REPRO_MIN(0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 98 - 1) / 98) * 98 + 98, M); a += 1) {
-                for (long long b = 0 + cidx % ((M - 0 + 267 - 1) / 267) * 267; b < REPRO_MIN(0 + cidx % ((M - 0 + 267 - 1) / 267) * 267 + 267, M); b += 1) {
-                    for (long long s = s_t; s < REPRO_MIN(s_t + 40, N); s += 1) {
+            for (long long a = REPRO_MAX(cidx / ((M + 267 - 1) / 267) % ((M + 98 - 1) / 98) * 98, 0); a < REPRO_MIN(cidx / ((M + 267 - 1) / 267) % ((M + 98 - 1) / 98) * 98 + 98, M); a += 1) {
+                for (long long b = REPRO_MAX(cidx % ((M + 267 - 1) / 267) * 267, 0); b < REPRO_MIN(cidx % ((M + 267 - 1) / 267) * 267 + 267, M); b += 1) {
+                    for (long long s = REPRO_MAX(s_t, 0); s < REPRO_MIN(s_t + 40, N); s += 1) {
                         S[a][b] = S[a][b] + X[s][a] * X[s][b];
                     }
                 }
@@ -41,11 +41,11 @@ void cov_update_v1(int N, int M, double X[N][M], double S[M][M]) {
 
 void cov_update_v2(int N, int M, double X[N][M], double S[M][M]) {
     #pragma omp parallel for num_threads(24) schedule(static)
-    for (long long cidx = 0; cidx < (M - 0 + 54 - 1) / 54 * ((M - 0 + 267 - 1) / 267); cidx += 1) {
+    for (long long cidx = 0; cidx < (M + 54 - 1) / 54 * ((M + 267 - 1) / 267); cidx += 1) {
         for (long long s_t = 0; s_t < N; s_t += 28) {
-            for (long long a = 0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 54 - 1) / 54) * 54; a < REPRO_MIN(0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 54 - 1) / 54) * 54 + 54, M); a += 1) {
-                for (long long b = 0 + cidx % ((M - 0 + 267 - 1) / 267) * 267; b < REPRO_MIN(0 + cidx % ((M - 0 + 267 - 1) / 267) * 267 + 267, M); b += 1) {
-                    for (long long s = s_t; s < REPRO_MIN(s_t + 28, N); s += 1) {
+            for (long long a = REPRO_MAX(cidx / ((M + 267 - 1) / 267) % ((M + 54 - 1) / 54) * 54, 0); a < REPRO_MIN(cidx / ((M + 267 - 1) / 267) % ((M + 54 - 1) / 54) * 54 + 54, M); a += 1) {
+                for (long long b = REPRO_MAX(cidx % ((M + 267 - 1) / 267) * 267, 0); b < REPRO_MIN(cidx % ((M + 267 - 1) / 267) * 267 + 267, M); b += 1) {
+                    for (long long s = REPRO_MAX(s_t, 0); s < REPRO_MIN(s_t + 28, N); s += 1) {
                         S[a][b] = S[a][b] + X[s][a] * X[s][b];
                     }
                 }
@@ -56,11 +56,11 @@ void cov_update_v2(int N, int M, double X[N][M], double S[M][M]) {
 
 void cov_update_v3(int N, int M, double X[N][M], double S[M][M]) {
     #pragma omp parallel for num_threads(20) schedule(static)
-    for (long long cidx = 0; cidx < (M - 0 + 10 - 1) / 10 * ((M - 0 + 306 - 1) / 306); cidx += 1) {
+    for (long long cidx = 0; cidx < (M + 10 - 1) / 10 * ((M + 306 - 1) / 306); cidx += 1) {
         for (long long s_t = 0; s_t < N; s_t += 54) {
-            for (long long a = 0 + cidx / ((M - 0 + 306 - 1) / 306) % ((M - 0 + 10 - 1) / 10) * 10; a < REPRO_MIN(0 + cidx / ((M - 0 + 306 - 1) / 306) % ((M - 0 + 10 - 1) / 10) * 10 + 10, M); a += 1) {
-                for (long long b = 0 + cidx % ((M - 0 + 306 - 1) / 306) * 306; b < REPRO_MIN(0 + cidx % ((M - 0 + 306 - 1) / 306) * 306 + 306, M); b += 1) {
-                    for (long long s = s_t; s < REPRO_MIN(s_t + 54, N); s += 1) {
+            for (long long a = REPRO_MAX(cidx / ((M + 306 - 1) / 306) % ((M + 10 - 1) / 10) * 10, 0); a < REPRO_MIN(cidx / ((M + 306 - 1) / 306) % ((M + 10 - 1) / 10) * 10 + 10, M); a += 1) {
+                for (long long b = REPRO_MAX(cidx % ((M + 306 - 1) / 306) * 306, 0); b < REPRO_MIN(cidx % ((M + 306 - 1) / 306) * 306 + 306, M); b += 1) {
+                    for (long long s = REPRO_MAX(s_t, 0); s < REPRO_MIN(s_t + 54, N); s += 1) {
                         S[a][b] = S[a][b] + X[s][a] * X[s][b];
                     }
                 }
@@ -71,11 +71,11 @@ void cov_update_v3(int N, int M, double X[N][M], double S[M][M]) {
 
 void cov_update_v4(int N, int M, double X[N][M], double S[M][M]) {
     #pragma omp parallel for num_threads(18) schedule(static)
-    for (long long cidx = 0; cidx < (M - 0 + 69 - 1) / 69 * ((M - 0 + 267 - 1) / 267); cidx += 1) {
+    for (long long cidx = 0; cidx < (M + 69 - 1) / 69 * ((M + 267 - 1) / 267); cidx += 1) {
         for (long long s_t = 0; s_t < N; s_t += 21) {
-            for (long long a = 0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 69 - 1) / 69) * 69; a < REPRO_MIN(0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 69 - 1) / 69) * 69 + 69, M); a += 1) {
-                for (long long b = 0 + cidx % ((M - 0 + 267 - 1) / 267) * 267; b < REPRO_MIN(0 + cidx % ((M - 0 + 267 - 1) / 267) * 267 + 267, M); b += 1) {
-                    for (long long s = s_t; s < REPRO_MIN(s_t + 21, N); s += 1) {
+            for (long long a = REPRO_MAX(cidx / ((M + 267 - 1) / 267) % ((M + 69 - 1) / 69) * 69, 0); a < REPRO_MIN(cidx / ((M + 267 - 1) / 267) % ((M + 69 - 1) / 69) * 69 + 69, M); a += 1) {
+                for (long long b = REPRO_MAX(cidx % ((M + 267 - 1) / 267) * 267, 0); b < REPRO_MIN(cidx % ((M + 267 - 1) / 267) * 267 + 267, M); b += 1) {
+                    for (long long s = REPRO_MAX(s_t, 0); s < REPRO_MIN(s_t + 21, N); s += 1) {
                         S[a][b] = S[a][b] + X[s][a] * X[s][b];
                     }
                 }
@@ -86,11 +86,11 @@ void cov_update_v4(int N, int M, double X[N][M], double S[M][M]) {
 
 void cov_update_v5(int N, int M, double X[N][M], double S[M][M]) {
     #pragma omp parallel for num_threads(16) schedule(static)
-    for (long long cidx = 0; cidx < (M - 0 + 10 - 1) / 10 * ((M - 0 + 267 - 1) / 267); cidx += 1) {
+    for (long long cidx = 0; cidx < (M + 10 - 1) / 10 * ((M + 267 - 1) / 267); cidx += 1) {
         for (long long s_t = 0; s_t < N; s_t += 56) {
-            for (long long a = 0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 10 - 1) / 10) * 10; a < REPRO_MIN(0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 10 - 1) / 10) * 10 + 10, M); a += 1) {
-                for (long long b = 0 + cidx % ((M - 0 + 267 - 1) / 267) * 267; b < REPRO_MIN(0 + cidx % ((M - 0 + 267 - 1) / 267) * 267 + 267, M); b += 1) {
-                    for (long long s = s_t; s < REPRO_MIN(s_t + 56, N); s += 1) {
+            for (long long a = REPRO_MAX(cidx / ((M + 267 - 1) / 267) % ((M + 10 - 1) / 10) * 10, 0); a < REPRO_MIN(cidx / ((M + 267 - 1) / 267) % ((M + 10 - 1) / 10) * 10 + 10, M); a += 1) {
+                for (long long b = REPRO_MAX(cidx % ((M + 267 - 1) / 267) * 267, 0); b < REPRO_MIN(cidx % ((M + 267 - 1) / 267) * 267 + 267, M); b += 1) {
+                    for (long long s = REPRO_MAX(s_t, 0); s < REPRO_MIN(s_t + 56, N); s += 1) {
                         S[a][b] = S[a][b] + X[s][a] * X[s][b];
                     }
                 }
@@ -101,11 +101,11 @@ void cov_update_v5(int N, int M, double X[N][M], double S[M][M]) {
 
 void cov_update_v6(int N, int M, double X[N][M], double S[M][M]) {
     #pragma omp parallel for num_threads(10) schedule(static)
-    for (long long cidx = 0; cidx < (M - 0 + 10 - 1) / 10 * ((M - 0 + 267 - 1) / 267); cidx += 1) {
+    for (long long cidx = 0; cidx < (M + 10 - 1) / 10 * ((M + 267 - 1) / 267); cidx += 1) {
         for (long long s_t = 0; s_t < N; s_t += 58) {
-            for (long long a = 0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 10 - 1) / 10) * 10; a < REPRO_MIN(0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 10 - 1) / 10) * 10 + 10, M); a += 1) {
-                for (long long b = 0 + cidx % ((M - 0 + 267 - 1) / 267) * 267; b < REPRO_MIN(0 + cidx % ((M - 0 + 267 - 1) / 267) * 267 + 267, M); b += 1) {
-                    for (long long s = s_t; s < REPRO_MIN(s_t + 58, N); s += 1) {
+            for (long long a = REPRO_MAX(cidx / ((M + 267 - 1) / 267) % ((M + 10 - 1) / 10) * 10, 0); a < REPRO_MIN(cidx / ((M + 267 - 1) / 267) % ((M + 10 - 1) / 10) * 10 + 10, M); a += 1) {
+                for (long long b = REPRO_MAX(cidx % ((M + 267 - 1) / 267) * 267, 0); b < REPRO_MIN(cidx % ((M + 267 - 1) / 267) * 267 + 267, M); b += 1) {
+                    for (long long s = REPRO_MAX(s_t, 0); s < REPRO_MIN(s_t + 58, N); s += 1) {
                         S[a][b] = S[a][b] + X[s][a] * X[s][b];
                     }
                 }
@@ -116,11 +116,11 @@ void cov_update_v6(int N, int M, double X[N][M], double S[M][M]) {
 
 void cov_update_v7(int N, int M, double X[N][M], double S[M][M]) {
     #pragma omp parallel for num_threads(8) schedule(static)
-    for (long long cidx = 0; cidx < (M - 0 + 88 - 1) / 88 * ((M - 0 + 267 - 1) / 267); cidx += 1) {
+    for (long long cidx = 0; cidx < (M + 88 - 1) / 88 * ((M + 267 - 1) / 267); cidx += 1) {
         for (long long s_t = 0; s_t < N; s_t += 21) {
-            for (long long a = 0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 88 - 1) / 88) * 88; a < REPRO_MIN(0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 88 - 1) / 88) * 88 + 88, M); a += 1) {
-                for (long long b = 0 + cidx % ((M - 0 + 267 - 1) / 267) * 267; b < REPRO_MIN(0 + cidx % ((M - 0 + 267 - 1) / 267) * 267 + 267, M); b += 1) {
-                    for (long long s = s_t; s < REPRO_MIN(s_t + 21, N); s += 1) {
+            for (long long a = REPRO_MAX(cidx / ((M + 267 - 1) / 267) % ((M + 88 - 1) / 88) * 88, 0); a < REPRO_MIN(cidx / ((M + 267 - 1) / 267) % ((M + 88 - 1) / 88) * 88 + 88, M); a += 1) {
+                for (long long b = REPRO_MAX(cidx % ((M + 267 - 1) / 267) * 267, 0); b < REPRO_MIN(cidx % ((M + 267 - 1) / 267) * 267 + 267, M); b += 1) {
+                    for (long long s = REPRO_MAX(s_t, 0); s < REPRO_MIN(s_t + 21, N); s += 1) {
                         S[a][b] = S[a][b] + X[s][a] * X[s][b];
                     }
                 }
@@ -131,11 +131,11 @@ void cov_update_v7(int N, int M, double X[N][M], double S[M][M]) {
 
 void cov_update_v8(int N, int M, double X[N][M], double S[M][M]) {
     #pragma omp parallel for num_threads(7) schedule(static)
-    for (long long cidx = 0; cidx < (M - 0 + 58 - 1) / 58 * ((M - 0 + 267 - 1) / 267); cidx += 1) {
+    for (long long cidx = 0; cidx < (M + 58 - 1) / 58 * ((M + 267 - 1) / 267); cidx += 1) {
         for (long long s_t = 0; s_t < N; s_t += 25) {
-            for (long long a = 0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 58 - 1) / 58) * 58; a < REPRO_MIN(0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 58 - 1) / 58) * 58 + 58, M); a += 1) {
-                for (long long b = 0 + cidx % ((M - 0 + 267 - 1) / 267) * 267; b < REPRO_MIN(0 + cidx % ((M - 0 + 267 - 1) / 267) * 267 + 267, M); b += 1) {
-                    for (long long s = s_t; s < REPRO_MIN(s_t + 25, N); s += 1) {
+            for (long long a = REPRO_MAX(cidx / ((M + 267 - 1) / 267) % ((M + 58 - 1) / 58) * 58, 0); a < REPRO_MIN(cidx / ((M + 267 - 1) / 267) % ((M + 58 - 1) / 58) * 58 + 58, M); a += 1) {
+                for (long long b = REPRO_MAX(cidx % ((M + 267 - 1) / 267) * 267, 0); b < REPRO_MIN(cidx % ((M + 267 - 1) / 267) * 267 + 267, M); b += 1) {
+                    for (long long s = REPRO_MAX(s_t, 0); s < REPRO_MIN(s_t + 25, N); s += 1) {
                         S[a][b] = S[a][b] + X[s][a] * X[s][b];
                     }
                 }
@@ -146,11 +146,11 @@ void cov_update_v8(int N, int M, double X[N][M], double S[M][M]) {
 
 void cov_update_v9(int N, int M, double X[N][M], double S[M][M]) {
     #pragma omp parallel for num_threads(4) schedule(static)
-    for (long long cidx = 0; cidx < (M - 0 + 68 - 1) / 68 * ((M - 0 + 274 - 1) / 274); cidx += 1) {
+    for (long long cidx = 0; cidx < (M + 68 - 1) / 68 * ((M + 274 - 1) / 274); cidx += 1) {
         for (long long s_t = 0; s_t < N; s_t += 21) {
-            for (long long a = 0 + cidx / ((M - 0 + 274 - 1) / 274) % ((M - 0 + 68 - 1) / 68) * 68; a < REPRO_MIN(0 + cidx / ((M - 0 + 274 - 1) / 274) % ((M - 0 + 68 - 1) / 68) * 68 + 68, M); a += 1) {
-                for (long long b = 0 + cidx % ((M - 0 + 274 - 1) / 274) * 274; b < REPRO_MIN(0 + cidx % ((M - 0 + 274 - 1) / 274) * 274 + 274, M); b += 1) {
-                    for (long long s = s_t; s < REPRO_MIN(s_t + 21, N); s += 1) {
+            for (long long a = REPRO_MAX(cidx / ((M + 274 - 1) / 274) % ((M + 68 - 1) / 68) * 68, 0); a < REPRO_MIN(cidx / ((M + 274 - 1) / 274) % ((M + 68 - 1) / 68) * 68 + 68, M); a += 1) {
+                for (long long b = REPRO_MAX(cidx % ((M + 274 - 1) / 274) * 274, 0); b < REPRO_MIN(cidx % ((M + 274 - 1) / 274) * 274 + 274, M); b += 1) {
+                    for (long long s = REPRO_MAX(s_t, 0); s < REPRO_MIN(s_t + 21, N); s += 1) {
                         S[a][b] = S[a][b] + X[s][a] * X[s][b];
                     }
                 }
@@ -161,11 +161,11 @@ void cov_update_v9(int N, int M, double X[N][M], double S[M][M]) {
 
 void cov_update_v10(int N, int M, double X[N][M], double S[M][M]) {
     #pragma omp parallel for num_threads(3) schedule(static)
-    for (long long cidx = 0; cidx < (M - 0 + 86 - 1) / 86 * ((M - 0 + 280 - 1) / 280); cidx += 1) {
+    for (long long cidx = 0; cidx < (M + 86 - 1) / 86 * ((M + 280 - 1) / 280); cidx += 1) {
         for (long long s_t = 0; s_t < N; s_t += 56) {
-            for (long long a = 0 + cidx / ((M - 0 + 280 - 1) / 280) % ((M - 0 + 86 - 1) / 86) * 86; a < REPRO_MIN(0 + cidx / ((M - 0 + 280 - 1) / 280) % ((M - 0 + 86 - 1) / 86) * 86 + 86, M); a += 1) {
-                for (long long b = 0 + cidx % ((M - 0 + 280 - 1) / 280) * 280; b < REPRO_MIN(0 + cidx % ((M - 0 + 280 - 1) / 280) * 280 + 280, M); b += 1) {
-                    for (long long s = s_t; s < REPRO_MIN(s_t + 56, N); s += 1) {
+            for (long long a = REPRO_MAX(cidx / ((M + 280 - 1) / 280) % ((M + 86 - 1) / 86) * 86, 0); a < REPRO_MIN(cidx / ((M + 280 - 1) / 280) % ((M + 86 - 1) / 86) * 86 + 86, M); a += 1) {
+                for (long long b = REPRO_MAX(cidx % ((M + 280 - 1) / 280) * 280, 0); b < REPRO_MIN(cidx % ((M + 280 - 1) / 280) * 280 + 280, M); b += 1) {
+                    for (long long s = REPRO_MAX(s_t, 0); s < REPRO_MIN(s_t + 56, N); s += 1) {
                         S[a][b] = S[a][b] + X[s][a] * X[s][b];
                     }
                 }
@@ -176,11 +176,11 @@ void cov_update_v10(int N, int M, double X[N][M], double S[M][M]) {
 
 void cov_update_v11(int N, int M, double X[N][M], double S[M][M]) {
     #pragma omp parallel for num_threads(2) schedule(static)
-    for (long long cidx = 0; cidx < (M - 0 + 69 - 1) / 69 * ((M - 0 + 267 - 1) / 267); cidx += 1) {
+    for (long long cidx = 0; cidx < (M + 69 - 1) / 69 * ((M + 267 - 1) / 267); cidx += 1) {
         for (long long s_t = 0; s_t < N; s_t += 21) {
-            for (long long a = 0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 69 - 1) / 69) * 69; a < REPRO_MIN(0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 69 - 1) / 69) * 69 + 69, M); a += 1) {
-                for (long long b = 0 + cidx % ((M - 0 + 267 - 1) / 267) * 267; b < REPRO_MIN(0 + cidx % ((M - 0 + 267 - 1) / 267) * 267 + 267, M); b += 1) {
-                    for (long long s = s_t; s < REPRO_MIN(s_t + 21, N); s += 1) {
+            for (long long a = REPRO_MAX(cidx / ((M + 267 - 1) / 267) % ((M + 69 - 1) / 69) * 69, 0); a < REPRO_MIN(cidx / ((M + 267 - 1) / 267) % ((M + 69 - 1) / 69) * 69 + 69, M); a += 1) {
+                for (long long b = REPRO_MAX(cidx % ((M + 267 - 1) / 267) * 267, 0); b < REPRO_MIN(cidx % ((M + 267 - 1) / 267) * 267 + 267, M); b += 1) {
+                    for (long long s = REPRO_MAX(s_t, 0); s < REPRO_MIN(s_t + 21, N); s += 1) {
                         S[a][b] = S[a][b] + X[s][a] * X[s][b];
                     }
                 }
@@ -191,11 +191,11 @@ void cov_update_v11(int N, int M, double X[N][M], double S[M][M]) {
 
 void cov_update_v12(int N, int M, double X[N][M], double S[M][M]) {
     #pragma omp parallel for num_threads(1) schedule(static)
-    for (long long cidx = 0; cidx < (M - 0 + 51 - 1) / 51 * ((M - 0 + 267 - 1) / 267); cidx += 1) {
+    for (long long cidx = 0; cidx < (M + 51 - 1) / 51 * ((M + 267 - 1) / 267); cidx += 1) {
         for (long long s_t = 0; s_t < N; s_t += 21) {
-            for (long long a = 0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 51 - 1) / 51) * 51; a < REPRO_MIN(0 + cidx / ((M - 0 + 267 - 1) / 267) % ((M - 0 + 51 - 1) / 51) * 51 + 51, M); a += 1) {
-                for (long long b = 0 + cidx % ((M - 0 + 267 - 1) / 267) * 267; b < REPRO_MIN(0 + cidx % ((M - 0 + 267 - 1) / 267) * 267 + 267, M); b += 1) {
-                    for (long long s = s_t; s < REPRO_MIN(s_t + 21, N); s += 1) {
+            for (long long a = REPRO_MAX(cidx / ((M + 267 - 1) / 267) % ((M + 51 - 1) / 51) * 51, 0); a < REPRO_MIN(cidx / ((M + 267 - 1) / 267) % ((M + 51 - 1) / 51) * 51 + 51, M); a += 1) {
+                for (long long b = REPRO_MAX(cidx % ((M + 267 - 1) / 267) * 267, 0); b < REPRO_MIN(cidx % ((M + 267 - 1) / 267) * 267 + 267, M); b += 1) {
+                    for (long long s = REPRO_MAX(s_t, 0); s < REPRO_MIN(s_t + 21, N); s += 1) {
                         S[a][b] = S[a][b] + X[s][a] * X[s][b];
                     }
                 }

@@ -25,7 +25,6 @@ _EXPORTS = {
     "ParameterizedUnit": "parameterized",
     "build_parameterized_c": "parameterized",
     "compile_function": "pygen",
-    "compile_worksharing": "pygen",
 }
 
 __all__ = list(_EXPORTS)

@@ -1,6 +1,5 @@
 """End-to-end compiler driver (the workflow of the paper's Fig. 3)."""
 
 from repro.driver.compiler import TunedKernel, TuningDriver
-from repro.driver.session import TuningSession
 
-__all__ = ["TuningDriver", "TunedKernel", "TuningSession"]
+__all__ = ["TuningDriver", "TunedKernel"]

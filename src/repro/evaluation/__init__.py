@@ -12,10 +12,6 @@ measurement noise and the median-of-k protocol the paper uses, and
 configuration batches the way the paper's optimizer does ("multiple
 independent configurations are generated, compiled and ... evaluated in
 parallel") while keeping the ledger exact under concurrency.
-
-:mod:`repro.evaluation.native` can also *really* execute generated NumPy
-versions for small problem sizes (used to sanity-check the pipeline, not
-for the paper-scale experiments).
 """
 
 from repro._lazy import lazy_exports
@@ -34,7 +30,6 @@ _EXPORTS = {
     "FaultPolicy": "parallel_eval",
     "FlakyFaultPolicy": "parallel_eval",
     "auto_workers": "parallel_eval",
-    "NativeExecutor": "native",
     "Objectives": "objectives",
     "efficiency": "objectives",
     "resource_usage": "objectives",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.obs.metrics import FOLDS
 from repro.obs.tracer import TraceError
 from repro.util.tables import Table
 
@@ -122,37 +123,28 @@ def _convergence_table(records: list[dict]) -> str | None:
 def _engine_table(records: list[dict]) -> str | None:
     """Evaluation accounting per region, from the ``engine.batch`` event the
     engine emits as it commits each batch (``-``: batches evaluated through
-    ``evaluate_batch``, which carry no region label)."""
+    ``evaluate_batch``, which carry no region label).  The columns are the
+    attributes :data:`~repro.obs.metrics.FOLDS` sums into the engine
+    counters, so each column summed over the regions is its counter."""
     events = _events(records, "engine.batch")
     if not events:
         return None
-    keys = (
-        "configs",
-        "dispatched",
-        "cache_hits",
-        "deduped",
-        "disk_hits",
-        "shared_hits",
-        "retried",
-        "failed",
-    )
+    updates = FOLDS["engine.batch"]
+    keys = [attr for kind, attr, _, _ in updates if kind == "counter"]
+    wall = next(attr for kind, attr, _, _ in updates if kind == "histogram")
     by_region: dict[str, dict] = {}
     for e in events:
         a = e.get("attrs", {})
         row = by_region.setdefault(
-            str(a.get("region") or "-"), {"batches": 0, "wall": 0.0, **{k: 0 for k in keys}}
+            str(a.get("region") or "-"), {wall: 0.0, **{k: 0 for k in keys}}
         )
-        row["batches"] += 1
-        row["wall"] += float(a.get("wall_time_s", 0.0))
+        row[wall] += float(a.get(wall) or 0.0)
         for k in keys:
-            row[k] += int(a.get(k, 0))
-    t = Table(
-        ["region", "batches", *keys, "wall [s]"],
-        title="Evaluation-engine accounting",
-    )
+            row[k] += int(a.get(k) or 0)
+    t = Table(["region", *keys, "wall [s]"], title="Evaluation-engine accounting")
     for region in sorted(by_region):
         row = by_region[region]
-        t.add_row([region, row["batches"], *[row[k] for k in keys], row["wall"]])
+        t.add_row([region, *[row[k] for k in keys], row[wall]])
     return t.render()
 
 

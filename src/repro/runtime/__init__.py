@@ -36,8 +36,6 @@ _EXPORTS = {
     "ThreadCapSelection": "compiled",
     "compile_policy": "compiled",
     "RegionExecutor": "scheduler",
-    "Task": "tasks",
-    "WorkStealingPool": "tasks",
     "BanditSelector": "online",
     "ExecutionRecord": "monitor",
     "RuntimeMonitor": "monitor",

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.backend.meta import VersionMeta
-from repro.optimizer.archive import ParetoArchive
 
 __all__ = ["Version", "VersionColumns", "VersionTable"]
 
@@ -80,13 +79,11 @@ class VersionColumns:
 class VersionTable:
     """All versions of one tuned region, ordered by index.
 
-    The ``versions`` tuple is treated as frozen: derived artifacts
-    (:meth:`columns`, :meth:`objective_points`, :meth:`archive`) are
-    computed once and cached against the tuple's identity, so per-call
-    consumers (the precompiled selection path scores every policy against
-    :meth:`columns`) never rebuild arrays.  Replacing ``versions`` — the
-    executor's ``recalibrate`` builds a whole new table — invalidates every
-    cache automatically.
+    The ``versions`` tuple is treated as frozen: :meth:`columns` is computed
+    once and cached against the tuple's identity, so per-call consumers (the
+    precompiled selection path scores every policy against it) never rebuild
+    arrays.  Replacing ``versions`` — the executor's ``recalibrate`` builds a
+    whole new table — invalidates the cache automatically.
     """
 
     region_name: str
@@ -98,19 +95,8 @@ class VersionTable:
         indices = [v.meta.index for v in self.versions]
         if indices != sorted(set(indices)):
             raise ValueError(f"version indices must be unique and sorted: {indices}")
-        self._invalidate()
-
-    def _invalidate(self) -> None:
-        self._cached_for: tuple[Version, ...] | None = None
+        self._columns_for: tuple[Version, ...] | None = None
         self._columns: VersionColumns | None = None
-        self._points: np.ndarray | None = None
-        self._archives: dict[tuple, ParetoArchive] = {}
-
-    def _fresh(self) -> None:
-        """Drop derived caches when the versions tuple was swapped."""
-        if self._cached_for is not self.versions:
-            self._invalidate()
-            self._cached_for = self.versions
 
     def __len__(self) -> int:
         return len(self.versions)
@@ -140,50 +126,9 @@ class VersionTable:
     # -- frozen column cache ---------------------------------------------
 
     def columns(self) -> VersionColumns:
-        """Cached read-only metadata vectors (see :class:`VersionColumns`)."""
-        self._fresh()
-        if self._columns is None:
+        """Cached read-only metadata vectors (see :class:`VersionColumns`),
+        rebuilt when the ``versions`` tuple was swapped."""
+        if self._columns_for is not self.versions:
             self._columns = VersionColumns.of(self.versions)
+            self._columns_for = self.versions
         return self._columns
-
-    # -- front quality ---------------------------------------------------
-
-    def objective_points(self) -> np.ndarray:
-        """(time, resources) rows in version-index order.
-
-        Cached on the frozen table (read-only array); rebuilt only when the
-        ``versions`` tuple itself is replaced.
-        """
-        self._fresh()
-        if self._points is None:
-            points = np.array(
-                [(v.meta.time, v.meta.resources) for v in self.versions],
-                dtype=float,
-            ).reshape(-1, 2)
-            points.setflags(write=False)
-            self._points = points
-        return self._points
-
-    def archive(self, reference: np.ndarray | None = None) -> ParetoArchive:
-        """The table's versions as a :class:`ParetoArchive`, payloads being
-        the versions themselves.  The default reference is the table's own
-        objective maxima × 1.1 (the optimizers' normalization rule).
-
-        Archives are cached per reference point and shared — treat the
-        result as read-only (copy it before adding points)."""
-        self._fresh()
-        pts = self.objective_points()
-        if reference is None:
-            reference = pts.max(axis=0) * 1.1
-        cache_key = tuple(float(r) for r in np.asarray(reference).ravel())
-        archive = self._archives.get(cache_key)
-        if archive is None:
-            archive = ParetoArchive(np.asarray(reference, dtype=float))
-            archive.add_many(pts, payloads=list(self.versions))
-            self._archives[cache_key] = archive
-        return archive
-
-    def hypervolume(self, reference: np.ndarray | None = None) -> float:
-        """Hypervolume covered by the table's versions — a one-number
-        quality indicator for a deployed multi-versioned region."""
-        return self.archive(reference).hypervolume

@@ -2,8 +2,8 @@
 
 These implement the paper's tuning actions: loop tiling of the tilable band,
 collapsing of the outer tile loops (to mitigate load imbalance, §IV),
-parallelization of the resulting outermost loop, plus interchange and
-unrolling as additional skeleton building blocks.
+parallelization of the resulting outermost loop, plus loop permutation
+(the loop orders of the skeleton-choice extension) and unrolling.
 
 All transformations are pure: they take an IR subtree and return a new one.
 :mod:`repro.transform.skeleton` packages them into parametric
@@ -13,10 +13,8 @@ count, unroll factor) the optimizer tunes.
 
 from repro.transform.tiling import tile
 from repro.transform.collapse import collapse
-from repro.transform.interchange import can_interchange, interchange
+from repro.transform.interchange import permute
 from repro.transform.unroll import unroll
-from repro.transform.fusion import can_fuse, fission, fuse
-from repro.transform.skew import skew, skew_factor_for_band, skewed_directions
 from repro.transform.parallelize import parallelize
 from repro.transform.splice import replace_at_path, stmt_at_path
 from repro.transform.skeleton import (
@@ -29,15 +27,8 @@ from repro.transform.skeleton import (
 __all__ = [
     "tile",
     "collapse",
-    "interchange",
-    "can_interchange",
+    "permute",
     "unroll",
-    "fuse",
-    "fission",
-    "can_fuse",
-    "skew",
-    "skewed_directions",
-    "skew_factor_for_band",
     "parallelize",
     "replace_at_path",
     "stmt_at_path",

@@ -1,48 +1,16 @@
-"""Loop interchange on perfect nests, with a dependence-based legality check."""
+"""Loop permutation (generalized interchange) on perfect nests.
+
+Legality is the caller's: :func:`repro.optimizer.skeleton_choice.legal_loop_orders`
+keeps only the orders under which no dependence turns lexicographically
+negative.
+"""
 
 from __future__ import annotations
 
 from repro.ir.nodes import Block, For, Stmt
-from repro.ir.visitors import loop_nest, perfect_nest
-from repro.analysis.dependence import Dependence
+from repro.ir.visitors import perfect_nest
 
-__all__ = ["interchange", "can_interchange", "permute"]
-
-
-def can_interchange(
-    deps: list[Dependence], lvars: list[str], var_a: str, var_b: str
-) -> bool:
-    """Interchanging two loops is legal iff no dependence direction vector
-    becomes lexicographically negative under the swap.
-
-    Reduction self-dependences are exempt (associative reordering)."""
-    order = list(lvars)
-    ia, ib = order.index(var_a), order.index(var_b)
-    order[ia], order[ib] = order[ib], order[ia]
-    perm = [lvars.index(v) for v in order]
-    for dep in deps:
-        if dep.is_reduction:
-            continue
-        swapped = [dep.directions[p] for p in perm]
-        for d in swapped:
-            if d == "=":
-                continue
-            if d in (">", "*"):
-                return False
-            break  # leading '<' keeps the vector positive
-    return True
-
-
-def interchange(nest_root: For, var_a: str, var_b: str) -> For:
-    """Swap the positions of two loops in a perfect nest (pure rewrite)."""
-    loops, body = perfect_nest(nest_root)
-    lvars = [lp.var for lp in loops]
-    if var_a not in lvars or var_b not in lvars:
-        raise ValueError(f"loops {var_a!r}/{var_b!r} not found in nest {lvars}")
-    order = list(lvars)
-    ia, ib = order.index(var_a), order.index(var_b)
-    order[ia], order[ib] = order[ib], order[ia]
-    return permute(nest_root, order)
+__all__ = ["permute"]
 
 
 def permute(nest_root: For, new_order: list[str]) -> For:

@@ -271,7 +271,7 @@ def default_skeleton(
             raise ValueError(
                 f"loop {v!r} of region {region.name} has non-rectangular "
                 f"bounds (depend on {exc.args[0]!r}); the default skeleton "
-                "handles rectangular bands — skew or restrict the band first"
+                "handles rectangular bands only"
             ) from None
         hi = max(1, extent // 2)
         if tile_upper and v in tile_upper:

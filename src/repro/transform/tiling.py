@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from repro.ir.builder import block
 from repro.ir.nodes import Block, Expr, For, IntLit, Max, Min, Stmt, Var, as_expr
-from repro.ir.visitors import loop_nest, perfect_nest
+from repro.ir.visitors import free_vars, loop_nest, perfect_nest
 
 __all__ = ["tile", "tile_var"]
 
@@ -48,7 +48,8 @@ def tile(nest_root: For, tile_sizes: dict[str, int | str]) -> For:
         from a variable of that name (parameterized tiling, cf. §IV's
         discussion of parameterization vs. multi-versioning).
     :raises ValueError: for structural violations (non-perfect nest, the
-        tiled loops not forming a prefix of the nest, non-unit steps, or a
+        tiled loops not forming a prefix of the nest, non-unit steps, a
+        tiled loop whose bounds depend on other nest loops, or a
         non-positive fixed tile size).
     """
     loops, body = perfect_nest(nest_root)
@@ -75,13 +76,18 @@ def tile(nest_root: For, tile_sizes: dict[str, int | str]) -> For:
             raise ValueError(f"tile size for {v!r} must be >= 1, got {size}")
 
     by_var = {lp.var: lp for lp in loops}
+    for v in tiled:
+        lp = by_var[v]
+        refs = (free_vars(lp.lower) | free_vars(lp.upper)) & by_var.keys()
+        if refs:
+            raise ValueError(
+                f"cannot tile: bounds of {v!r} depend on nest loops {sorted(refs)}"
+            )
 
     # inner loops in original nest order: tiled vars become point loops
     # within their tile, untiled loops stay as they are.  Point-loop bounds
-    # are guarded on both ends (max with the actual lower, min with the
-    # actual upper) so non-rectangular bands — skewed loops whose bounds
-    # depend on outer indices — tile correctly: tiles outside the actual
-    # range for the current outer index simply run empty.
+    # are clamped on both ends (max with the loop's lower, min with its
+    # upper).
     inner: Stmt = body if isinstance(body, Block) else Block((body,))
     for lp in reversed(loops):
         if lp.var in tile_sizes:
@@ -99,61 +105,20 @@ def tile(nest_root: For, tile_sizes: dict[str, int | str]) -> For:
             inner = For(lp.var, lp.lower, lp.upper, lp.step, _as_block(inner),
                         parallel=lp.parallel, annotations=lp.annotations)
 
-    # outermost: tile loops.  A tiled loop whose bounds reference other
-    # nest variables (a skewed inner loop) gets *bounding-box* tile-loop
-    # bounds: the referenced variable is replaced by both of its extremes
-    # and the min/max of the corners taken; the guarded point loops then
-    # skip the parts of each tile outside the actual parallelogram.
+    # outermost: tile loops, over the tiled loops' own bounds.
     out: Stmt = inner
     for v in reversed(tiled):
         lp = by_var[v]
         size = _size_expr(tile_sizes[v])
-        box_lower = _bounding(lp.lower, by_var, want_min=True)
-        box_upper = _bounding(lp.upper, by_var, want_min=False)
         out = For(
             var=tile_var(v),
-            lower=box_lower,
-            upper=box_upper,
+            lower=lp.lower,
+            upper=lp.upper,
             step=size,
             body=_as_block(out),
             annotations=(("tile_loop", v),),
         )
     assert isinstance(out, For)
-    return out
-
-
-def _bounding(expr: Expr, by_var: dict[str, For], want_min: bool) -> Expr:
-    """Replace references to other nest variables in a bound expression by
-    the extremes of their ranges, combining corners with min/max.
-
-    Handles one level of dependence (the referenced loops' own bounds must
-    not reference further nest variables), which covers skewed bands.
-    """
-    from repro.ir.visitors import free_vars, substitute
-
-    refs = [v for v in free_vars(expr) if v in by_var]
-    if not refs:
-        return expr
-    out: Expr | None = None
-    corners = [{}]
-    for v in refs:
-        ref_lp = by_var[v]
-        if free_vars(ref_lp.lower) & set(by_var) or free_vars(ref_lp.upper) & set(by_var):
-            raise ValueError(
-                f"cannot tile: bounds of {v!r} themselves depend on nest variables"
-            )
-        lo = ref_lp.lower
-        hi = ref_lp.upper - 1  # last value of a half-open unit-step loop
-        corners = [
-            {**corner, v: extreme} for corner in corners for extreme in (lo, hi)
-        ]
-    for corner in corners:
-        candidate = substitute(expr, corner)  # type: ignore[assignment]
-        if out is None:
-            out = candidate  # type: ignore[assignment]
-        else:
-            out = Min(out, candidate) if want_min else Max(out, candidate)  # type: ignore[arg-type]
-    assert out is not None
     return out
 
 

@@ -339,6 +339,28 @@ class TestMultiRegionCLI:
                 + row["disk_hits"] + row["shared_hits"]
             )
 
+    def test_multiregion_engine_rows_sum_to_folded_counters(self, tmp_path):
+        """The per-region engine table and the folded engine counters come
+        from the same events and the same FOLDS entries, so the regions'
+        rows add up to each counter."""
+        from repro.obs import fold, load_trace
+        from repro.obs.metrics import FOLDS
+
+        trace = tmp_path / "mr.jsonl"
+        run_cli("tune", "jacobi2d", "--multiregion", "--trace", str(trace))
+        _, text = run_cli("trace", str(trace))
+        rows = engine_rows(text)
+        assert set(rows) == {"0", "1"}
+        metrics = fold(load_trace(trace)).as_dict()
+        counters = [
+            (attr, name) for kind, attr, name, _ in FOLDS["engine.batch"]
+            if kind == "counter"
+        ]
+        assert len(counters) == 9
+        for attr, name in counters:
+            assert sum(row[attr] for row in rows.values()) == metrics[name], name
+        assert metrics["repro_engine_configs_total"] > 0
+
     def test_pipeline_requires_multiregion(self):
         with pytest.raises(SystemExit):
             run_cli("tune", "jacobi2d", "--pipeline")

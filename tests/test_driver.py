@@ -1,11 +1,11 @@
-"""Integration tests: the end-to-end compiler driver and tuning sessions."""
+"""Integration tests: the end-to-end compiler driver."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.driver import TunedKernel, TuningDriver, TuningSession
+from repro.driver import TunedKernel, TuningDriver
 from repro.frontend import get_kernel
 from repro.machine import BARCELONA, WESTMERE
 from repro.optimizer.rsgde3 import RSGDE3Settings
@@ -130,30 +130,6 @@ class TestOptimizerSwitches:
         driver = TuningDriver(machine=WESTMERE, seed=3, settings=FAST_SETTINGS)
         tuned = driver.tune_kernel("mm", sizes={"N": 200}, optimizer=opt)
         assert tuned.result.size >= 1
-
-
-class TestSession:
-    def test_memoizes_runs(self):
-        session = TuningSession()
-        r1 = session.tune("mm", WESTMERE, seed=0)
-        evals_first = r1.evaluations
-        r2 = session.tune("mm", WESTMERE, seed=0)  # cached
-        assert r2.evaluations == evals_first
-        assert len(session.runs) == 1
-
-    def test_save_load_roundtrip(self, tmp_path):
-        session = TuningSession()
-        session.tune("mm", WESTMERE, seed=0)
-        path = session.save(tmp_path / "s.json")
-        loaded = TuningSession.load(path)
-        results = loaded.results_for("mm", "Westmere", "rsgde3")
-        assert len(results) == 1
-        assert results[0].size >= 1
-
-    def test_results_filtering(self):
-        session = TuningSession()
-        session.tune("mm", WESTMERE, seed=0)
-        assert session.results_for("mm", "Barcelona", "rsgde3") == []
 
 
 class TestEngineLifetime:

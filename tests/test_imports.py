@@ -6,8 +6,10 @@ long since imported everything.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,6 @@ NOT_LOADED = (
     "scipy",
     "numpy.f2py",
     "numpy.testing",
-    "repro.evaluation.native",
     "repro.backend.pygen",
     "repro.backend.cgen",
 )
@@ -57,14 +58,21 @@ def test_backend_meta_alone_skips_code_generators():
 
 
 def test_lazy_package_exports_still_resolve():
-    loaded = loaded_after(
-        "from repro.evaluation import NativeExecutor\n"
-        "from repro.backend import compile_function, function_to_c\n"
-        "from repro.runtime import WorkStealingPool\n"
-        "from repro.util import Table, derive_rng"
-    )
-    assert {"repro.evaluation.native", "repro.backend.pygen", "repro.backend.cgen",
-            "repro.runtime.tasks"} <= loaded
+    """Every entry of each package's lazy export table resolves to the name
+    its submodule defines, so a stale entry fails here, not on first use."""
+    import repro
+
+    lazy = [
+        info.name
+        for info in pkgutil.iter_modules(repro.__path__, "repro.")
+        if info.ispkg and hasattr(importlib.import_module(info.name), "_EXPORTS")
+    ]
+    assert {"repro.backend", "repro.evaluation", "repro.runtime", "repro.util"} <= set(lazy)
+    for package in lazy:
+        pkg = importlib.import_module(package)
+        for name, submodule in pkg._EXPORTS.items():
+            module = importlib.import_module(f"{package}.{submodule}")
+            assert getattr(pkg, name) is getattr(module, name), (package, name)
 
 
 def test_tune_runs_without_scipy():

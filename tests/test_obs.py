@@ -288,14 +288,15 @@ class TestTraceSummary:
         with tracer.span("driver.optimize", kernel="mm"):
             with tracer.span("optimizer.run"):
                 tracer.event(
-                    "engine.batch", region="", configs=10, dispatched=8,
-                    cache_hits=2, deduped=0, disk_hits=0, shared_hits=0,
+                    "engine.batch", region="", batches=1, configs=10,
+                    dispatched=8, cache_hits=2, deduped=0, disk_hits=0, shared_hits=0,
                     new_evaluations=8, retried=0, failed=0, wall_time_s=0.5,
                 )
                 for region, disk in (("1", 4), ("0", 0), ("1", 2)):
                     tracer.event(
-                        "engine.batch", region=region, configs=6, dispatched=6 - disk,
-                        disk_hits=disk, retried=1, failed=1, wall_time_s=0.25,
+                        "engine.batch", region=region, batches=1, configs=6,
+                        dispatched=6 - disk, disk_hits=disk, retried=1, failed=1,
+                        wall_time_s=0.25,
                     )
             tracer.event(
                 "optimizer.generation",

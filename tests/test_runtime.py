@@ -756,31 +756,11 @@ class TestVersionTableCaches:
             cols.times[0] = 9.9
         assert list(cols.indices) == [0, 1, 2, 3, 4]
 
-    def test_objective_points_cached_and_read_only(self, table):
-        pts = table.objective_points()
-        assert table.objective_points() is pts
-        assert not pts.flags.writeable
-
-    def test_archive_cached_per_reference(self, table):
-        a = table.archive()
-        assert table.archive() is a
-        ref = np.array([10.0, 10.0])
-        b = table.archive(ref)
-        assert b is not a
-        assert table.archive(ref) is b
-
     def test_replacing_versions_invalidates_caches(self, table):
-        cols, pts, arch = table.columns(), table.objective_points(), table.archive()
+        cols = table.columns()
         table.versions = table.versions[:3]
         assert table.columns() is not cols
         assert len(table.columns().times) == 3
-        assert table.objective_points() is not pts
-        assert table.archive() is not arch
-
-    def test_hypervolume_uses_cached_archive(self, table):
-        hv = table.hypervolume()
-        assert hv > 0
-        assert table.hypervolume() == hv
 
 
 class TestCompiledExecutor:

@@ -1,4 +1,4 @@
-"""Tests for the transformations: tiling, collapsing, interchange, unroll,
+"""Tests for the transformations: tiling, collapsing, permutation, unroll,
 parallelize, skeletons.  Semantic preservation is checked by executing the
 transformed IR against the kernel references."""
 
@@ -16,11 +16,10 @@ from repro.ir.interp import run_function
 from repro.ir.types import I64
 from repro.ir.visitors import collect, loop_nest, loop_vars
 from repro.transform import (
-    can_interchange,
     collapse,
     default_skeleton,
-    interchange,
     parallelize,
+    permute,
     tile,
     unroll,
 )
@@ -104,6 +103,13 @@ class TestTiling:
         for name in k.output_arrays:
             assert np.allclose(out[name], ref[name])
 
+    def test_rejects_bounds_on_nest_loops(self):
+        i, j = var("i"), var("j")
+        body = assign(var("A")[i, j], var("A")[i, j] + 1.0)
+        nest = loop("i", 0, "N", loop("j", i, "N", body))
+        with pytest.raises(ValueError, match="depend on nest loops"):
+            tile(nest, {"i": 2, "j": 2})
+
     def test_rejects_unknown_loop(self, mm_region):
         with pytest.raises(ValueError):
             tile(mm_region.nest, {"z": 4})
@@ -185,34 +191,18 @@ class TestCollapse:
             collapse(nest, 2)
 
 
-class TestInterchange:
+class TestPermute:
     def test_swap_structure(self, mm_region):
-        out = interchange(mm_region.nest, "i", "k")
+        out = permute(mm_region.nest, ["k", "j", "i"])
         assert loop_vars(out) == ["k", "j", "i"]
 
     def test_semantics_preserved(self, rng):
-        out, ref = run_on_mm(lambda nest: interchange(nest, "j", "k"), rng)
+        out, ref = run_on_mm(lambda nest: permute(nest, ["i", "k", "j"]), rng)
         assert np.allclose(out["C"], ref["C"])
-
-    def test_legality_mm(self, mm_region):
-        from repro.analysis import analyze_dependences
-
-        deps = analyze_dependences(mm_region.nest)
-        assert can_interchange(deps, ["i", "j", "k"], "i", "j")
-        assert can_interchange(deps, ["i", "j", "k"], "j", "k")
-
-    def test_legality_blocked_by_wavefront(self):
-        from repro.analysis import analyze_dependences
-
-        i, j = var("i"), var("j")
-        body = assign(var("A")[i, j], var("A")[i - 1, j + 1] + 0.0)
-        nest = loop("i", 1, "N", loop("j", 0, var("N") - 1, body))
-        deps = analyze_dependences(nest)
-        assert not can_interchange(deps, ["i", "j"], "i", "j")
 
     def test_rejects_unknown_var(self, mm_region):
         with pytest.raises(ValueError):
-            interchange(mm_region.nest, "i", "zz")
+            permute(mm_region.nest, ["i", "j", "zz"])
 
 
 class TestUnroll:
